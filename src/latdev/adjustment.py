@@ -27,7 +27,7 @@ from typing import Mapping, Sequence, Tuple
 
 from .errors import ContractError, InputError
 from .lattices import FiniteDistributiveLattice
-from .posets import ElementId, FinitePoset, check_enumeration, shadow
+from .posets import ElementId, FinitePoset, bits, check_enumeration
 
 
 class PairOrderContext:
@@ -48,13 +48,13 @@ class PairOrderContext:
 
     def blocks_ascending(self) -> list:
         """All unordered pairs (incl. singletons) in ⊴-ascending order,
-        as (a, b) tuples with a ⊑ b."""
-        out = []
-        for j, b in enumerate(self.base):
-            for i in range(j + 1):
-                out.append((self.base[i], b))
-        out.sort(key=lambda ab: self.key(set(ab)))
-        return out
+        as (a, b) tuples with a ⊑ b.
+
+        Generating b by ⊑-position and then a up to b yields the keys
+        (⊑-max, ⊑-min) already in ascending order.
+        """
+        return [(a, b) for j, b in enumerate(self.base)
+                for a in self.base[:j + 1]]
 
 
 def pair_leq(ctx: PairOrderContext, s, t) -> bool:
@@ -82,12 +82,22 @@ class AdjustmentResult:
 def prefix_shadows(M: FinitePoset, enumeration: Sequence[ElementId]) -> dict:
     """Minimal upper/lower shadows of each element on its strict prefix."""
     order = check_enumeration(M, enumeration)
-    out = {}
-    for i, x in enumerate(order):
-        prefix = order[:i]
-        out[x] = (shadow(M, prefix, x, "upper"),
-                  shadow(M, prefix, x, "lower"))
-    return out
+    seq = [M.index(x) for x in order]
+    return {x: (frozenset(M._members(U)), frozenset(M._members(V)))
+            for x, (U, V) in zip(order, M._prefix_shadows(seq))}
+
+
+def _shadow_bound_keys(shads: Sequence, m: int, a: int, b: int) -> tuple:
+    """The pairs, as flat positions x*m + y in M × M, whose d' values
+    make up the coinitial and the cofinal set of the pair (a, b).
+
+    ``shads[x]`` is (U_x, V_x) as ascending positions; see
+    :func:`finitary_bounds`.
+    """
+    U_a, V_a = shads[a]
+    U_b, V_b = shads[b]
+    return ([x * m + b for x in U_a] + [a * m + y for y in V_b],
+            [x * m + b for x in V_a] + [a * m + y for y in U_b])
 
 
 def finitary_bounds(ctx: PairOrderContext, M: FinitePoset, shadows: Mapping,
@@ -105,19 +115,18 @@ def finitary_bounds(ctx: PairOrderContext, M: FinitePoset, shadows: Mapping,
     of B' equals the join of the full joinand set, provided d' is already
     monotone on all strictly ⊴-smaller pairs.
     """
-    U_a, V_a = shadows[a]
-    U_b, V_b = shadows[b]
+    m, els = len(M), M.elements
+    shads = {M.index(x): tuple(sorted(map(M.index, s)) for s in shadows[x])
+             for x in (a, b)}
+    meet_ks, join_ks = _shadow_bound_keys(shads, m, M.index(a), M.index(b))
 
-    def fetch(x, y):
-        if (x, y) not in d_prime_partial:
-            raise ContractError(f"pair {(x, y)!r} not yet decided")
-        return d_prime_partial[(x, y)]
+    def fetch(k):
+        pair = (els[k // m], els[k % m])
+        if pair not in d_prime_partial:
+            raise ContractError(f"pair {pair!r} not yet decided")
+        return d_prime_partial[pair]
 
-    coinitial = (tuple(fetch(x, b) for x in sorted(U_a, key=M.index))
-                 + tuple(fetch(a, y) for y in sorted(V_b, key=M.index)))
-    cofinal = (tuple(fetch(x, b) for x in sorted(V_a, key=M.index))
-               + tuple(fetch(a, y) for y in sorted(U_b, key=M.index)))
-    return coinitial, cofinal
+    return tuple(map(fetch, meet_ks)), tuple(map(fetch, join_ks))
 
 
 def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
@@ -125,46 +134,77 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
                         use_shadows: bool = False) -> AdjustmentResult:
     """The monotone adjustment of d along the given enumeration of M."""
     order = check_enumeration(M, enumeration)
+    m = len(M)
+    lat = D.poset._idx
+    base = []                   # d as lattice positions, flat over M × M
     for x in M.elements:
         for y in M.elements:
             if (x, y) not in d:
                 raise InputError(f"map not total: missing {(x, y)!r}")
-            if d[(x, y)] not in D.poset:
+            if d[(x, y)] not in lat:
                 raise InputError(f"value {d[(x, y)]!r} outside lattice")
-    ctx = PairOrderContext(order)
-    shads = prefix_shadows(M, order) if use_shadows else None
+            base.append(lat[d[(x, y)]])
+    seq = [M.index(x) for x in order]
+    if use_shadows:
+        shads = [None] * m
+        for c, s in zip(seq, M._prefix_shadows(seq)):
+            shads[c] = tuple(map(bits, s))
+    # the ordered pairs in decision order: the blocks {a, b} with a ⊑ b in
+    # ⊴-ascending order, (a, b) before (b, a); starts[r] is the rank of
+    # the first pair of rank r's block
+    ordered, starts = [], []
+    for a, b in PairOrderContext(seq).blocks_ascending():
+        starts.append(len(ordered))
+        ordered.append(a * m + b)
+        if a != b:
+            starts.append(starts[-1])
+            ordered.append(b * m + a)
+    if not use_shadows:
+        # rows[x] / cols[y]: decision ranks of the pairs (x, _) / (_, y);
+        # the meetands of (a, b) are the decided ranks in the rows of ↑a
+        # and the columns of ↓b, the joinands those of ↓a and ↑b
+        rows, cols = [0] * m, [0] * m
+        for r, k in enumerate(ordered):
+            rows[k // m] |= 1 << r
+            cols[k % m] |= 1 << r
 
+        def spread(lines, sets):
+            out = []
+            for s in sets:
+                acc = 0
+                for x in bits(s):
+                    acc |= lines[x]
+                out.append(acc)
+            return out
+
+        rows_up, rows_down = spread(rows, M._up), spread(rows, M._down)
+        cols_up, cols_down = spread(cols, M._up), spread(cols, M._down)
+    els = M.elements
+    pair_ids = [(x, y) for x in els for y in els]
+    jn, mt = D._join, D._meet
+    dp = [0] * (m * m)          # d' as lattice positions
     d_prime: dict = {}
     trace: dict = {}
-    decided: list = []          # ordered pairs, in decision order
-
-    def settle(a, b):
+    for r, ab in enumerate(ordered):
+        a, b = divmod(ab, m)
         if use_shadows:
-            coin, cof = finitary_bounds(ctx, M, shads, d_prime, a, b)
-            meet_val = D.meet_all(coin, start=d[(a, b)])
-            join_val = D.join_all(cof)
-            U_a, V_a = shads[a]
-            U_b, V_b = shads[b]
-            meet_idx = (tuple((x, b) for x in sorted(U_a, key=M.index))
-                        + tuple((a, y) for y in sorted(V_b, key=M.index)))
-            join_idx = (tuple((x, b) for x in sorted(V_a, key=M.index))
-                        + tuple((a, y) for y in sorted(U_b, key=M.index)))
+            meet_ks, join_ks = _shadow_bound_keys(shads, m, a, b)
         else:
-            meet_idx = tuple((x, y) for (x, y) in decided
-                             if M.leq(a, x) and M.leq(y, b))
-            join_idx = tuple((x, y) for (x, y) in decided
-                             if M.leq(x, a) and M.leq(b, y))
-            meet_val = D.meet_all((d_prime[p] for p in meet_idx),
-                                  start=d[(a, b)])
-            join_val = D.join_all(d_prime[p] for p in join_idx)
-        d_prime[(a, b)] = D.join(meet_val, join_val)
-        trace[(a, b)] = TraceEntry(d[(a, b)], meet_idx, join_idx)
-
-    for (a, b) in ctx.blocks_ascending():
-        settle(a, b)
-        if a != b:
-            settle(b, a)
-        decided.append((a, b))
-        if a != b:
-            decided.append((b, a))
+            done = (1 << starts[r]) - 1     # ranks of the earlier blocks
+            meet_ks = [ordered[s] for s in
+                       bits(rows_up[a] & cols_down[b] & done)]
+            join_ks = [ordered[s] for s in
+                       bits(rows_down[a] & cols_up[b] & done)]
+        meet_val = base[ab]
+        for k in meet_ks:
+            meet_val = mt[meet_val][dp[k]]
+        join_val = D._bot
+        for k in join_ks:
+            join_val = jn[join_val][dp[k]]
+        dp[ab] = jn[meet_val][join_val]
+        pair = pair_ids[ab]
+        d_prime[pair] = D.elements[dp[ab]]
+        trace[pair] = TraceEntry(d[pair],
+                                 tuple(pair_ids[k] for k in meet_ks),
+                                 tuple(pair_ids[k] for k in join_ks))
     return AdjustmentResult(d_prime, trace)

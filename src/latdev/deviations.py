@@ -17,7 +17,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import InputError
 from .lattices import FiniteDistributiveLattice
-from .posets import ElementId
+from .posets import ElementId, bits
 
 DeviationMap = Dict[Tuple[ElementId, ElementId], ElementId]
 
@@ -28,6 +28,42 @@ class DeviationViolation:
     pair: tuple
 
 
+def _table(D: FiniteDistributiveLattice, d: DeviationMap) -> list:
+    """d as a flat table of positions, t[i*n + j] = d(x_i, x_j), after
+    checking that d is total with values in the carrier."""
+    idx = D.poset._idx
+    t = []
+    for x in D.elements:
+        for y in D.elements:
+            if (x, y) not in d:
+                raise InputError(f"map not total: missing pair {(x, y)!r}")
+            v = d[(x, y)]
+            if v not in idx:
+                raise InputError(f"value {v!r} at {(x, y)!r} outside carrier")
+            t.append(idx[v])
+    return t
+
+
+def _to_map(D: FiniteDistributiveLattice, t: list) -> DeviationMap:
+    els = D.elements
+    return dict(zip(((x, y) for x in els for y in els), (els[v] for v in t)))
+
+
+def _violation(D: FiniteDistributiveLattice, t: list) -> Optional[tuple]:
+    """(axiom, i, j) for the first violated axiom, or None."""
+    n = len(D)
+    up, jn, mt, bot = D.poset._up, D._join, D._meet, D._bot
+    for i in range(n):
+        ui, row = up[i], i * n
+        for j in range(n):
+            v = t[row + j]
+            if not ui >> jn[j][v] & 1:
+                return (1, i, j)
+            if mt[v][t[j * n + i]] != bot:
+                return (2, i, j)
+    return None
+
+
 def check_deviation(D: FiniteDistributiveLattice,
                     d: DeviationMap) -> Optional[DeviationViolation]:
     """None if d is a deviation on D, else the first violated axiom.
@@ -35,20 +71,11 @@ def check_deviation(D: FiniteDistributiveLattice,
     Pairs are scanned in canonical order; within a pair, axiom 1 is
     checked before axiom 2.
     """
-    for x in D.elements:
-        for y in D.elements:
-            if (x, y) not in d:
-                raise InputError(f"map not total: missing pair {(x, y)!r}")
-            v = d[(x, y)]
-            if v not in D.poset:
-                raise InputError(f"value {v!r} at {(x, y)!r} outside carrier")
-    for x in D.elements:
-        for y in D.elements:
-            if not D.leq(x, D.join(y, d[(x, y)])):
-                return DeviationViolation(1, (x, y))
-            if D.meet(d[(x, y)], d[(y, x)]) != D.bottom:
-                return DeviationViolation(2, (x, y))
-    return None
+    bad = _violation(D, _table(D, d))
+    if bad is None:
+        return None
+    axiom, i, j = bad
+    return DeviationViolation(axiom, (D.elements[i], D.elements[j]))
 
 
 @dataclass(frozen=True)
@@ -72,128 +99,134 @@ class PropertyReport:
         return self.left_isotone and self.right_antitone
 
 
+def _property_failures(D: FiniteDistributiveLattice, t: list) -> tuple:
+    """First counterexamples (position triples or None) to left
+    isotonicity, right antitonicity and the Cevian inequality."""
+    n = len(D)
+    up, jn = D.poset._up, D._join
+    N = range(n)
+    li = next(((x, x2, y) for x in N for x2 in bits(up[x]) for y in N
+               if not up[t[x * n + y]] >> t[x2 * n + y] & 1), None)
+    ra = next(((x, y, y2) for x in N for y in N for y2 in bits(up[y])
+               if not up[t[x * n + y2]] >> t[x * n + y] & 1), None)
+    cev = next(((x, y, z) for x in N for y in N for z in N
+                if not up[t[x * n + z]] >> jn[t[x * n + y]][t[y * n + z]] & 1),
+               None)
+    return li, ra, cev
+
+
 def deviation_properties(D: FiniteDistributiveLattice,
                          d: DeviationMap) -> PropertyReport:
     els = D.elements
-    li_ce = None
-    for x in els:
-        for x2 in els:
-            if li_ce:
-                break
-            if not D.leq(x, x2):
-                continue
-            for y in els:
-                if not D.leq(d[(x, y)], d[(x2, y)]):
-                    li_ce = (x, x2, y)
-                    break
-        if li_ce:
-            break
-    ra_ce = None
-    for x in els:
-        for y in els:
-            if ra_ce:
-                break
-            for y2 in els:
-                if D.leq(y, y2) and not D.leq(d[(x, y2)], d[(x, y)]):
-                    ra_ce = (x, y, y2)
-                    break
-        if ra_ce:
-            break
-    cev_ce = None
-    for x in els:
-        for y in els:
-            if cev_ce:
-                break
-            for z in els:
-                if not D.leq(d[(x, z)], D.join(d[(x, y)], d[(y, z)])):
-                    cev_ce = (x, y, z)
-                    break
-        if cev_ce:
-            break
-    return PropertyReport(li_ce is None, ra_ce is None, cev_ce is None,
-                          li_ce, ra_ce, cev_ce)
+    li, ra, cev = (None if ce is None else tuple(els[i] for i in ce)
+                   for ce in _property_failures(D, _table(D, d)))
+    return PropertyReport(li is None, ra is None, cev is None, li, ra, cev)
 
 
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
 
-def _candidates(D: FiniteDistributiveLattice, x, y) -> list:
-    """Values c with x <= y ∨ c, in canonical order (axiom-1 closure;
-    a filter with a unique minimum since D is distributive)."""
-    return [c for c in D.elements if D.leq(x, D.join(y, c))]
-
-
-def _block_feasible(D: FiniteDistributiveLattice, x, y) -> bool:
-    """Whether the mirrored pair {(x,y), (y,x)} admits axiom-respecting
-    values at all.  Infeasibility here dooms any full table."""
-    for u in _candidates(D, x, y):
-        for v in _candidates(D, y, x):
-            if D.meet(u, v) == D.bottom:
-                return True
-    return False
-
-
 def _solutions(D: FiniteDistributiveLattice, require_monotone: bool,
-               require_cevian: bool) -> Iterator[DeviationMap]:
-    els = D.elements
-    pairs = [(x, y) for x in els for y in els]
-    for x in els:
-        for y in els:
-            if not _block_feasible(D, x, y):
-                return
+               require_cevian: bool) -> Iterator[list]:
+    """Every table passing the pruning, in search order, as flat position
+    tables.
 
-    d: DeviationMap = {}
+    Backtracks over ordered pairs in canonical order with an explicit
+    stack; candidates for a pair (x, y) are the values c with
+    x <= y ∨ c (axiom-1 closure), in canonical order.
+    """
+    n = len(D)
+    up, down, jn, mt, bot = (D.poset._up, D.poset._down, D._join, D._meet,
+                             D._bot)
+    cands = [[c for c in range(n) if up[x] >> jn[y][c] & 1]
+             for x in range(n) for y in range(n)]
+    # a mirrored pair {(x,y), (y,x)} without axiom-respecting values at
+    # all dooms every full table
+    disjoint = [sum(1 << v for v in range(n) if mt[u][v] == bot)
+                for u in range(n)]
+    cand_mask = [sum(1 << c for c in cs) for cs in cands]
+    for x in range(n):
+        for y in range(n):
+            if not any(disjoint[u] & cand_mask[y * n + x]
+                       for u in cands[x * n + y]):
+                return
+    ups = [bits(m) for m in up]
+    downs = [bits(m) for m in down]
+    tab: list = [None] * (n * n)
 
     def consistent(x, y, c) -> bool:
         if x == y:                      # axiom 2 forces d(x,x) = c ∧ c = 0
-            if c != D.bottom:
+            if c != bot:
                 return False
-        elif (y, x) in d and D.meet(c, d[(y, x)]) != D.bottom:
-            return False
+        else:
+            r = tab[y * n + x]
+            if r is not None and mt[c][r] != bot:
+                return False
         if require_monotone:
-            for (p, q), v in d.items():
-                if D.leq(p, x) and D.leq(y, q) and not D.leq(v, c):
-                    return False
-                if D.leq(x, p) and D.leq(q, y) and not D.leq(c, v):
-                    return False
+            # decided (p,q) with p <= x, y <= q need d(p,q) <= c, and
+            # with x <= p, q <= y need c <= d(p,q)
+            dc, uc = down[c], up[c]
+            for p in downs[x]:
+                for q in ups[y]:
+                    v = tab[p * n + q]
+                    if v is not None and not dc >> v & 1:
+                        return False
+            for p in ups[x]:
+                for q in downs[y]:
+                    v = tab[p * n + q]
+                    if v is not None and not uc >> v & 1:
+                        return False
         if require_cevian:
             # triples all of whose pairs are decided once (x,y) is set
-            for b in els:
-                if (x, b) in d and (b, y) in d:
-                    if not D.leq(c, D.join(d[(x, b)], d[(b, y)])):
-                        return False
-            for z in els:
-                if (x, z) in d and (y, z) in d:
-                    if not D.leq(d[(x, z)], D.join(c, d[(y, z)])):
-                        return False
-            for a in els:
-                if (a, y) in d and (a, x) in d:
-                    if not D.leq(d[(a, y)], D.join(d[(a, x)], c)):
-                        return False
+            uc = up[c]
+            for b in range(n):
+                u, w = tab[x * n + b], tab[b * n + y]
+                if u is not None and w is not None and \
+                        not uc >> jn[u][w] & 1:
+                    return False
+            for z in range(n):
+                u, w = tab[x * n + z], tab[y * n + z]
+                if u is not None and w is not None and \
+                        not up[u] >> jn[c][w] & 1:
+                    return False
+            for a in range(n):
+                u, w = tab[a * n + y], tab[a * n + x]
+                if u is not None and w is not None and \
+                        not up[u] >> jn[w][c] & 1:
+                    return False
         return True
 
-    def extend(k: int) -> Iterator[DeviationMap]:
-        if k == len(pairs):
-            yield dict(d)
-            return
-        x, y = pairs[k]
-        for c in _candidates(D, x, y):
-            if consistent(x, y, c):
-                d[(x, y)] = c
-                yield from extend(k + 1)
-                del d[(x, y)]
+    size = n * n
+    tried = [0] * (size + 1)    # next candidate position, per stack level
+    k = 0
+    while k >= 0:
+        if k == size:
+            yield list(tab)
+        else:
+            x, y = divmod(k, n)
+            cs = cands[k]
+            c = tried[k]
+            while c < len(cs) and not consistent(x, y, cs[c]):
+                c += 1
+            if c < len(cs):
+                tab[k] = cs[c]
+                tried[k] = c + 1
+                k += 1
+                tried[k] = 0
+                continue
+        k -= 1
+        if k >= 0:
+            tab[k] = None
 
-    yield from extend(0)
 
-
-def _verify(D, d, require_monotone, require_cevian) -> bool:
-    if check_deviation(D, d) is not None:
+def _verify(D, t, require_monotone, require_cevian) -> bool:
+    if _violation(D, t) is not None:
         return False
-    rep = deviation_properties(D, d)
-    if require_monotone and not rep.monotone:
+    li, ra, cev = _property_failures(D, t)
+    if require_monotone and (li is not None or ra is not None):
         return False
-    if require_cevian and not rep.cevian:
+    if require_cevian and cev is not None:
         return False
     return True
 
@@ -210,21 +243,24 @@ def search_deviation(D: FiniteDistributiveLattice,
     the requested properties restricted to decided pairs/triples.  The
     returned table is re-verified by a full sweep before being returned.
     """
-    for d in _solutions(D, require_monotone, require_cevian):
-        if _verify(D, d, require_monotone, require_cevian):
-            return d
+    for t in _solutions(D, require_monotone, require_cevian):
+        if _verify(D, t, require_monotone, require_cevian):
+            return _to_map(D, t)
         raise AssertionError("search produced an inconsistent table")
     return None
 
 
 def enumerate_deviations(D: FiniteDistributiveLattice,
                          limit: int) -> list:
-    """Up to ``limit`` distinct deviations in search order (deterministic)."""
+    """Up to ``limit`` (at least 1) distinct deviations in search order
+    (deterministic)."""
+    if limit < 1:
+        raise InputError(f"limit must be at least 1, got {limit}")
     out = []
-    for d in _solutions(D, False, False):
-        if check_deviation(D, d) is not None:
+    for t in _solutions(D, False, False):
+        if _violation(D, t) is not None:
             raise AssertionError("search produced an inconsistent table")
-        out.append(d)
+        out.append(_to_map(D, t))
         if len(out) >= limit:
             break
     return out

@@ -1,10 +1,17 @@
 """Finite distributive lattices with bottom.
 
-Lattices are built either from an explicit order (join/meet tables are
-computed and cross-checked as least upper / greatest lower bounds) or as
-the lattice of down-sets of a poset (elements are tuples of member ids,
-join is union, meet is intersection, bottom is the empty down-set).
+Lattices are built either from an explicit order or as the lattice of
+down-sets of a poset (elements are tuples of member ids, join is union,
+meet is intersection, bottom is the empty down-set).  Either way the
+join/meet tables are index tables filled in O(n²) from the up-/down-set
+bitmasks of the order: the join of i and j is the element whose up-set
+is ``up[i] & up[j]``, when there is one.  Down-set lattices of hundreds
+of elements build in well under a second.
 
+Distributivity is decided by Birkhoff's representation theorem: a finite
+lattice L is distributive iff it has as many elements as the lattice of
+down-sets of its join-irreducibles.  The same theorem gives the prime
+ideals: they are the principal ideals ↓m whose complement is a filter.
 The distributivity check can be switched off to admit non-distributive
 tables as negative fixtures for the zero-distributivity test.
 """
@@ -15,13 +22,20 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .posets import ElementId, FinitePoset, all_down_sets
+from .posets import (ElementId, FinitePoset, bits, canonical_key,
+                     down_set_masks)
 
 
 class FiniteDistributiveLattice:
-    """A finite lattice with least element, join/meet given by tables."""
+    """A finite lattice with least element, join/meet given by tables.
 
-    __slots__ = ("poset", "elements", "bottom", "top", "_join", "_meet")
+    ``_join``/``_meet`` are tables over canonical positions and
+    ``_bot``/``_top`` are positions; the id methods (``join``, ``meet``,
+    ``leq``) translate at the boundary.
+    """
+
+    __slots__ = ("poset", "elements", "bottom", "top", "_join", "_meet",
+                 "_bot", "_top")
 
     def __init__(self, poset: FinitePoset, check_distributive: bool = True):
         n = len(poset)
@@ -29,39 +43,42 @@ class FiniteDistributiveLattice:
             raise InputError("a lattice needs at least one element")
         self.poset = poset
         self.elements = poset.elements
-        join = [[None] * n for _ in range(n)]
-        meet = [[None] * n for _ in range(n)]
-        le = poset._le
+        els, up, down = poset.elements, poset._up, poset._down
+        by_up = {m: k for k, m in enumerate(up)}
+        by_down = {m: k for k, m in enumerate(down)}
+        join = [[0] * n for _ in range(n)]
+        meet = [[0] * n for _ in range(n)]
+        # tables are symmetric, and the first failing pair in row-major
+        # order always has i <= j
         for i in range(n):
-            for j in range(n):
-                ubs = [k for k in range(n) if le[i][k] and le[j][k]]
-                lub = [k for k in ubs if all(le[k][m] for m in ubs)]
-                if len(lub) != 1:
+            ui, di = up[i], down[i]
+            for j in range(i, n):
+                k = by_up.get(ui & up[j])
+                if k is None:
                     raise InputError(
-                        f"no least upper bound for "
-                        f"{poset.elements[i]!r}, {poset.elements[j]!r}")
-                join[i][j] = lub[0]
-                lbs = [k for k in range(n) if le[k][i] and le[k][j]]
-                glb = [k for k in lbs if all(le[m][k] for m in lbs)]
-                if len(glb) != 1:
+                        f"no least upper bound for {els[i]!r}, {els[j]!r}")
+                join[i][j] = join[j][i] = k
+                k = by_down.get(di & down[j])
+                if k is None:
                     raise InputError(
-                        f"no greatest lower bound for "
-                        f"{poset.elements[i]!r}, {poset.elements[j]!r}")
-                meet[i][j] = glb[0]
-        self._join = tuple(tuple(r) for r in join)
-        self._meet = tuple(tuple(r) for r in meet)
-        bottoms = [i for i in range(n) if all(le[i][j] for j in range(n))]
-        if len(bottoms) != 1:
+                        f"no greatest lower bound for {els[i]!r}, {els[j]!r}")
+                meet[i][j] = meet[j][i] = k
+        self._join = tuple(map(tuple, join))
+        self._meet = tuple(map(tuple, meet))
+        full = (1 << n) - 1
+        if full not in by_up:
             raise InputError("no least element")
-        self.bottom = poset.elements[bottoms[0]]
-        tops = [i for i in range(n) if all(le[j][i] for j in range(n))]
-        self.top = poset.elements[tops[0]]
-        if check_distributive:
-            bad = self._distributivity_failure()
-            if bad is not None:
-                raise InputError(f"lattice is not distributive at {bad!r}")
+        self._bot = by_up[full]
+        self._top = by_down[full]
+        self.bottom = els[self._bot]
+        self.top = els[self._top]
+        if check_distributive and not self.is_distributive:
+            raise InputError("lattice is not distributive at "
+                             f"{self._distributivity_failure()!r}")
 
     def _distributivity_failure(self) -> Optional[tuple]:
+        """The first triple (x, y, z) in canonical order with
+        x∧(y∨z) != (x∧y)∨(x∧z), or None."""
         n = len(self.elements)
         jn, mt = self._join, self._meet
         for i in range(n):
@@ -74,7 +91,21 @@ class FiniteDistributiveLattice:
 
     @property
     def is_distributive(self) -> bool:
-        return self._distributivity_failure() is None
+        """Birkhoff's count: |L| equals the number of down-sets of the
+        join-irreducibles J(L) (counted up to |L| + 1).  Every element is
+        the join of the join-irreducibles below it, so x -> J(L) ∩ ↓x
+        embeds L into O(J(L)); L is distributive iff that is onto."""
+        down = self.poset._down
+        principal = set(down)
+        below = {}
+        for x, dx in enumerate(down):
+            strict = dx & ~(1 << x)
+            if strict in principal:     # exactly one lower cover
+                below[x] = strict
+        irreducible = sum(1 << x for x in below)
+        below = {x: b & irreducible for x, b in below.items()}
+        n = len(down)
+        return len(down_set_masks(below, limit=n)) == n
 
     def idx(self, x: ElementId) -> int:
         return self.poset.index(x)
@@ -123,12 +154,22 @@ def lattice_from_downsets(J: FinitePoset) -> FiniteDistributiveLattice:
     Element ids are tuples of member ids in J's canonical order, so the
     bottom is the empty tuple.
     """
-    downs = all_down_sets(J)
-    key = {e: i for i, e in enumerate(J.elements)}
-    ids = [tuple(sorted(S, key=key.get)) for S in downs]
-    sets = {i: S for i, S in zip(ids, downs)}
-    rel = [(a, b) for a in ids for b in ids if sets[a] <= sets[b]]
-    return FiniteDistributiveLattice(FinitePoset(ids, rel))
+    downs = sorted(down_set_masks(
+        {i: d & ~(1 << i) for i, d in enumerate(J._down)}), key=canonical_key)
+    # containing[j]: the down-sets that contain element j of J
+    containing = [0] * len(J)
+    for k, S in enumerate(downs):
+        for j in bits(S):
+            containing[j] |= 1 << k
+    everything = (1 << len(downs)) - 1
+    up = []
+    for S in downs:
+        u = everything
+        for j in bits(S):
+            u &= containing[j]
+        up.append(u)
+    ids = [tuple(J._members(S)) for S in downs]
+    return FiniteDistributiveLattice(FinitePoset._from_up(ids, up))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +182,7 @@ def is_zero_distributive(D: FiniteDistributiveLattice) -> tuple:
     Returns (True, None) or (False, (x, y, z)) for the first failing
     triple in canonical order.
     """
-    bot = D.idx(D.bottom)
+    bot = D._bot
     n = len(D)
     jn, mt = D._join, D._meet
     for i in range(n):
@@ -162,12 +203,12 @@ def is_completely_normal(D: FiniteDistributiveLattice) -> tuple:
     such x, y.  Comparable pairs always succeed (take x or y to be 0).
     """
     n = len(D)
-    le = D.poset._le
+    up = D.poset._up
     jn, mt = D._join, D._meet
-    bot = D.idx(D.bottom)
+    bot = D._bot
     for i in range(n):
         for j in range(n):
-            if le[i][j] or le[j][i]:
+            if up[i] >> j & 1 or up[j] >> i & 1:
                 continue
             t = jn[i][j]
             ok = False
@@ -202,23 +243,29 @@ class PrimeIdealPoset:
 
 def prime_ideal_poset(D: FiniteDistributiveLattice) -> PrimeIdealPoset:
     """All prime ideals of D: nonempty proper down-sets closed under join
-    such that x∧y ∈ I implies x ∈ I or y ∈ I."""
-    els = D.elements
+    such that x∧y ∈ I implies x ∈ I or y ∈ I.
+
+    In a finite lattice every ideal is principal, and ↓m is prime iff its
+    complement is closed under meets, i.e. contains its own meet.  This
+    holds in any finite lattice, distributive or not.  Ideals are listed
+    by (size, canonical members)."""
+    down, mt = D.poset._down, D._meet
+    full = (1 << len(D)) - 1
     primes = []
-    for S in all_down_sets(D.poset):
-        if not S or len(S) == len(els):
-            continue
-        if any(D.join(a, b) not in S for a in S for b in S):
-            continue
-        outside = [x for x in els if x not in S]
-        if any(D.meet(a, b) in S for a in outside for b in outside):
-            continue
-        primes.append(S)
-    key = {e: i for i, e in enumerate(els)}
-    ids = [tuple(sorted(S, key=key.get)) for S in primes]
-    sets = dict(zip(ids, primes))
-    rel = [(a, b) for a in ids for b in ids if sets[a] <= sets[b]]
-    return PrimeIdealPoset(tuple(primes), FinitePoset(ids, rel))
+    for m in range(len(D)):
+        outside = full & ~down[m]
+        acc = D._top
+        for x in bits(outside):
+            acc = mt[acc][x]
+        if outside >> acc & 1:
+            primes.append(down[m])
+    primes.sort(key=canonical_key)
+    members = [D.poset._members(S) for S in primes]
+    ids = [tuple(ms) for ms in members]
+    rel = [(ids[a], ids[b]) for a, Sa in enumerate(primes)
+           for b, Sb in enumerate(primes) if not Sa & ~Sb]
+    return PrimeIdealPoset(tuple(map(frozenset, members)),
+                           FinitePoset(ids, rel))
 
 
 def is_root_system(p) -> tuple:
@@ -229,10 +276,8 @@ def is_root_system(p) -> tuple:
     incomparable pair.
     """
     P = p.poset if isinstance(p, PrimeIdealPoset) else p
-    for x in P.elements:
-        up = sorted(P.up_set([x]), key=P.index)
-        for a in up:
-            for b in up:
-                if not P.comparable(a, b):
-                    return (False, x)
+    for x, ux in enumerate(P._up):
+        for a in bits(ux):
+            if ux & ~(P._up[a] | P._down[a]):
+                return (False, P.elements[x])
     return (True, None)

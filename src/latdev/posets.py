@@ -26,6 +26,45 @@ from .errors import InputError
 ElementId = Hashable
 
 
+def bits(mask: int) -> list:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def down_set_masks(below: Mapping[int, int],
+                   limit: Optional[int] = None) -> set:
+    """All down-sets, as bitmasks, of the order on the keys of ``below``
+    in which ``below[i]`` is the mask of the elements strictly below i.
+
+    With ``limit``, stops as soon as more than ``limit`` are found.
+    """
+    found = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for X in frontier:
+            for i, b in below.items():
+                if not X >> i & 1 and not b & ~X:
+                    Y = X | 1 << i
+                    if Y not in found:
+                        found.add(Y)
+                        nxt.append(Y)
+                        if limit is not None and len(found) > limit:
+                            return found
+        frontier = nxt
+    return found
+
+
+def canonical_key(mask: int) -> tuple:
+    """Sort key (size, members in canonical order) of a subset mask."""
+    return (mask.bit_count(), bits(mask))
+
+
 class FinitePoset:
     """An immutable finite partial order.
 
@@ -33,42 +72,16 @@ class FinitePoset:
     reflexive closure is added automatically, but the relation as given
     must already be transitive and antisymmetric.  Use
     :meth:`from_relation` to close an arbitrary acyclic relation.
+
+    Internally element i (its canonical position) has the bitmasks
+    ``_up[i]`` (bit j set iff i <= j) and ``_down[i]`` (bit j set iff
+    j <= i); ids are translated to positions only at the public API.
     """
 
-    __slots__ = ("elements", "_idx", "_le", "_pairs")
+    __slots__ = ("elements", "_idx", "_up", "_down")
 
     def __init__(self, elements: Sequence[ElementId], relation: Iterable[tuple]):
-        elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise InputError("duplicate element ids")
-        idx = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        le = [[False] * n for _ in range(n)]
-        for i in range(n):
-            le[i][i] = True
-        for a, b in relation:
-            if a not in idx or b not in idx:
-                raise InputError(f"relation mentions unknown element: {(a, b)!r}")
-            le[idx[a]][idx[b]] = True
-        for i in range(n):
-            for j in range(n):
-                if le[i][j] and le[j][i] and i != j:
-                    raise InputError(
-                        f"antisymmetry fails at {elements[i]!r}, {elements[j]!r}")
-        for i in range(n):
-            for j in range(n):
-                if not le[i][j]:
-                    continue
-                for k in range(n):
-                    if le[j][k] and not le[i][k]:
-                        raise InputError(
-                            "relation is not transitive: "
-                            f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
-        self.elements = elements
-        self._idx = idx
-        self._le = tuple(tuple(row) for row in le)
-        self._pairs = frozenset(
-            (elements[i], elements[j]) for i in range(n) for j in range(n) if le[i][j])
+        self._init(elements, relation)
 
     @classmethod
     def from_relation(cls, elements: Sequence[ElementId],
@@ -76,46 +89,111 @@ class FinitePoset:
         """Build a poset from generating pairs, taking the reflexive-transitive
         closure first.  Raises :class:`InputError` if the closure has a cycle
         through distinct elements."""
+        P = cls.__new__(cls)
+        P._init(elements, pairs, close=True)
+        return P
+
+    @classmethod
+    def _from_up(cls, elements: Sequence[ElementId],
+                 up: Sequence[int]) -> "FinitePoset":
+        """The poset whose element i has up-set mask ``up[i]``."""
+        P = cls.__new__(cls)
+        P._init(elements, (), up=list(up))
+        return P
+
+    def _init(self, elements, relation, close: bool = False,
+              up: Optional[list] = None) -> None:
         elements = tuple(elements)
-        idx = {e: i for i, e in enumerate(elements)}
-        if len(idx) != len(elements):
+        if len(set(elements)) != len(elements):
             raise InputError("duplicate element ids")
+        idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        le = [[False] * n for _ in range(n)]
-        for i in range(n):
-            le[i][i] = True
-        for a, b in pairs:
+        if up is None:
+            up = [1 << i for i in range(n)]
+        for a, b in relation:
             if a not in idx or b not in idx:
                 raise InputError(f"relation mentions unknown element: {(a, b)!r}")
-            le[idx[a]][idx[b]] = True
-        for k in range(n):  # Warshall
-            lk = le[k]
-            for i in range(n):
-                if le[i][k]:
-                    li = le[i]
-                    for j in range(n):
-                        if lk[j]:
-                            li[j] = True
-        closed = [(elements[i], elements[j])
-                  for i in range(n) for j in range(n) if le[i][j]]
-        return cls(elements, closed)
+            up[idx[a]] |= 1 << idx[b]
+        if close:  # Warshall
+            for k in range(n):
+                bit, uk = 1 << k, up[k]
+                for i in range(n):
+                    if up[i] & bit:
+                        up[i] |= uk
+        down = [0] * n
+        for i in range(n):
+            for j in bits(up[i]):
+                down[j] |= 1 << i
+        for i in range(n):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = bits(both)[0]
+                raise InputError(
+                    f"antisymmetry fails at {elements[i]!r}, {elements[j]!r}")
+        for i in range(n):
+            ui = up[i]
+            for j in bits(ui):
+                extra = up[j] & ~ui
+                if extra:
+                    k = bits(extra)[0]
+                    raise InputError(
+                        "relation is not transitive: "
+                        f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
+        self.elements = elements
+        self._idx = idx
+        self._up = tuple(up)
+        self._down = tuple(down)
 
     @classmethod
     def chain(cls, n: int) -> "FinitePoset":
         """The chain 0 < 1 < ... < n-1 on integer ids."""
-        return cls(range(n), [(i, j) for i in range(n) for j in range(i, n)])
+        return cls._from_up(range(n), [-1 << i & ((1 << n) - 1)
+                                       for i in range(n)])
 
     @classmethod
     def antichain(cls, ids: Sequence[ElementId]) -> "FinitePoset":
         return cls(ids, [])
 
-    # -- order queries -----------------------------------------------------
+    # -- translation between ids and positions ------------------------------
 
     def index(self, x: ElementId) -> int:
         try:
             return self._idx[x]
         except KeyError:
             raise InputError(f"unknown element: {x!r}") from None
+
+    def _mask(self, xs: Iterable[ElementId]) -> int:
+        m = 0
+        for x in xs:
+            m |= 1 << self.index(x)
+        return m
+
+    def _members(self, mask: int) -> list:
+        """The elements of a mask, in canonical order."""
+        els = self.elements
+        return [els[i] for i in bits(mask)]
+
+    def _max(self, mask: int) -> int:
+        """The maximal elements of a mask."""
+        up = self._up
+        return sum(1 << i for i in bits(mask) if up[i] & mask == 1 << i)
+
+    def _min(self, mask: int) -> int:
+        down = self._down
+        return sum(1 << i for i in bits(mask) if down[i] & mask == 1 << i)
+
+    def _prefix_shadows(self, seq: Sequence[int]) -> list:
+        """Per position of an enumeration (given as element positions), the
+        masks of the minimal upper and lower shadows on its strict prefix."""
+        out = []
+        prefix = 0
+        for c in seq:
+            out.append((self._min(prefix & self._up[c]),
+                        self._max(prefix & self._down[c])))
+            prefix |= 1 << c
+        return out
+
+    # -- order queries -----------------------------------------------------
 
     def __contains__(self, x) -> bool:
         return x in self._idx
@@ -126,16 +204,16 @@ class FinitePoset:
     def __eq__(self, other) -> bool:
         return (isinstance(other, FinitePoset)
                 and self.elements == other.elements
-                and self._le == other._le)
+                and self._up == other._up)
 
     def __hash__(self) -> int:
-        return hash((self.elements, self._le))
+        return hash((self.elements, self._up))
 
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements)"
 
     def leq(self, a: ElementId, b: ElementId) -> bool:
-        return self._le[self.index(a)][self.index(b)]
+        return self._up[self.index(a)] >> self.index(b) & 1 == 1
 
     def lt(self, a: ElementId, b: ElementId) -> bool:
         return a != b and self.leq(a, b)
@@ -145,101 +223,78 @@ class FinitePoset:
 
     def down_set(self, A: Iterable[ElementId]) -> frozenset:
         """All x with x <= a for some a in A."""
-        ids = [self.index(a) for a in A]
-        return frozenset(e for j, e in enumerate(self.elements)
-                         if any(self._le[j][i] for i in ids))
+        m = 0
+        for a in A:
+            m |= self._down[self.index(a)]
+        return frozenset(self._members(m))
 
     def up_set(self, A: Iterable[ElementId]) -> frozenset:
-        ids = [self.index(a) for a in A]
-        return frozenset(e for j, e in enumerate(self.elements)
-                         if any(self._le[i][j] for i in ids))
+        m = 0
+        for a in A:
+            m |= self._up[self.index(a)]
+        return frozenset(self._members(m))
 
     def maximal(self, X: Iterable[ElementId]) -> frozenset:
-        X = list(X)
-        for x in X:
-            self.index(x)
-        return frozenset(x for x in X
-                         if not any(self.lt(x, y) for y in X))
+        return frozenset(self._members(self._max(self._mask(list(X)))))
 
     def minimal(self, X: Iterable[ElementId]) -> frozenset:
-        X = list(X)
-        for x in X:
-            self.index(x)
-        return frozenset(x for x in X
-                         if not any(self.lt(y, x) for y in X))
+        return frozenset(self._members(self._min(self._mask(list(X)))))
 
     def covers(self) -> list:
         """Cover pairs (a, b) with a < b and nothing strictly between."""
+        els, down = self.elements, self._down
         out = []
-        for a in self.elements:
-            for b in self.elements:
-                if self.lt(a, b) and not any(
-                        self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                    out.append((a, b))
+        for i, ui in enumerate(self._up):
+            above = ui & ~(1 << i)
+            for j in bits(above):
+                if not above & down[j] & ~(1 << j):
+                    out.append((els[i], els[j]))
         return out
+
+    def _relation(self) -> list:
+        """All pairs (a, b) with a <= b."""
+        els = self.elements
+        return [(els[i], els[j]) for i, ui in enumerate(self._up)
+                for j in bits(ui)]
 
     # -- constructions -----------------------------------------------------
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.elements,
-                           [(b, a) for (a, b) in self._pairs])
+        return FinitePoset._from_up(self.elements, self._down)
 
     def product(self, other: "FinitePoset") -> "FinitePoset":
         """Componentwise order on pairs; elements are tuples."""
+        k = len(other)
         els = [(a, b) for a in self.elements for b in other.elements]
-        rel = [((a, b), (c, d)) for (a, b) in els for (c, d) in els
-               if self.leq(a, c) and other.leq(b, d)]
-        return FinitePoset(els, rel)
+        up = [sum(1 << (i2 * k + j2) for i2 in bits(ui) for j2 in bits(uj))
+              for ui in self._up for uj in other._up]
+        return FinitePoset._from_up(els, up)
 
     def with_top(self, top: ElementId) -> "FinitePoset":
         if top in self._idx:
             raise InputError(f"id {top!r} already present")
-        rel = list(self._pairs) + [(x, top) for x in self.elements] + [(top, top)]
+        rel = self._relation() + [(x, top) for x in self.elements] + [(top, top)]
         return FinitePoset(self.elements + (top,), rel)
 
     def with_bottom(self, bottom: ElementId) -> "FinitePoset":
         if bottom in self._idx:
             raise InputError(f"id {bottom!r} already present")
-        rel = list(self._pairs) + [(bottom, x) for x in self.elements]
+        rel = self._relation() + [(bottom, x) for x in self.elements]
         rel.append((bottom, bottom))
         return FinitePoset((bottom,) + self.elements, rel)
 
     def restrict(self, subset: Iterable[ElementId]) -> "FinitePoset":
         """Induced subposet, keeping the canonical element order."""
-        sub = set(subset)
-        for x in sub:
-            self.index(x)
-        els = [e for e in self.elements if e in sub]
-        rel = [(a, b) for (a, b) in self._pairs if a in sub and b in sub]
-        return FinitePoset(els, rel)
+        sub = self._mask(set(subset))
+        return FinitePoset(self._members(sub),
+                           [(a, b) for (a, b) in self._relation()
+                            if sub >> self._idx[a] & 1
+                            and sub >> self._idx[b] & 1])
 
     def is_order_convex(self, subset: Iterable[ElementId]) -> bool:
-        sub = set(subset)
-        for x in sub:
-            self.index(x)
-        return all(not (self.leq(a, c) and self.leq(c, b)) or c in sub
-                   for a in sub for b in sub for c in self.elements)
-
-
-def all_down_sets(P: FinitePoset) -> list:
-    """All down-sets of P as frozensets, ordered by (size, canonical members)."""
-    found = {frozenset()}
-    frontier = [frozenset()]
-    strict_below = {
-        x: P.down_set([x]) - {x} for x in P.elements
-    }
-    while frontier:
-        nxt = []
-        for X in frontier:
-            for x in P.elements:
-                if x not in X and strict_below[x] <= X:
-                    Y = X | {x}
-                    if Y not in found:
-                        found.add(Y)
-                        nxt.append(Y)
-        frontier = nxt
-    key = {e: i for i, e in enumerate(P.elements)}
-    return sorted(found, key=lambda S: (len(S), sorted(key[e] for e in S)))
+        sub = self._mask(set(subset))
+        return not any(self._down[c] & sub and self._up[c] & sub
+                       for c in bits(~sub & ((1 << len(self)) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +308,12 @@ def shadow(P: FinitePoset, A: Iterable[ElementId], x: ElementId,
     ``kind`` is ``"lower"`` (returns ``Max(A ∩ ↓x)``) or ``"upper"``
     (returns ``Min(A ∩ ↑x)``).
     """
-    A = set(A)
-    for a in A:
-        P.index(a)
-    P.index(x)
+    A = P._mask(set(A))
+    i = P.index(x)
     if kind == "lower":
-        return P.maximal({a for a in A if P.leq(a, x)})
+        return frozenset(P._members(P._max(A & P._down[i])))
     if kind == "upper":
-        return P.minimal({a for a in A if P.leq(x, a)})
+        return frozenset(P._members(P._min(A & P._up[i])))
     raise InputError(f"kind must be 'lower' or 'upper', got {kind!r}")
 
 
@@ -303,22 +356,28 @@ def check_separability_witness(P: FinitePoset,
     clause over strictly comparable pairs in canonical order, then over
     reflexive pairs.
     """
-    for z in P.elements:
+    els = P.elements
+    A, B = [], []
+    for i, z in enumerate(els):
         if z not in W.A or z not in W.B:
             raise InputError(f"witness maps not total: missing {z!r}")
-        for a in sorted(W.A[z], key=P.index):
-            if not P.leq(z, a):
-                return WitnessViolation("upper_bound", (z, a))
-        for b in sorted(W.B[z], key=P.index):
-            if not P.leq(b, z):
-                return WitnessViolation("lower_bound", (z, b))
-    for x in P.elements:
-        for y in P.elements:
-            if x != y and P.leq(x, y) and not (W.A[x] & W.B[y]):
-                return WitnessViolation("intersection", (x, y))
-    for x in P.elements:
-        if not (W.A[x] & W.B[x]):
-            return WitnessViolation("intersection", (x, x))
+        a = P._mask(W.A[z])
+        if a & ~P._up[i]:
+            return WitnessViolation(
+                "upper_bound", (z, P._members(a & ~P._up[i])[0]))
+        b = P._mask(W.B[z])
+        if b & ~P._down[i]:
+            return WitnessViolation(
+                "lower_bound", (z, P._members(b & ~P._down[i])[0]))
+        A.append(a)
+        B.append(b)
+    for i, ui in enumerate(P._up):
+        for j in bits(ui & ~(1 << i)):
+            if not A[i] & B[j]:
+                return WitnessViolation("intersection", (els[i], els[j]))
+    for i in range(len(els)):
+        if not A[i] & B[i]:
+            return WitnessViolation("intersection", (els[i], els[i]))
     return None
 
 
@@ -346,16 +405,20 @@ def witness_from_order(P: FinitePoset,
     The result satisfies: x ∈ A(y) ∪ B(y) implies x comes no later than y
     in the enumeration.
     """
-    order = check_enumeration(P, order)
-    A: dict = {}
-    B: dict = {}
-    for i, c in enumerate(order):
-        prefix = order[:i]
-        U = shadow(P, prefix, c, "upper")
-        V = shadow(P, prefix, c, "lower")
-        A[c] = frozenset([c]).union(*(A[u] for u in U)) if U else frozenset([c])
-        B[c] = frozenset([c]).union(*(B[v] for v in V)) if V else frozenset([c])
-    return SeparabilityWitness(A, B)
+    seq = [P.index(x) for x in check_enumeration(P, order)]
+    A = [0] * len(P)
+    B = [0] * len(P)
+    for c, (U, V) in zip(seq, P._prefix_shadows(seq)):
+        A[c] = 1 << c
+        for u in bits(U):
+            A[c] |= A[u]
+        B[c] = 1 << c
+        for v in bits(V):
+            B[c] |= B[v]
+    els = P.elements
+    return SeparabilityWitness(
+        {els[c]: frozenset(P._members(A[c])) for c in seq},
+        {els[c]: frozenset(P._members(B[c])) for c in seq})
 
 
 @dataclass(frozen=True)
@@ -379,27 +442,24 @@ def order_from_witness(P: FinitePoset,
     v = check_separability_witness(P, W)
     if v is not None:
         raise InputError(f"invalid witness: {v.kind} at {v.data!r}")
-    covered: set = set()
+    reach = [P._mask(W.A[z] | W.B[z]) for z in P.elements]
+    covered = 0
     blocks = []
-    for seed in P.elements:
-        if seed in covered:
+    for seed in range(len(P)):
+        if covered >> seed & 1:
             continue
-        block = {seed}
+        block = 1 << seed
         frontier = [seed]
         while frontier:
-            z = frontier.pop()
-            for w in (W.A[z] | W.B[z]) - covered:
-                if w not in block:
-                    block.add(w)
-                    frontier.append(w)
-        blocks.append(tuple(sorted(block, key=P.index)))
+            new = reach[frontier.pop()] & ~covered & ~block
+            block |= new
+            frontier += bits(new)
+        blocks.append(tuple(P._members(block)))
         covered |= block
     enumeration = tuple(x for block in blocks for x in block)
-    shadows = {}
-    for i, c in enumerate(enumeration):
-        prefix = enumeration[:i]
-        shadows[c] = (shadow(P, prefix, c, "upper"),
-                      shadow(P, prefix, c, "lower"))
+    seq = [P.index(x) for x in enumeration]
+    shadows = {x: (frozenset(P._members(U)), frozenset(P._members(V)))
+               for x, (U, V) in zip(enumeration, P._prefix_shadows(seq))}
     return OrderFromWitnessResult(enumeration, tuple(blocks), shadows)
 
 
@@ -465,36 +525,43 @@ def check_strong_amalgam(spec: StrongAmalgamSpec) -> Optional[AmalgamViolation]:
     property: x in M_p, y in M_q, x <= y imply x <= z <= y for some z in a
     block M_r with r <= p, q.
     """
-    M, P, fam = spec.carrier, spec.index, spec.family
-    union = set().union(*fam.values()) if fam else set()
-    missing = [x for x in M.elements if x not in union]
+    M, P = spec.carrier, spec.index
+    F = [M._mask(spec.family[p]) for p in P.elements]
+    union = 0
+    for block in F:
+        union |= block
+    missing = M._members(~union & ((1 << len(M)) - 1))
     if missing:
         return AmalgamViolation("union", (missing[0],))
-    for p in P.elements:
-        for q in P.elements:
-            if not P.leq(p, q):
-                continue
-            A = fam[p]
-            for x in sorted(fam[q], key=M.index):
-                U = shadow(M, A, x, "upper")
-                V = shadow(M, A, x, "lower")
-                up_x = {a for a in A if M.leq(x, a)}
-                if {a for a in A if any(M.leq(u, a) for u in U)} != up_x:
-                    return AmalgamViolation("shadowing", (p, q, x, "upper"))
-                dn_x = {a for a in A if M.leq(a, x)}
-                if {a for a in A if any(M.leq(a, v) for v in V)} != dn_x:
-                    return AmalgamViolation("shadowing", (p, q, x, "lower"))
-    downs = {p: [r for r in P.elements if P.leq(r, p)] for p in P.elements}
-    for p in P.elements:
-        for q in P.elements:
-            rs = [r for r in downs[p] if P.leq(r, q)]
-            for x in sorted(fam[p], key=M.index):
-                for y in sorted(fam[q], key=M.index):
-                    if not M.leq(x, y):
-                        continue
-                    if not any(M.leq(x, z) and M.leq(z, y)
-                               for r in rs for z in fam[r]):
-                        return AmalgamViolation("interpolation", (p, q, x, y))
+    up, down = M._up, M._down
+    ps = P.elements
+    for i, ui in enumerate(P._up):
+        A = F[i]
+        for j in bits(ui):
+            for x in bits(F[j]):
+                closure = 0
+                for u in bits(M._min(A & up[x])):
+                    closure |= up[u]
+                if closure & A != A & up[x]:
+                    return AmalgamViolation(
+                        "shadowing", (ps[i], ps[j], M.elements[x], "upper"))
+                closure = 0
+                for v in bits(M._max(A & down[x])):
+                    closure |= down[v]
+                if closure & A != A & down[x]:
+                    return AmalgamViolation(
+                        "shadowing", (ps[i], ps[j], M.elements[x], "lower"))
+    for i in range(len(P)):
+        for j in range(len(P)):
+            between = 0
+            for r in bits(P._down[i] & P._down[j]):
+                between |= F[r]
+            for x in bits(F[i]):
+                for y in bits(F[j] & up[x]):
+                    if not between & up[x] & down[y]:
+                        return AmalgamViolation(
+                            "interpolation", (ps[i], ps[j], M.elements[x],
+                                              M.elements[y]))
     return None
 
 
@@ -526,16 +593,16 @@ def witness_from_amalgam(spec: StrongAmalgamSpec,
             raise InputError(f"nu not total: missing {x!r}")
         if nu[x] not in fam or x not in fam[nu[x]]:
             raise InputError(f"inconsistent nu: {x!r} not in block {nu[x]!r}")
+    F = {p: M._mask(fam[p]) for p in P.elements}
     A: dict = {}
     B: dict = {}
-    for x in M.elements:
-        ps = [p for p in P.elements if P.leq(p, nu[x])]
+    for i, x in enumerate(M.elements):
         ax: set = set()
         bx: set = set()
-        for p in ps:
-            for u in shadow(M, fam[p], x, "upper"):
+        for p in P._members(P._down[P.index(nu[x])]):
+            for u in M._members(M._min(F[p] & M._up[i])):
                 ax |= per_block[p].A[u]
-            for w in shadow(M, fam[p], x, "lower"):
+            for w in M._members(M._max(F[p] & M._down[i])):
                 bx |= per_block[p].B[w]
         A[x] = frozenset(ax)
         B[x] = frozenset(bx)

@@ -351,10 +351,13 @@ def witness_point(cell: Cell,
             elif lo < up:
                 point[i] = (lo + up) / 2
             else:
-                assert lo == up and not lo_strict and not up_strict
+                if lo != up or lo_strict or up_strict:
+                    raise ContractError(
+                        f"back-substitution met an empty interval at x{i}")
                 point[i] = lo
     pt = tuple(point[i] for i in range(n))
-    assert cell.satisfied_by(pt), "back-substitution produced a bad point"
+    if not cell.satisfied_by(pt):
+        raise ContractError("back-substitution produced a bad point")
     return pt
 
 
@@ -469,7 +472,8 @@ def includes(S: SemilinearSet, T: SemilinearSet,
         for c in comp.cells:
             w = witness_point(Cell.of(t.atoms + c.atoms), S.dimension)
             if w is not None:
-                assert T.contains(w) and not S.contains(w)
+                if not T.contains(w) or S.contains(w):
+                    raise ContractError(f"inclusion witness {w} fails")
                 return (False, w)
     return (True, None)
 
@@ -520,7 +524,8 @@ def interpolant(U: SemilinearSet, X: Iterable[int], V: SemilinearSet,
     W = upper_shadow_set(U, X & Y, ceiling)
     ok1, _ = includes(W, U, ceiling)
     ok2, _ = includes(V, W, ceiling)
-    assert ok1 and ok2, "interpolant sandwich failed"
+    if not (ok1 and ok2):
+        raise ContractError("interpolant sandwich failed")
     return W
 
 

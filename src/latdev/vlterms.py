@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceLimitError
+from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                          SemilinearSet, intersect, is_empty, is_empty_set,
                          set_witness)
@@ -344,7 +344,8 @@ def omega_extend(u: Mapping[int, Fraction], n: int) -> tuple:
         above = [i for i in M if i >= xi]
         out.append(vals[min(above)] if above else Fraction(1))
     point = tuple(out)
-    assert omega_region(n).contains(point)
+    if not omega_region(n).contains(point):
+        raise ContractError(f"extension {point} leaves the region")
     return point
 
 
@@ -369,8 +370,9 @@ def ideal_leq(g: VLTerm, h: VLTerm, n: int,
     w = set_witness(bad)
     if w is None:
         return (True, None)
-    assert evaluate(h, w) == 0 and evaluate(g, w) != 0
-    assert region is None or region.contains(w)
+    if evaluate(h, w) != 0 or evaluate(g, w) == 0 or \
+            (region is not None and not region.contains(w)):
+        raise ContractError(f"ideal order witness {w} fails")
     return (False, w)
 
 

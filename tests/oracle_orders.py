@@ -1,0 +1,400 @@
+"""Id-based reference implementations of the order kernel (test oracle).
+
+These are the original element-id algorithms that the index/bitmask
+kernel in ``latdev`` replaced, kept verbatim so that the differential
+tests in ``test_order_kernel.py`` can compare the two:
+
+* the relation validation of ``FinitePoset`` (antisymmetry, then
+  transitivity, with the same error messages);
+* the least-upper-bound / greatest-lower-bound scan that built the
+  join/meet tables, and the triple scan for distributivity;
+* ``prime_ideal_poset`` by enumeration of all down-sets;
+* the down-set lattice of a poset as the inclusion relation on all
+  down-sets;
+* ``check_deviation``, ``deviation_properties`` and the recursive search;
+* ``monotone_adjustment``: the naive sweep, and the shadow path with its
+  id-based shadows, ⊴ block order and finitary bounds.
+
+They only use the public id API of posets and lattices (``leq``,
+``join``, ``meet``), so they are slow: use them on small inputs.
+``test_order_kernel.py`` checks ``leq`` itself against the ``le`` matrix
+of :func:`validate_relation`.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Optional
+
+from latdev.adjustment import AdjustmentResult, TraceEntry
+from latdev.deviations import DeviationViolation, PropertyReport
+from latdev.errors import ContractError, InputError
+from latdev.lattices import PrimeIdealPoset
+from latdev.posets import FinitePoset, check_enumeration
+
+
+# ---------------------------------------------------------------------------
+# Posets and lattice tables
+# ---------------------------------------------------------------------------
+
+def validate_relation(elements, relation) -> list:
+    """The le matrix of a declared relation, or the InputError that
+    ``FinitePoset`` raises for it."""
+    elements = tuple(elements)
+    if len(set(elements)) != len(elements):
+        raise InputError("duplicate element ids")
+    idx = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    le = [[False] * n for _ in range(n)]
+    for i in range(n):
+        le[i][i] = True
+    for a, b in relation:
+        if a not in idx or b not in idx:
+            raise InputError(f"relation mentions unknown element: {(a, b)!r}")
+        le[idx[a]][idx[b]] = True
+    for i in range(n):
+        for j in range(n):
+            if le[i][j] and le[j][i] and i != j:
+                raise InputError(
+                    f"antisymmetry fails at {elements[i]!r}, {elements[j]!r}")
+    for i in range(n):
+        for j in range(n):
+            if not le[i][j]:
+                continue
+            for k in range(n):
+                if le[j][k] and not le[i][k]:
+                    raise InputError(
+                        "relation is not transitive: "
+                        f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
+    return le
+
+
+def lattice_tables(poset: FinitePoset, check_distributive: bool = True):
+    """(join, meet, bottom, top) index tables by the LUB/GLB scan, raising
+    the InputErrors of the lattice constructor."""
+    n = len(poset)
+    if n == 0:
+        raise InputError("a lattice needs at least one element")
+    els = poset.elements
+    le = [[poset.leq(a, b) for b in els] for a in els]
+    join = [[None] * n for _ in range(n)]
+    meet = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            ubs = [k for k in range(n) if le[i][k] and le[j][k]]
+            lub = [k for k in ubs if all(le[k][m] for m in ubs)]
+            if len(lub) != 1:
+                raise InputError(
+                    f"no least upper bound for "
+                    f"{poset.elements[i]!r}, {poset.elements[j]!r}")
+            join[i][j] = lub[0]
+            lbs = [k for k in range(n) if le[k][i] and le[k][j]]
+            glb = [k for k in lbs if all(le[m][k] for m in lbs)]
+            if len(glb) != 1:
+                raise InputError(
+                    f"no greatest lower bound for "
+                    f"{poset.elements[i]!r}, {poset.elements[j]!r}")
+            meet[i][j] = glb[0]
+    bottoms = [i for i in range(n) if all(le[i][j] for j in range(n))]
+    if len(bottoms) != 1:
+        raise InputError("no least element")
+    tops = [i for i in range(n) if all(le[j][i] for j in range(n))]
+    if check_distributive:
+        bad = distributivity_failure(els, join, meet)
+        if bad is not None:
+            raise InputError(f"lattice is not distributive at {bad!r}")
+    return join, meet, bottoms[0], tops[0]
+
+
+def distributivity_failure(elements, jn, mt) -> Optional[tuple]:
+    n = len(elements)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mt[i][jn[j][k]] != jn[mt[i][j]][mt[i][k]]:
+                    return (elements[i], elements[j], elements[k])
+    return None
+
+
+def all_down_sets(P: FinitePoset) -> list:
+    """All down-sets of P as frozensets, ordered by (size, canonical members)."""
+    found = {frozenset()}
+    frontier = [frozenset()]
+    strict_below = {
+        x: {y for y in P.elements if y != x and P.leq(y, x)}
+        for x in P.elements
+    }
+    while frontier:
+        nxt = []
+        for X in frontier:
+            for x in P.elements:
+                if x not in X and strict_below[x] <= X:
+                    Y = X | {x}
+                    if Y not in found:
+                        found.add(Y)
+                        nxt.append(Y)
+        frontier = nxt
+    key = {e: i for i, e in enumerate(P.elements)}
+    return sorted(found, key=lambda S: (len(S), sorted(key[e] for e in S)))
+
+
+def downset_lattice_relation(J: FinitePoset) -> tuple:
+    """(ids, inclusion pairs) of the down-set lattice of J."""
+    downs = all_down_sets(J)
+    key = {e: i for i, e in enumerate(J.elements)}
+    ids = [tuple(sorted(S, key=key.get)) for S in downs]
+    sets = {i: S for i, S in zip(ids, downs)}
+    rel = [(a, b) for a in ids for b in ids if sets[a] <= sets[b]]
+    return ids, rel
+
+
+def prime_ideal_poset(D) -> PrimeIdealPoset:
+    """All prime ideals of D: nonempty proper down-sets closed under join
+    such that x∧y ∈ I implies x ∈ I or y ∈ I."""
+    els = D.elements
+    primes = []
+    for S in all_down_sets(D.poset):
+        if not S or len(S) == len(els):
+            continue
+        if any(D.join(a, b) not in S for a in S for b in S):
+            continue
+        outside = [x for x in els if x not in S]
+        if any(D.meet(a, b) in S for a in outside for b in outside):
+            continue
+        primes.append(S)
+    key = {e: i for i, e in enumerate(els)}
+    ids = [tuple(sorted(S, key=key.get)) for S in primes]
+    sets = dict(zip(ids, primes))
+    rel = [(a, b) for a in ids for b in ids if sets[a] <= sets[b]]
+    return PrimeIdealPoset(tuple(primes), FinitePoset(ids, rel))
+
+
+# ---------------------------------------------------------------------------
+# Deviations
+# ---------------------------------------------------------------------------
+
+def check_deviation(D, d) -> Optional[DeviationViolation]:
+    for x in D.elements:
+        for y in D.elements:
+            if (x, y) not in d:
+                raise InputError(f"map not total: missing pair {(x, y)!r}")
+            v = d[(x, y)]
+            if v not in D.poset:
+                raise InputError(f"value {v!r} at {(x, y)!r} outside carrier")
+    for x in D.elements:
+        for y in D.elements:
+            if not D.leq(x, D.join(y, d[(x, y)])):
+                return DeviationViolation(1, (x, y))
+            if D.meet(d[(x, y)], d[(y, x)]) != D.bottom:
+                return DeviationViolation(2, (x, y))
+    return None
+
+
+def deviation_properties(D, d) -> PropertyReport:
+    els = D.elements
+    li_ce = None
+    for x in els:
+        for x2 in els:
+            if li_ce:
+                break
+            if not D.leq(x, x2):
+                continue
+            for y in els:
+                if not D.leq(d[(x, y)], d[(x2, y)]):
+                    li_ce = (x, x2, y)
+                    break
+        if li_ce:
+            break
+    ra_ce = None
+    for x in els:
+        for y in els:
+            if ra_ce:
+                break
+            for y2 in els:
+                if D.leq(y, y2) and not D.leq(d[(x, y2)], d[(x, y)]):
+                    ra_ce = (x, y, y2)
+                    break
+        if ra_ce:
+            break
+    cev_ce = None
+    for x in els:
+        for y in els:
+            if cev_ce:
+                break
+            for z in els:
+                if not D.leq(d[(x, z)], D.join(d[(x, y)], d[(y, z)])):
+                    cev_ce = (x, y, z)
+                    break
+        if cev_ce:
+            break
+    return PropertyReport(li_ce is None, ra_ce is None, cev_ce is None,
+                          li_ce, ra_ce, cev_ce)
+
+
+def _candidates(D, x, y) -> list:
+    return [c for c in D.elements if D.leq(x, D.join(y, c))]
+
+
+def _block_feasible(D, x, y) -> bool:
+    for u in _candidates(D, x, y):
+        for v in _candidates(D, y, x):
+            if D.meet(u, v) == D.bottom:
+                return True
+    return False
+
+
+def solutions(D, require_monotone: bool,
+              require_cevian: bool) -> Iterator[dict]:
+    """The recursive backtracking search, yielding every table in order."""
+    els = D.elements
+    pairs = [(x, y) for x in els for y in els]
+    for x in els:
+        for y in els:
+            if not _block_feasible(D, x, y):
+                return
+
+    d: dict = {}
+
+    def consistent(x, y, c) -> bool:
+        if x == y:                      # axiom 2 forces d(x,x) = c ∧ c = 0
+            if c != D.bottom:
+                return False
+        elif (y, x) in d and D.meet(c, d[(y, x)]) != D.bottom:
+            return False
+        if require_monotone:
+            for (p, q), v in d.items():
+                if D.leq(p, x) and D.leq(y, q) and not D.leq(v, c):
+                    return False
+                if D.leq(x, p) and D.leq(q, y) and not D.leq(c, v):
+                    return False
+        if require_cevian:
+            # triples all of whose pairs are decided once (x,y) is set
+            for b in els:
+                if (x, b) in d and (b, y) in d:
+                    if not D.leq(c, D.join(d[(x, b)], d[(b, y)])):
+                        return False
+            for z in els:
+                if (x, z) in d and (y, z) in d:
+                    if not D.leq(d[(x, z)], D.join(c, d[(y, z)])):
+                        return False
+            for a in els:
+                if (a, y) in d and (a, x) in d:
+                    if not D.leq(d[(a, y)], D.join(d[(a, x)], c)):
+                        return False
+        return True
+
+    def extend(k: int) -> Iterator[dict]:
+        if k == len(pairs):
+            yield dict(d)
+            return
+        x, y = pairs[k]
+        for c in _candidates(D, x, y):
+            if consistent(x, y, c):
+                d[(x, y)] = c
+                yield from extend(k + 1)
+                del d[(x, y)]
+
+    yield from extend(0)
+
+
+# ---------------------------------------------------------------------------
+# Adjustment
+# ---------------------------------------------------------------------------
+
+def blocks_ascending(base) -> list:
+    """All unordered pairs (incl. singletons) of the enumeration ``base``
+    in ⊴-ascending order, as (a, b) tuples with a ⊑ b."""
+    pos = {e: i for i, e in enumerate(base)}
+
+    def key(s):
+        ps = [pos[x] for x in s]
+        return (max(ps), min(ps))
+
+    out = []
+    for j, b in enumerate(base):
+        for i in range(j + 1):
+            out.append((base[i], b))
+    out.sort(key=lambda ab: key(set(ab)))
+    return out
+
+
+def shadow(P, A, x, kind) -> frozenset:
+    """Max(A ∩ ↓x) for ``kind`` "lower", Min(A ∩ ↑x) for "upper"."""
+    if kind == "lower":
+        S = {a for a in A if P.leq(a, x)}
+        return frozenset(s for s in S if not any(P.lt(s, t) for t in S))
+    S = {a for a in A if P.leq(x, a)}
+    return frozenset(s for s in S if not any(P.lt(t, s) for t in S))
+
+
+def prefix_shadows(M, order) -> dict:
+    out = {}
+    for i, x in enumerate(order):
+        prefix = order[:i]
+        out[x] = (shadow(M, prefix, x, "upper"),
+                  shadow(M, prefix, x, "lower"))
+    return out
+
+
+def finitary_bounds(M, shadows, d_prime_partial, a, b) -> tuple:
+    U_a, V_a = shadows[a]
+    U_b, V_b = shadows[b]
+
+    def fetch(x, y):
+        if (x, y) not in d_prime_partial:
+            raise ContractError(f"pair {(x, y)!r} not yet decided")
+        return d_prime_partial[(x, y)]
+
+    coinitial = (tuple(fetch(x, b) for x in sorted(U_a, key=M.index))
+                 + tuple(fetch(a, y) for y in sorted(V_b, key=M.index)))
+    cofinal = (tuple(fetch(x, b) for x in sorted(V_a, key=M.index))
+               + tuple(fetch(a, y) for y in sorted(U_b, key=M.index)))
+    return coinitial, cofinal
+
+
+def monotone_adjustment(M, D, d, enumeration,
+                        use_shadows: bool = False) -> AdjustmentResult:
+    """The naive sweep over all ⊴-smaller decided pairs, or the shadow
+    path over the finitary bounds."""
+    order = check_enumeration(M, enumeration)
+    for x in M.elements:
+        for y in M.elements:
+            if (x, y) not in d:
+                raise InputError(f"map not total: missing {(x, y)!r}")
+            if d[(x, y)] not in D.poset:
+                raise InputError(f"value {d[(x, y)]!r} outside lattice")
+    shads = prefix_shadows(M, order) if use_shadows else None
+
+    d_prime: dict = {}
+    trace: dict = {}
+    decided: list = []          # ordered pairs, in decision order
+
+    def settle(a, b):
+        if use_shadows:
+            coin, cof = finitary_bounds(M, shads, d_prime, a, b)
+            meet_val = D.meet_all(coin, start=d[(a, b)])
+            join_val = D.join_all(cof)
+            U_a, V_a = shads[a]
+            U_b, V_b = shads[b]
+            meet_idx = (tuple((x, b) for x in sorted(U_a, key=M.index))
+                        + tuple((a, y) for y in sorted(V_b, key=M.index)))
+            join_idx = (tuple((x, b) for x in sorted(V_a, key=M.index))
+                        + tuple((a, y) for y in sorted(U_b, key=M.index)))
+        else:
+            meet_idx = tuple((x, y) for (x, y) in decided
+                             if M.leq(a, x) and M.leq(y, b))
+            join_idx = tuple((x, y) for (x, y) in decided
+                             if M.leq(x, a) and M.leq(b, y))
+            meet_val = D.meet_all((d_prime[p] for p in meet_idx),
+                                  start=d[(a, b)])
+            join_val = D.join_all(d_prime[p] for p in join_idx)
+        d_prime[(a, b)] = D.join(meet_val, join_val)
+        trace[(a, b)] = TraceEntry(d[(a, b)], meet_idx, join_idx)
+
+    for (a, b) in blocks_ascending(order):
+        settle(a, b)
+        if a != b:
+            settle(b, a)
+        decided.append((a, b))
+        if a != b:
+            decided.append((b, a))
+    return AdjustmentResult(d_prime, trace)

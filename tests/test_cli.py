@@ -59,6 +59,14 @@ class TestLattice:
             {"{c,a}", "{c,b}"}
         schema_check("lattice check", out)
 
+    def test_check_b6(self, capsys, tmp_path):
+        b6 = write(tmp_path, "b6.json", {
+            "downsets_of": {"elements": list("abcdef"), "leq": []}})
+        code, out = run_cli(capsys, "lattice", "check", b6)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["elements"] == 64 and rep["prime_ideal_count"] == 6
+
     def test_check_chain_exits_0(self, capsys, chain4):
         code, out = run_cli(capsys, "lattice", "check", chain4)
         assert code == 0
@@ -118,6 +126,20 @@ class TestDeviation:
                             "--lattice", chain4, "--limit", "3")
         assert code == 0 and json.loads(out)["count"] == 3
         schema_check("deviation enumerate", out)
+
+    def test_search_on_b5_exits_0(self, capsys, tmp_path):
+        b5 = write(tmp_path, "b5.json", {
+            "downsets_of": {"elements": list("abcde"), "leq": []}})
+        code, out = run_cli(capsys, "deviation", "search", "--lattice", b5)
+        assert code == 0 and json.loads(out)["found"]
+        schema_check("deviation search", out)
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_enumerate_non_positive_limit_exits_2(self, capsys, chain4,
+                                                  limit):
+        code, out = run_cli(capsys, "deviation", "enumerate",
+                            "--lattice", chain4, "--limit", limit)
+        assert code == 2 and out == ""
 
 
 class TestAdjust:

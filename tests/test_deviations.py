@@ -7,7 +7,9 @@ import pytest
 from latdev.deviations import (check_deviation, deviation_properties,
                                enumerate_deviations, search_deviation)
 from latdev.errors import InputError
-from latdev.lattices import chain_lattice, is_completely_normal
+from latdev.lattices import (chain_lattice, is_completely_normal,
+                             lattice_from_downsets)
+from latdev.posets import FinitePoset
 
 from conftest import downset_lattice_corpus
 
@@ -113,6 +115,14 @@ class TestSearch:
             rep = deviation_properties(D, d)
             assert rep.monotone
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_boolean_lattices_past_the_recursion_limit(self, n):
+        # B5 and B6 have 4^5 and 4^6 ordered pairs, one search level
+        # each: deeper than the interpreter's recursion limit
+        D = lattice_from_downsets(FinitePoset.antichain(range(n)))
+        d = search_deviation(D)
+        assert d is not None and check_deviation(D, d) is None
+
     def test_search_iff_completely_normal_small(self):
         for D in downset_lattice_corpus(3):
             found = search_deviation(D) is not None
@@ -140,6 +150,11 @@ class TestEnumerate:
         ds1 = enumerate_deviations(SQUARE, 5)
         ds2 = enumerate_deviations(SQUARE, 5)
         assert len(ds1) == 5 and ds1 == ds2
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_non_positive_limit_rejected(self, limit):
+        with pytest.raises(InputError):
+            enumerate_deviations(SQUARE, limit)
 
     def test_all_results_are_deviations(self):
         for d in enumerate_deviations(SQUARE, 12):

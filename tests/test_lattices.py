@@ -126,6 +126,20 @@ class TestPrimeIdeals:
                         if D.meet(a, b) in I:
                             assert a in I or b in I
 
+    def test_large_downset_lattices(self):
+        # O(J) has one prime ideal per element of J; enumerating all
+        # down-sets of O(J) to find them took minutes from B6 on
+        grid = [(i, j) for i in range(12) for j in range(3)]
+        for J, size in ((FinitePoset.antichain(range(7)), 128),
+                        (FinitePoset.from_relation(
+                            grid, [(a, b) for a in grid for b in grid
+                                   if a[0] <= b[0] and a[1] <= b[1]]), 455)):
+            D = lattice_from_downsets(J)
+            assert len(D) == size and D.is_distributive
+            pip = prime_ideal_poset(D)
+            assert len(pip.ideals) == len(J)
+            assert is_root_system(pip)[0] == (len(J) == 7)
+
 
 class TestRootSystem:
     def test_antichain(self):

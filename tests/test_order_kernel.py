@@ -1,0 +1,329 @@
+"""Differential tests: the index/bitmask order kernel against the
+id-based reference code in ``oracle_orders``.
+
+The order relation, down-set lattices, tables, distributivity verdicts,
+prime ideals, deviation verdicts and property counterexamples, search
+order and both adjustment paths (values and trace) must be identical,
+and so must the exception type and message on malformed orders.
+"""
+
+import random
+
+import pytest
+
+import oracle_orders as oracle
+from latdev.adjustment import monotone_adjustment
+from latdev.deviations import (check_deviation, deviation_properties,
+                               enumerate_deviations, search_deviation)
+from latdev.errors import InputError
+from latdev.lattices import (FiniteDistributiveLattice, is_completely_normal,
+                             lattice_from_downsets, lattice_from_poset,
+                             prime_ideal_poset)
+from latdev.posets import FinitePoset
+
+from conftest import all_posets, downset_lattice_corpus, random_poset
+
+CORPUS = list(downset_lattice_corpus(4))
+
+
+def chain_product(k: int) -> FinitePoset:
+    els = [(i, j) for i in range(k) for j in range(3)]
+    return FinitePoset.from_relation(
+        els, [(a, b) for a in els for b in els
+              if a[0] <= b[0] and a[1] <= b[1]])
+
+
+def n5():
+    return lattice_from_poset(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1"),
+         ("0", "b"), ("0", "1"), ("a", "1")], check_distributive=False)
+
+
+def m3():
+    els = ["0", "a", "b", "c", "1"]
+    rel = [("0", x) for x in els] + [(x, "1") for x in els]
+    return lattice_from_poset(els, rel, check_distributive=False)
+
+
+def transitive_closure(elements, pairs) -> list:
+    closed = set(pairs) | {(x, x) for x in elements}
+    while True:
+        more = {(a, d) for (a, b) in closed for (c, d) in closed if b == c}
+        if more <= closed:
+            return sorted(closed)
+        closed |= more
+
+
+def raised(fn, *args, **kwargs):
+    """(type, message) of the exception fn raises, or None."""
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:        # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+def leq_matrix(P: FinitePoset) -> list:
+    return [[P.leq(a, b) for b in P.elements] for a in P.elements]
+
+
+def test_valid_relations_match_oracle():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        els = rng.sample(range(100), n)
+        pairs = [(els[i], els[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.3]
+        closed = transitive_closure(els, pairs)
+        le = oracle.validate_relation(els, closed)
+        assert leq_matrix(FinitePoset(els, closed)) == le
+        assert leq_matrix(FinitePoset.from_relation(els, pairs)) == le
+
+
+def assert_downsets_match_oracle(J: FinitePoset):
+    ids, rel = oracle.downset_lattice_relation(J)
+    L = lattice_from_downsets(J)
+    assert L.elements == tuple(ids)
+    assert L.poset == FinitePoset(ids, rel)
+    assert leq_matrix(L.poset) == oracle.validate_relation(ids, rel)
+
+
+def test_downset_lattices_match_oracle():
+    posets = list(all_posets(4))
+    assert len(posets) == 243
+    posets += [chain_product(k) for k in range(1, 6)]
+    posets += [FinitePoset.antichain(range(n)) for n in range(1, 6)]
+    for J in posets:
+        assert_downsets_match_oracle(J)
+
+
+def assert_matches_oracle(D: FiniteDistributiveLattice):
+    join, meet, bot, top = oracle.lattice_tables(D.poset,
+                                                 check_distributive=False)
+    assert [list(r) for r in D._join] == join
+    assert [list(r) for r in D._meet] == meet
+    assert (D._bot, D._top) == (bot, top)
+    failure = oracle.distributivity_failure(D.elements, join, meet)
+    assert D.is_distributive == (failure is None)
+    assert D._distributivity_failure() == failure
+    mine, theirs = prime_ideal_poset(D), oracle.prime_ideal_poset(D)
+    assert mine.ideals == theirs.ideals
+    assert mine.poset == theirs.poset
+
+
+def test_corpus_matches_oracle():
+    assert len(CORPUS) == 243
+    for D in CORPUS:
+        assert_matches_oracle(D)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_chain_products_match_oracle(k):
+    assert_matches_oracle(lattice_from_downsets(chain_product(k)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_boolean_lattices_match_oracle(n):
+    D = lattice_from_downsets(FinitePoset.antichain(range(n)))
+    assert len(D) == 2 ** n
+    assert_matches_oracle(D)
+
+
+@pytest.mark.parametrize("make", [n5, m3], ids=["N5", "M3"])
+def test_non_distributive_lattices_match_oracle(make):
+    D = make()
+    assert not D.is_distributive
+    assert_matches_oracle(D)
+    # with the check on, the same first failing triple is named
+    assert raised(FiniteDistributiveLattice, D.poset) == \
+        raised(oracle.lattice_tables, D.poset)
+    assert raised(FiniteDistributiveLattice, D.poset)[0] is InputError
+
+
+def test_non_lattice_error_identical():
+    P = FinitePoset(["0", "a", "b", "c", "d"],
+                    [("0", x) for x in "abcd"]
+                    + [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")])
+    err = raised(FiniteDistributiveLattice, P)
+    assert err == raised(oracle.lattice_tables, P)
+    assert err == (InputError, "no least upper bound for 'a', 'b'")
+    # no bottom: the meet of two minimal elements fails first
+    Q = FinitePoset(["a", "b", "1"], [("a", "1"), ("b", "1")])
+    assert raised(FiniteDistributiveLattice, Q) == \
+        raised(oracle.lattice_tables, Q)
+    assert raised(FiniteDistributiveLattice, FinitePoset([], [])) == \
+        raised(oracle.lattice_tables, FinitePoset([], []))
+
+
+@pytest.mark.parametrize("elements, relation", [
+    (["a", "b", "c"], [("a", "b"), ("b", "c")]),                # not transitive
+    ([0, 1, 2, 3], [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]),   # not transitive
+    (["a", "b", "c"], [("a", "b"), ("b", "a")]),                # not antisymmetric
+    (["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("b", "d")]),
+    (["a", "b", "c"], [("c", "b"), ("b", "c"), ("a", "b"), ("b", "a")]),
+    (["a", "b", "c"], [("a", "c"), ("c", "a"), ("a", "b"), ("b", "a")]),
+    (["a", "b"], [("a", "z")]),                                 # unknown id
+    (["a", "a"], []),                                           # duplicate
+])
+def test_invalid_relation_error_identical(elements, relation):
+    err = raised(FinitePoset, elements, relation)
+    assert err is not None and err[0] is InputError
+    assert err == raised(oracle.validate_relation, elements, relation)
+
+
+def test_from_relation_cycle_error_identical():
+    els, pairs = ["a", "b", "c", "d"], [("b", "c"), ("c", "d"), ("d", "b")]
+    closed = set(pairs) | {(x, x) for x in els}
+    while True:
+        more = {(a, d) for (a, b) in closed for (c, d) in closed if b == c}
+        if more <= closed:
+            break
+        closed |= more
+    err = raised(FinitePoset.from_relation, els, pairs)
+    assert err == raised(oracle.validate_relation, els, sorted(closed))
+    assert err[0] is InputError
+
+
+def random_bounded_poset(rng: random.Random) -> FinitePoset:
+    k = rng.randint(1, 6)
+    p = rng.random()
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)
+             if rng.random() < p]
+    pairs += [("0", i) for i in range(k)] + [(i, "1") for i in range(k)]
+    if rng.random() < 0.2:              # an extra maximal element: no top
+        pairs.append((rng.randrange(k), "x"))
+        return FinitePoset.from_relation(["0", *range(k), "1", "x"], pairs)
+    return FinitePoset.from_relation(["0", *range(k), "1"], pairs)
+
+
+def test_birkhoff_count_agrees_with_triple_scan():
+    rng = random.Random(20261018)
+    lattices = non_distributive = 0
+    while lattices < 10_000:
+        P = random_bounded_poset(rng)
+        err = raised(FiniteDistributiveLattice, P, check_distributive=False)
+        try:
+            join, meet, _, _ = oracle.lattice_tables(
+                P, check_distributive=False)
+        except InputError as exc:
+            assert err == (InputError, str(exc))
+            continue
+        assert err is None
+        D = FiniteDistributiveLattice(P, check_distributive=False)
+        lattices += 1
+        assert [list(r) for r in D._join] == join
+        assert [list(r) for r in D._meet] == meet
+        failure = oracle.distributivity_failure(D.elements, join, meet)
+        assert D.is_distributive == (failure is None)
+        non_distributive += failure is not None
+    # both kinds occur often enough for the agreement to mean something
+    assert 1_000 < non_distributive < 9_000
+
+
+# ---------------------------------------------------------------------------
+# Deviations and adjustment
+# ---------------------------------------------------------------------------
+
+def random_map(rng, M, D):
+    return {(x, y): rng.choice(D.elements)
+            for x in M.elements for y in M.elements}
+
+
+def test_deviation_verdicts_match_oracle():
+    rng = random.Random(31)
+    for D in CORPUS:
+        maps = [random_map(rng, D.poset, D) for _ in range(3)]
+        maps += enumerate_deviations(D, 3) if is_completely_normal(D)[0] \
+            else []
+        for d in maps:
+            assert check_deviation(D, d) == oracle.check_deviation(D, d)
+            # the property sweeps apply to any total map
+            assert deviation_properties(D, d) == \
+                oracle.deviation_properties(D, d)
+
+
+def test_deviation_input_errors_match_oracle():
+    D = CORPUS[-1]
+    d = enumerate_deviations(D, 1)[0]
+    partial = dict(d)
+    del partial[(D.elements[1], D.elements[0])]
+    outside = dict(d)
+    outside[(D.elements[0], D.elements[1])] = "nowhere"
+    for bad in (partial, outside):
+        err = raised(check_deviation, D, bad)
+        assert err == raised(oracle.check_deviation, D, bad)
+        assert err[0] is InputError
+
+
+def oracle_search(D, mono, cev):
+    for d in oracle.solutions(D, mono, cev):
+        rep = oracle.deviation_properties(D, d)
+        assert oracle.check_deviation(D, d) is None
+        assert (rep.monotone or not mono) and (rep.cevian or not cev)
+        return d
+    return None
+
+
+def test_search_order_matches_oracle():
+    for D in CORPUS:
+        found = search_deviation(D)
+        assert found == oracle_search(D, False, False)
+        if found is None:
+            continue
+        theirs = []
+        for d in oracle.solutions(D, False, False):
+            theirs.append(d)
+            if len(theirs) == 4:
+                break
+        mine = enumerate_deviations(D, 4)
+        assert mine == theirs
+        # insertion order of the returned maps is the pair order too
+        assert [list(d) for d in mine] == [list(d) for d in theirs]
+        if len(D) <= 10:
+            for mono, cev in ((True, False), (True, True)):
+                assert search_deviation(D, mono, cev) == \
+                    oracle_search(D, mono, cev)
+
+
+def adjustment_cases():
+    """(M, D, d, enumeration) on every fourth corpus lattice."""
+    rng = random.Random(47)
+    cases = []
+    for D in CORPUS[::4]:
+        M = random_poset(rng, rng.randint(1, 5), 0.4)
+        cases.append((M, D, random_map(rng, M, D)))
+        if is_completely_normal(D)[0]:
+            cases.append((D.poset, D, search_deviation(D)))
+    out = []
+    for M, D, d in cases:
+        order = list(M.elements)
+        rng.shuffle(order)
+        out.append((M, D, d, order))
+    return out
+
+
+@pytest.mark.parametrize("use_shadows", [False, True],
+                         ids=["naive", "shadows"])
+def test_adjustment_matches_oracle(use_shadows):
+    for M, D, d, order in adjustment_cases():
+        mine = monotone_adjustment(M, D, d, order, use_shadows=use_shadows)
+        theirs = oracle.monotone_adjustment(M, D, d, order,
+                                            use_shadows=use_shadows)
+        assert mine == theirs
+        assert list(mine.d_prime) == list(theirs.d_prime)
+        assert list(mine.trace) == list(theirs.trace)
+        # both paths give the same map
+        assert mine.d_prime == oracle.monotone_adjustment(M, D, d,
+                                                          order).d_prime
+
+
+def test_adjustment_input_errors_match_oracle():
+    D = CORPUS[10]
+    M = D.poset
+    d = random_map(random.Random(5), M, D)
+    del d[(M.elements[-1], M.elements[0])]
+    for order in (list(M.elements), list(M.elements)[:-1]):
+        err = raised(monotone_adjustment, M, D, d, order)
+        assert err == raised(oracle.monotone_adjustment, M, D, d, order)
+        assert err[0] is InputError
