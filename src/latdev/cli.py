@@ -243,8 +243,8 @@ def _run_vlat_pscom(cfg: RunConfig):
         terms = [vlterms.random_term(rng, n, cfg.args.get("depth", 2))
                  for _ in range(cfg.args.get("count", 100))]
     rep = vlterms.pseudocomplement_probe(
-        n, cfg.args["alpha"], Fraction(cfg.args["c"]), terms,
-        cfg.cell_ceiling)
+        n, cfg.args["alpha"], semilinear.parse_rational(cfg.args["c"]),
+        terms, cfg.cell_ceiling)
 
     def rec(r):
         return {"binding": r.binding, "holds": r.holds,

@@ -8,9 +8,22 @@ Fourier-Motzkin elimination: a bound derived from one strict and one
 non-strict parent is strict.  Equality atoms are eliminated by
 substitution when possible.
 
+The elimination runs on integer rows: an atom becomes its relation and
+the primitive integer vector ``(c0, ..., c{n-1}, const)`` of its form
+(scaled by a positive rational, which keeps its meaning), and a single
+projection loop, ``_project``, serves emptiness, witness points and
+projection.  Membership tests scale the point to integers over one
+common denominator and read the sign of each atom there, in integer
+arithmetic when the atom's coefficients are integers.  Fractions remain
+where rational values are the result: the coordinates of witness points
+(back-substituted from the integer rows), ``LinearForm.evaluate`` and
+the textual format.
+
 Cells are kept as written apart from duplicate-atom removal; empty cells
-are pruned by the operations that create new cells.  Set equality is
-semantic (mutual inclusion), never syntactic.
+are pruned by the operations that create new cells.  Projection reports
+the atoms that mention no eliminated variable as written and the derived
+ones as primitive integer forms.  Set equality is semantic (mutual
+inclusion), never syntactic.
 
 Operations that multiply cell counts (complement, intersection) enforce
 a configurable ceiling (default ``DEFAULT_CELL_CEILING``) and raise
@@ -23,10 +36,11 @@ format, e.g. ``"2*x0 - 1/3*x1 + 1 > 0"``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter, mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
@@ -37,7 +51,7 @@ GT, GE, EQ = ">", ">=", "="
 _RELS = (GT, GE, EQ)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearForm:
     """An affine form  c0*x0 + ... + c{n-1}*x{n-1} + const."""
     coeffs: Tuple[Fraction, ...]
@@ -58,7 +72,7 @@ class LinearForm:
                           self.const + other.const)
 
     def __neg__(self) -> "LinearForm":
-        return self.scale(Fraction(-1))
+        return LinearForm(tuple(-c for c in self.coeffs), -self.const)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return self + (-other)
@@ -97,19 +111,36 @@ def unit_form(n: int, i: int, coeff=1, const=0) -> LinearForm:
     return LinearForm(tuple(coeffs), Fraction(const))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Constraint:
-    """An atom  form rel 0  with rel one of >, >=, =."""
+    """An atom  form rel 0  with rel one of >, >=, =.
+
+    ``key`` is the flat tuple ``(rel, c0, ..., c{n-1}, const)`` with
+    integral values stored as ints: atoms are equal, hashed and sorted by
+    it (equal to comparing ``(rel, coeffs, const)``, with int-to-int
+    comparisons)."""
     form: LinearForm
     rel: str
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rel not in _RELS:
             raise InputError(f"relation must be one of {_RELS}, got {self.rel!r}")
+        f = self.form
+        object.__setattr__(self, "key", (self.rel, *(
+            v.numerator if v.denominator == 1 else v
+            for v in f.coeffs + (f.const,))))
+
+    def __eq__(self, other):
+        if other.__class__ is not Constraint:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def satisfied_by(self, point) -> bool:
-        v = self.form.evaluate(point)
-        return v > 0 if self.rel == GT else v >= 0 if self.rel == GE else v == 0
+        return _holds(self.key, *_scaled_point(point, self.form.dimension))
 
     def negations(self) -> tuple:
         """Atoms whose disjunction is the complement of this atom."""
@@ -123,22 +154,35 @@ class Constraint:
         return f"{self.form} {self.rel} 0"
 
 
-def _atom_key(a: Constraint):
-    return (a.rel, a.form.coeffs, a.form.const)
+_atom_key = attrgetter("key")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Cell:
     """A conjunction of atoms; no atoms means the whole space."""
     atoms: Tuple[Constraint, ...]
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.atoms))
+
+    def __eq__(self, other):
+        if other.__class__ is not Cell:
+            return NotImplemented
+        return self._hash == other._hash and self.atoms == other.atoms
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def of(cls, atoms: Iterable[Constraint]) -> "Cell":
-        uniq = sorted(set(atoms), key=_atom_key)
-        return cls(tuple(uniq))
+        return cls(tuple(sorted(set(atoms), key=_atom_key)))
 
     def satisfied_by(self, point) -> bool:
-        return all(a.satisfied_by(point) for a in self.atoms)
+        if not self.atoms:
+            return True
+        scaled = _scaled_point(point, self.atoms[0].form.dimension)
+        return all(_holds(a.key, *scaled) for a in self.atoms)
 
     def dimension_consistent(self, n: int) -> bool:
         return all(a.form.dimension == n for a in self.atoms)
@@ -172,105 +216,141 @@ class SemilinearSet:
         return cls(n, tuple(seen))
 
     def contains(self, point) -> bool:
-        if len(point) != self.dimension:
-            raise InputError("point dimension mismatch")
-        pt = tuple(Fraction(p) for p in point)
-        return any(c.satisfied_by(pt) for c in self.cells)
+        scaled = _scaled_point(point, self.dimension)
+        return any(all(_holds(a.key, *scaled) for a in c.atoms)
+                   for c in self.cells)
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin machinery (internal atoms normalized to primitive
-# integer vectors; positive scaling preserves semantics)
+# Integer rows and integer membership
 # ---------------------------------------------------------------------------
 
-def _normalize(a: Constraint) -> Constraint:
-    nums = list(a.form.coeffs) + [a.form.const]
-    denoms = [f.denominator for f in nums]
-    L = lcm(*denoms) if denoms else 1
-    ints = [int(f * L) for f in nums]
-    g = gcd(*(abs(v) for v in ints)) if any(ints) else 1
-    g = g or 1
-    scaled = [Fraction(v, g) for v in ints]
-    return Constraint(LinearForm(tuple(scaled[:-1]), scaled[-1]), a.rel)
+def _scaled_point(point, n: int) -> tuple:
+    """``(P, D)``: integers ``P`` and a positive common denominator ``D``
+    with ``point == P / D``."""
+    if len(point) != n:
+        raise InputError("point dimension mismatch")
+    ratios = [(p if isinstance(p, (int, Fraction)) else Fraction(p))
+              .as_integer_ratio() for p in point]
+    d = lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
 
 
-def _combine(lo: Constraint, up: Constraint, i: int) -> Constraint:
-    """Eliminate x_i from a lower (positive coeff) and upper (negative
-    coeff) bound; strict iff either parent strict."""
-    c1 = lo.form.coeffs[i]
-    c2 = up.form.coeffs[i]
-    new = lo.form.scale(-c2) + up.form.scale(c1)
-    rel = GT if (lo.rel == GT or up.rel == GT) else GE
-    return _normalize(Constraint(new, rel))
+def _holds(key: tuple, P: list, D: int) -> bool:
+    """Whether the atom with this key holds at the point ``P / D``: the
+    sign of its form at ``P`` with the constant scaled by ``D``."""
+    rel = key[0]
+    v = sum(map(mul, P, key[1:]), key[-1] * D)
+    return v > 0 if rel == GT else v >= 0 if rel == GE else v == 0
 
 
-def _substitute_pivot(atom: Constraint, pivot: Constraint, i: int) -> Constraint:
-    """Replace x_i in atom using the equality pivot (pivot coeff != 0)."""
-    c = atom.form.coeffs[i]
-    if c == 0:
-        return atom
-    p = pivot.form.coeffs[i]
-    new = atom.form + pivot.form.scale(-c / p)
-    return _normalize(Constraint(new, atom.rel))
+def _primitive(vec) -> tuple:
+    g = gcd(*vec)
+    return tuple(vec) if g <= 1 else tuple(v // g for v in vec)
 
 
-def _const_atom_true(a: Constraint) -> bool:
-    v = a.form.const
-    return v > 0 if a.rel == GT else v >= 0 if a.rel == GE else v == 0
+def _row(a: Constraint) -> tuple:
+    """The integer row of an atom: its relation and the primitive integer
+    vector (c0, ..., c{n-1}, const) of its form."""
+    rel, vals = a.key[0], a.key[1:]
+    d = lcm(*[v.denominator for v in vals])
+    if d > 1:
+        vals = [v.numerator * (d // v.denominator) for v in vals]
+    return rel, _primitive(vals)
 
 
-def _step(atoms: list, i: int):
-    """One elimination step for x_i.  Returns (stage, new_atoms) where
-    stage is ('skip', i), ('eq', i, pivot) or ('ineq', i, involved)."""
-    involved = [a for a in atoms if a.form.coeffs[i] != 0]
-    if not involved:
-        return ("skip", i, ()), atoms
-    rest = [a for a in atoms if a.form.coeffs[i] == 0]
-    pivot = next((a for a in involved if a.rel == EQ), None)
-    if pivot is not None:
-        new = [_substitute_pivot(a, pivot, i) for a in atoms if a is not pivot]
-        return ("eq", i, pivot), new
-    lowers = [a for a in involved if a.form.coeffs[i] > 0]
-    uppers = [a for a in involved if a.form.coeffs[i] < 0]
-    derived = [_combine(lo, up, i) for lo in lowers for up in uppers]
-    return ("ineq", i, tuple(involved)), rest + derived
+def _from_row(row: tuple) -> Constraint:
+    rel, vec = row
+    return Constraint(LinearForm(tuple(map(Fraction, vec[:-1])),
+                                 Fraction(vec[-1])), rel)
 
 
-def _tidy(atoms: Iterable[Constraint]):
-    """Drop true constant atoms and exact duplicates; None on a false
-    constant atom."""
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin elimination on integer rows
+# ---------------------------------------------------------------------------
+
+def _tidy(rows: Iterable[tuple]) -> Optional[list]:
+    """Drop true constant rows and exact duplicates (keeping the first);
+    None on a false constant row."""
     out = []
     seen = set()
-    for a in atoms:
-        if a.form.is_constant():
-            if not _const_atom_true(a):
+    for r in rows:
+        rel, vec = r
+        if not any(vec[:-1]):
+            c = vec[-1]
+            if not (c > 0 if rel == GT else c >= 0 if rel == GE else c == 0):
                 return None
-            continue
-        k = _atom_key(a)
-        if k not in seen:
-            seen.add(k)
-            out.append(a)
+        elif r not in seen:
+            seen.add(r)
+            out.append(r)
     return out
 
 
-def _obviously_empty(atoms) -> bool:
-    """Syntactic fast path: an atom  f > 0  together with any atom on the
-    negated form (or  f = 0  on the same form) is contradictory.  Catches
-    the sibling cells produced by case-splitting without running a full
-    elimination."""
-    rels: dict = {}
-    for a in atoms:
-        key = (a.form.coeffs, a.form.const)
-        rels.setdefault(key, set()).add(a.rel)
-    for (coeffs, const), rs in rels.items():
-        if GT not in rs:
+def _obviously_empty(rows: list) -> bool:
+    """Syntactic fast path: a row  f > 0  together with  f = 0  or any row
+    on the negated vector is contradictory.  Catches the sibling cells
+    produced by case-splitting without running a full elimination."""
+    strict = [vec for rel, vec in rows if rel == GT]
+    if not strict:
+        return False
+    vecs = {vec for _, vec in rows}
+    eqs = {vec for rel, vec in rows if rel == EQ}
+    return any(vec in eqs or tuple(-c for c in vec) in vecs
+               for vec in strict)
+
+
+def _project(rows: list, variables: Iterable[int], prune: bool = False):
+    """Eliminate ``variables`` in order from the rows.
+
+    Returns ``(stages, rows)``, with one stage per variable for
+    back-substitution: ``("skip", i)``, ``("eq", i, pivot)`` or
+    ``("ineq", i, involved)``; or None once a false constant row appears
+    (with ``prune``, also once ``_obviously_empty`` holds; ``eliminate``
+    goes without, as it decides the projected cell through the cached
+    ``is_empty``).  An equality step substitutes the first equality that
+    mentions x_i into every other row in place, so the order of the rows,
+    and with it the next pivot, is kept; an inequality step keeps the
+    rows without x_i and appends each lower/upper combination."""
+    rows = _tidy(rows)
+    if rows is None or (prune and _obviously_empty(rows)):
+        return None
+    stages = []
+    for i in variables:
+        involved = [r for r in rows if r[1][i]]
+        if not involved:
+            stages.append(("skip", i))
             continue
-        if EQ in rs:
-            return True
-        neg = (tuple(-c for c in coeffs), -const)
-        if neg in rels:
-            return True
-    return False
+        pivot = next((r for r in involved if r[0] == EQ), None)
+        if pivot is not None:
+            pv = pivot[1]
+            p = pv[i]
+            ap, s = abs(p), 1 if p > 0 else -1
+            new = []
+            for r in rows:
+                c = r[1][i]
+                if not c:
+                    new.append(r)
+                elif r is not pivot:
+                    sc = s * c
+                    new.append((r[0], _primitive(
+                        [ap * a - sc * b for a, b in zip(r[1], pv)])))
+            stages.append(("eq", i, pivot))
+        else:
+            new = [r for r in rows if not r[1][i]]
+            lowers = [r for r in involved if r[1][i] > 0]
+            uppers = [r for r in involved if r[1][i] < 0]
+            for lo_rel, lo in lowers:
+                c1 = lo[i]
+                for up_rel, up in uppers:
+                    c2 = -up[i]
+                    rel = GT if (lo_rel == GT or up_rel == GT) else GE
+                    new.append((rel, _primitive(
+                        [c2 * a + c1 * b for a, b in zip(lo, up)])))
+            stages.append(("ineq", i, involved))
+        rows = _tidy(new)
+        if rows is None or (prune and _obviously_empty(rows)):
+            return None
+    return stages, rows
 
 
 @lru_cache(maxsize=1 << 17)
@@ -278,20 +358,9 @@ def is_empty(cell: Cell) -> bool:
     """Whether no rational point satisfies all atoms of the cell."""
     if not cell.atoms:
         return False
-    if _obviously_empty(cell.atoms):
-        return True
     n = cell.atoms[0].form.dimension
-    atoms = _tidy(cell.atoms)
-    if atoms is None:
-        return True
-    for i in range(n):
-        _, atoms = _step(atoms, i)
-        atoms = _tidy(atoms)
-        if atoms is None:
-            return True
-        if _obviously_empty(atoms):
-            return True
-    return False
+    rows = [_row(a) for a in cell.atoms]
+    return _project(rows, range(n), prune=True) is None
 
 
 def witness_point(cell: Cell,
@@ -305,37 +374,29 @@ def witness_point(cell: Cell,
     n = cell.atoms[0].form.dimension
     if dimension is not None and dimension != n:
         raise InputError("dimension mismatch")
-    atoms = _tidy(cell.atoms)
-    if atoms is None:
+    projected = _project([_row(a) for a in cell.atoms], range(n), prune=True)
+    if projected is None:
         return None
-    stages = []
-    for i in range(n):
-        stage, atoms = _step(atoms, i)
-        stages.append(stage)
-        atoms = _tidy(atoms)
-        if atoms is None:
-            return None
     point: dict = {}
 
-    def value_at(f: LinearForm, skip: int) -> Fraction:
-        return f.const + sum(
-            (f.coeffs[j] * point[j] for j in range(n)
-             if j != skip and f.coeffs[j] != 0), Fraction(0))
+    def value_at(vec: tuple, skip: int) -> Fraction:
+        return sum((vec[j] * point[j] for j in range(n)
+                    if j != skip and vec[j]), Fraction(vec[-1]))
 
-    for stage in reversed(stages):
+    for stage in reversed(projected[0]):
         kind, i = stage[0], stage[1]
         if kind == "skip":
             point[i] = Fraction(0)
         elif kind == "eq":
-            pivot = stage[2]
-            point[i] = -value_at(pivot.form, i) / pivot.form.coeffs[i]
+            vec = stage[2][1]
+            point[i] = -value_at(vec, i) / vec[i]
         else:
             lo = up = None
             lo_strict = up_strict = False
-            for a in stage[2]:
-                c = a.form.coeffs[i]
-                bound = -value_at(a.form, i) / c
-                strict = a.rel == GT
+            for rel, vec in stage[2]:
+                c = vec[i]
+                bound = -value_at(vec, i) / c
+                strict = rel == GT
                 if c > 0:
                     if lo is None or bound > lo or (bound == lo and strict):
                         lo, lo_strict = bound, strict
@@ -373,16 +434,17 @@ def _guard(count: int, ceiling: Optional[int]):
 
 
 def _accumulate(out: list, cell: Cell, ceiling: Optional[int]):
-    """Add a cell to a union-in-progress, dropping empty and subsumed
-    cells (an atom superset denotes a subset region)."""
+    """Add a cell to a union-in-progress of (cell, atom set) pairs,
+    dropping empty and subsumed cells (an atom superset denotes a subset
+    region)."""
     if is_empty(cell):
         return
     atoms = set(cell.atoms)
-    for c in out:
-        if set(c.atoms) <= atoms:
+    for _, s in out:
+        if s <= atoms:
             return
-    out[:] = [c for c in out if not atoms <= set(c.atoms)]
-    out.append(cell)
+    out[:] = [(c, s) for c, s in out if not atoms <= s]
+    out.append((cell, atoms))
     _guard(len(out), ceiling)
 
 
@@ -413,7 +475,7 @@ def intersect(S: SemilinearSet, T: SemilinearSet,
     for a in S.cells:
         for b in T.cells:
             _accumulate(out, Cell.of(a.atoms + b.atoms), ceiling)
-    return SemilinearSet(S.dimension, tuple(out))
+    return SemilinearSet(S.dimension, tuple(c for c, _ in out))
 
 
 def complement(S: SemilinearSet,
@@ -426,7 +488,7 @@ def complement(S: SemilinearSet,
         for base in acc:
             for opt in options:
                 _accumulate(nxt, Cell.of(base.atoms + (opt,)), ceiling)
-        acc = nxt
+        acc = [c for c, _ in nxt]
         if not acc:
             break
     return SemilinearSet(S.dimension, tuple(acc))
@@ -442,19 +504,19 @@ def eliminate(S: SemilinearSet, variables: Iterable[int],
             raise InputError(f"variable index {i} out of range")
     out = []
     for cell in S.cells:
-        atoms = _tidy(cell.atoms)
-        if atoms is None:
+        # atoms that mention variables but no eliminated one pass through
+        # as written; constant atoms go to _project, which drops or fails them
+        kept, rows = [], []
+        for a in cell.atoms:
+            key = a.key
+            if any(key[1:-1]) and not any(key[i + 1] for i in vs):
+                kept.append(a)
+            else:
+                rows.append(_row(a))
+        projected = _project(rows, vs)
+        if projected is None:
             continue
-        dead = False
-        for i in vs:
-            _, atoms = _step(atoms, i)
-            atoms = _tidy(atoms)
-            if atoms is None:
-                dead = True
-                break
-        if dead:
-            continue
-        c = Cell.of(atoms)
+        c = Cell.of(kept + [_from_row(r) for r in projected[1]])
         if not is_empty(c) and c not in out:
             out.append(c)
         _guard(len(out), ceiling)
@@ -554,6 +616,17 @@ _TERM = re.compile(r"""
 """, re.VERBOSE)
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational literal such as ``3``, ``-2/3`` or ``0.5``; a zero
+    denominator or a malformed literal is an input error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise InputError(f"not a rational number: {text!r}") from None
+
+
 def parse_linear_form(text: str, n: int) -> LinearForm:
     coeffs = [Fraction(0)] * n
     const = Fraction(0)
@@ -569,7 +642,7 @@ def parse_linear_form(text: str, n: int) -> LinearForm:
             i = int(m.group("var2"))
             coef = Fraction(sign)
         else:
-            coef = sign * Fraction(m.group("coef"))
+            coef = sign * parse_rational(m.group("coef"))
             i = int(m.group("var1")) if m.group("var1") is not None else None
         if i is None:
             const += coef

@@ -8,7 +8,9 @@ Formats (element ids are JSON strings):
 * lattice:    {"downsets_of": <poset>}  or
               {"elements": ..., "leq": ..., "bottom": id,
                "check_distributive": bool?}
-* deviation:  {"d": {"x,y": value}}   (ids must not contain commas)
+* deviation:  {"d": {"x,y": value}}, or a ``deviation search`` report
+              holding it under "deviation"; ids are written as str(id)
+              or, for down-set lattices, as {a,b}
 * amalgam:    {"carrier": <poset>, "index": <poset>,
                "family": {p: [ids]}, "nu": {x: p}?}
 * semilinear: {"dimension": n, "cells": [["2*x0 - 1 > 0", ...], ...]}
@@ -81,21 +83,43 @@ def _downset_id_to_str(x) -> str:
     return str(x)
 
 
+def _pair(key: str, names: dict) -> tuple:
+    """Split a pair key ``"x,y"`` at the one comma where both sides name
+    elements (ids rendered by ``str`` or as ``{a,b}`` may hold commas)."""
+    parts = key.split(",")
+    if len(parts) == 2:
+        return tuple(parts)
+    cuts = [(key[:i], key[i + 1:]) for i, ch in enumerate(key)
+            if ch == "," and key[:i] in names and key[i + 1:] in names]
+    if len(cuts) != 1:
+        raise InputError(f"bad pair key {key!r}")
+    return cuts[0]
+
+
 def deviation_from_json(obj, D: FiniteDistributiveLattice) -> dict:
+    """Read a deviation map, or the map of a ``deviation search`` report
+    (under ``"deviation"``).  Element ids may be written as ``str(id)``
+    or, for the tuple ids of down-set lattices, as ``{a,b}``."""
+    if isinstance(obj, dict) and "d" not in obj and "deviation" in obj:
+        obj = obj["deviation"]
+        if obj is None:
+            raise InputError("the search report holds no deviation")
     try:
         raw = obj["d"]
-    except (KeyError, TypeError) as exc:
+        items = list(raw.items())
+    except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed deviation JSON: {exc}") from None
+    names: dict = {}
+    for e in D.poset.elements:
+        names.setdefault(str(e), e)
+        names.setdefault(_downset_id_to_str(e), e)
     d = {}
-    for key, v in raw.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise InputError(f"bad pair key {key!r}")
-        x, y = parts[0], parts[1]
+    for key, v in items:
+        x, y = _pair(key, names)
         for e in (x, y, v):
-            if e not in D.poset:
+            if not isinstance(e, str) or e not in names:
                 raise InputError(f"unknown element {e!r} in deviation map")
-        d[(x, y)] = v
+        d[(names[x], names[y])] = names[v]
     return d
 
 

@@ -34,11 +34,16 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                          SemilinearSet, intersect, is_empty, is_empty_set,
-                         set_witness)
+                         parse_rational, set_witness)
 
 UNIT_KEY = "one"   # sigma key for the unit when substitution may move it
 
 DEFAULT_PIECE_CEILING = 10_000
+
+# Deepest term that ``parse_term`` accepts: the parser and the term
+# functions (``linearize``, ``evaluate``, hashing, ``str``) recurse once
+# per level, and this keeps them far below Python's recursion limit.
+MAX_TERM_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +683,47 @@ def _tokenize(text: str) -> list:
     return out
 
 
+def term_depth(t: VLTerm) -> int:
+    """The number of operators on the longest path from the root of the
+    term to a leaf (computed without recursion)."""
+    depth: dict = {}
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        if isinstance(s, (Gen, One)):
+            depth[id(s)] = 0
+        else:
+            kids = (s.arg,) if isinstance(s, Scale) else (s.left, s.right)
+            todo = [k for k in kids if id(k) not in depth]
+            if todo:
+                stack.extend(todo)
+                continue
+            depth[id(s)] = 1 + max(depth[id(k)] for k in kids)
+        stack.pop()
+    return depth[id(t)]
+
+
 def parse_term(text: str) -> VLTerm:
     """Parse the textual grammar: atoms g0.., one; operators +, -,
     rational scaling p/q*, \\/ (join), /\\ (meet), postfix ^+, and |...|
-    for absolute value.  Example: ``(g0 - 2*g1)^+ \\/ one``."""
+    for absolute value.  Example: ``(g0 - 2*g1)^+ \\/ one``.
+
+    Terms deeper than ``MAX_TERM_DEPTH`` (in operators, or in nested
+    parentheses, bars and prefix operators) are an input error."""
     toks = _tokenize(text)
     pos = 0
+    nesting = 0
+
+    def nested(parse):
+        """Run a sub-parser one nesting level deeper."""
+        nonlocal nesting
+        nesting += 1
+        if nesting > MAX_TERM_DEPTH:
+            raise InputError(
+                f"term nested deeper than {MAX_TERM_DEPTH} levels")
+        t = parse()
+        nesting -= 1
+        return t
 
     def peek(kind=None):
         if pos >= len(toks):
@@ -729,14 +769,14 @@ def parse_term(text: str) -> VLTerm:
     def parse_unary():
         if peek() == ("op", "-"):
             take()
-            return Scale(Fraction(-1), parse_unary())
+            return Scale(Fraction(-1), nested(parse_unary))
         t = peek()
         if t is not None and t[0] == "num":
             take()
-            q = Fraction(t[1])
+            q = parse_rational(t[1])
             if peek() == ("op", "*"):
                 take()
-                return Scale(q, parse_unary())
+                return Scale(q, nested(parse_unary))
             return const(q)
         return parse_postfix()
 
@@ -759,12 +799,12 @@ def parse_term(text: str) -> VLTerm:
             return One()
         if t == ("op", "("):
             take()
-            inner = parse_join()
+            inner = nested(parse_join)
             take(("op", ")"))
             return inner
         if t == ("op", "|"):
             take()
-            inner = parse_join()
+            inner = nested(parse_join)
             take(("op", "|"))
             return abs(inner)
         raise InputError(f"unexpected token {t!r}")
@@ -772,4 +812,6 @@ def parse_term(text: str) -> VLTerm:
     term = parse_join()
     if pos != len(toks):
         raise InputError(f"trailing input after term: {toks[pos].group()!r}")
+    if term_depth(term) > MAX_TERM_DEPTH:
+        raise InputError(f"term deeper than {MAX_TERM_DEPTH} operators")
     return term

@@ -1,11 +1,16 @@
 """CLI: subcommands, exit codes, schema validation, determinism."""
 
 import json
+import os
 
 import jsonschema
 import pytest
 
-from latdev.cli import SCHEMAS, main
+from latdev.cli import SCHEMAS, _idstr, main
+from latdev.serialize import (deviation_from_json, deviation_to_json,
+                              lattice_from_json, load_json)
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +139,37 @@ class TestDeviation:
         assert code == 0 and json.loads(out)["found"]
         schema_check("deviation search", out)
 
+    def test_search_report_reads_back_as_map(self, capsys, tmp_path):
+        """A search report on a down-set lattice (tuple ids, written with
+        str) is accepted by deviation check, as is its {a,b} rendering."""
+        tree = os.path.join(GOLDEN, "fixtures", "tree.json")
+        for flags in ((), ("--monotone", "--cevian")):
+            code, out = run_cli(capsys, "deviation", "search",
+                                "--lattice", tree, *flags)
+            assert code == 0
+            report = json.loads(out)
+            assert "('x', 'w')" in "".join(report["deviation"]["d"])
+            rendered = write(tmp_path, "search.json", report)
+            code, out = run_cli(capsys, "deviation", "check",
+                                "--lattice", tree, "--map", rendered)
+            assert code == 0 and json.loads(out)["valid"]
+            D = lattice_from_json(load_json(tree))
+            d = deviation_from_json(report, D)
+            assert deviation_to_json(d) == report["deviation"]
+            braces = {"d": {f"{_idstr(x)},{_idstr(y)}": _idstr(v)
+                            for (x, y), v in d.items()}}
+            assert deviation_from_json(braces, D) == d
+
+    def test_search_report_without_deviation_exits_2(self, capsys, tmp_path,
+                                                     ncn_lattice):
+        code, out = run_cli(capsys, "deviation", "search",
+                            "--lattice", ncn_lattice)
+        assert code == 1
+        p = write(tmp_path, "none.json", json.loads(out))
+        code, out = run_cli(capsys, "deviation", "check",
+                            "--lattice", ncn_lattice, "--map", p)
+        assert code == 2 and out == ""
+
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_enumerate_non_positive_limit_exits_2(self, capsys, chain4,
                                                   limit):
@@ -249,6 +285,18 @@ class TestSemilinear:
         assert rep["cells"] == [["x0 > 0"]]
         schema_check("semilinear shadow", out)
 
+    def test_zero_denominator_exits_2(self, capsys, tmp_path):
+        bad = write(tmp_path, "bad.json",
+                    {"dimension": 1, "cells": [["x0 > 1/0"]]})
+        good = write(tmp_path, "good.json",
+                     {"dimension": 1, "cells": [["x0 > 0"]]})
+        code, out = run_cli(capsys, "semilinear", "includes",
+                            "--outer", good, "--inner", bad)
+        assert code == 2 and out == ""
+        code, out = run_cli(capsys, "semilinear", "shadow", "--set", bad,
+                            "--vars", "0")
+        assert code == 2 and out == ""
+
     def test_ceiling_exit_3(self, capsys, tmp_path):
         cells = [[f"x{i} = 0"] for i in range(6)]
         U = write(tmp_path, "big.json", {"dimension": 6, "cells": cells})
@@ -269,6 +317,25 @@ class TestVlat:
                             "--lhs", "|g0| \\/ |g1|", "--rhs", "|g0|")
         assert code == 1 and json.loads(out)["witness"]
 
+    def test_zero_denominator_exits_2(self, capsys):
+        code, out = run_cli(capsys, "vlat", "leq", "--lhs", "1/0*g0",
+                            "--rhs", "g0", "--n", "1")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("term", [
+        "(" * 2000 + "g0" + ")" * 2000,
+        "-" * 2000 + "g0",
+        "g0" + "^+" * 2000,
+        " + ".join(["g0"] * 2000),
+    ], ids=["parens", "minus", "postfix", "sum"])
+    def test_deep_term_exits_2(self, capsys, term):
+        code, out = run_cli(capsys, "vlat", "leq", f"--lhs={term}",
+                            "--rhs", "g0", "--n", "1")
+        assert code == 2 and out == ""
+        code, out = run_cli(capsys, "vlat", "cevian", "--n", "1",
+                            "--g", "g0", f"--h={term}", "--k", "g0")
+        assert code == 2 and out == ""
+
     def test_cevian(self, capsys):
         code, out = run_cli(capsys, "vlat", "cevian", "--n", "3",
                             "--g", "g0", "--h", "g1", "--k", "g2")
@@ -288,6 +355,12 @@ class TestVlat:
         code, _ = run_cli(capsys, "vlat", "noiso-probe",
                           "--k", "1", "--m", "1", "--n", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("c", ["1/0", "half"])
+    def test_pscom_probe_bad_c_exits_2(self, capsys, c):
+        code, out = run_cli(capsys, "vlat", "pscom-probe", "--n", "3",
+                            "--alpha", "1", "--c", c, "--count", "2")
+        assert code == 2 and out == ""
 
     def test_pscom_probe_seeded(self, capsys):
         code, out = run_cli(capsys, "--seed", "5", "vlat", "pscom-probe",

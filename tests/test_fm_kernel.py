@@ -1,0 +1,160 @@
+"""Differential tests: the integer Fourier-Motzkin kernel against the
+Fraction-based reference code in ``oracle_fm``.
+
+On seeded random sets in dimensions 1-4, with fractional coefficients,
+positively scaled duplicates of atoms, all-zero (constant) atoms and
+several equalities per cell, these must be identical: ``is_empty``
+verdicts, ``witness_point`` points (equal, not merely valid),
+``eliminate`` cells as their atoms' text in order, ``complement`` and
+``includes`` results; ``contains`` must agree with Fraction evaluation.
+"""
+
+import random
+from fractions import Fraction
+from math import prod
+
+import pytest
+
+import oracle_fm as oracle
+from latdev.errors import InputError
+from latdev.semilinear import (EQ, GE, GT, Cell, Constraint, LinearForm,
+                               SemilinearSet, complement, eliminate,
+                               includes, is_empty, witness_point)
+
+from conftest import random_point
+
+SETS = 10_000
+# complement and includes multiply cell counts; they run on the sets whose
+# De Morgan bound (product of atom counts, equalities twice) is at most this
+DE_MORGAN_BOUND = 8
+
+
+def _coeff(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 1, 2, 3]))
+
+
+def _atom(rng: random.Random, n: int, earlier: list) -> Constraint:
+    r = rng.random()
+    if earlier and r < 0.15:            # a positively scaled duplicate
+        a = rng.choice(earlier)
+        return Constraint(a.form.scale(rng.choice(
+            [Fraction(2), Fraction(1, 3), Fraction(3, 2)])), a.rel)
+    rel = rng.choices([GT, GE, EQ], weights=[4, 4, 3])[0]
+    if r < 0.2:                         # all-zero coefficients
+        coeffs = [Fraction(0)] * n
+    else:
+        coeffs = [_coeff(rng) for _ in range(n)]
+        if not any(coeffs):
+            coeffs[rng.randrange(n)] = Fraction(rng.choice([-2, -1, 1, 2]))
+    return Constraint(LinearForm(tuple(coeffs), _coeff(rng)), rel)
+
+
+def random_fm_set(rng: random.Random, n: int) -> SemilinearSet:
+    cells = []
+    for _ in range(rng.randint(1, 3)):
+        atoms: list = []
+        for _ in range(rng.randint(1, 4)):
+            atoms.append(_atom(rng, n, atoms))
+        cells.append(Cell.of(atoms))
+    return SemilinearSet.of(n, cells)
+
+
+def _de_morgan(S: SemilinearSet) -> int:
+    return prod(sum(2 if a.rel == EQ else 1 for a in c.atoms)
+                for c in S.cells)
+
+
+def _corpus():
+    rng = random.Random(20261018)
+    for k in range(SETS):
+        n = 1 + k % 4
+        yield n, random_fm_set(rng, n), rng
+
+
+def _text(S: SemilinearSet) -> list:
+    return [[str(a) for a in c.atoms] for c in S.cells]
+
+
+def test_corpus_has_the_intended_shapes():
+    """The generator produces what the module docstring promises."""
+    stats = dict(eq2=0, const=0, frac=0, dup=0, empty=0)
+    for _, S, _ in _corpus():
+        for c in S.cells:
+            stats["eq2"] += sum(a.rel == EQ for a in c.atoms) >= 2
+            stats["const"] += any(a.form.is_constant() for a in c.atoms)
+            stats["frac"] += any(v.denominator > 1 for a in c.atoms
+                                 for v in a.form.coeffs)
+            stats["dup"] += any(
+                a != b and oracle._normalize(a) == oracle._normalize(b)
+                for a in c.atoms for b in c.atoms)
+            stats["empty"] += oracle.is_empty(c)
+    assert all(v >= 500 for v in stats.values()), stats
+
+
+def test_is_empty_and_witness_point():
+    for n, S, _ in _corpus():
+        for c in S.cells:
+            assert is_empty(c) == oracle.is_empty(c), c
+            assert witness_point(c, n) == oracle.witness_point(c, n), c
+
+
+def test_eliminate_reports_the_same_atoms():
+    for n, S, rng in _corpus():
+        vs = [i for i in range(n) if rng.random() < 0.5]
+        assert _text(eliminate(S, vs)) == _text(oracle.eliminate(S, vs)), \
+            (S, vs)
+
+
+def test_complement_and_includes():
+    checked = 0
+    for n, S, rng in _corpus():
+        T = random_fm_set(rng, n)
+        if _de_morgan(S) > DE_MORGAN_BOUND:
+            continue
+        checked += 1
+        assert complement(S) == oracle.complement(S), S
+        assert includes(S, T) == oracle.includes(S, T), (S, T)
+        assert includes(S, S) == (True, None)
+    assert checked >= 5_000
+
+
+def test_contains_matches_fraction_evaluation():
+    for n, S, rng in _corpus():
+        points = [random_point(rng, n) for _ in range(3)]
+        points += [w for c in S.cells
+                   if (w := oracle.witness_point(c, n)) is not None]
+        for p in points:
+            assert S.contains(p) == oracle.contains(S, p), (S, p)
+            for c in S.cells:
+                assert c.satisfied_by(p) == oracle.cell_satisfied_by(c, p)
+                for a in c.atoms:
+                    assert a.satisfied_by(p) == oracle.satisfied_by(a, p)
+
+
+def test_atom_key_keeps_equality_and_order():
+    """Keys store integral values as ints; equality, hashing and the
+    ``Cell.of`` order match comparing ``(rel, coeffs, const)``."""
+    rng = random.Random(7)
+    atoms = [_atom(rng, 3, []) for _ in range(400)]
+    for a in atoms:
+        assert a.key[0] == a.rel
+        assert all(type(v) is int or v.denominator > 1 for v in a.key[1:])
+        for b in atoms[:40]:
+            same = (a.rel, a.form.coeffs, a.form.const) == \
+                (b.rel, b.form.coeffs, b.form.const)
+            assert (a == b) == same
+            assert not same or hash(a) == hash(b)
+    assert list(Cell.of(atoms).atoms) == sorted(
+        set(atoms), key=lambda a: (a.rel, a.form.coeffs, a.form.const))
+
+
+@pytest.mark.parametrize("point", [(Fraction(1, 2),), (1, 2, 3), ()])
+def test_membership_checks_dimension(point):
+    S = SemilinearSet(2, (Cell.of([Constraint(
+        LinearForm((Fraction(1), Fraction(-1, 2))), GT)]),))
+    with pytest.raises(InputError):
+        S.contains(point)
+    with pytest.raises(InputError):
+        S.cells[0].atoms[0].satisfied_by(point)
+    with pytest.raises(InputError):
+        oracle.contains(S, point)

@@ -1,4 +1,4 @@
-"""Golden corpus: the order-side CLI reports must stay byte-identical.
+"""Golden corpus: the CLI reports must stay byte-identical.
 
 Each case in ``golden/cases.json`` is an argv for ``latdev``; arguments
 starting with ``fixtures/`` name files under ``golden/``.  The recorded

@@ -39,6 +39,12 @@ class TestParsing:
             parse_constraint("1 - x0 > 0", 1)
         assert parse_constraint("x0 <= x1", 2).rel == GE
 
+    def test_zero_denominator_is_input_error(self):
+        with pytest.raises(InputError, match="zero denominator"):
+            parse_constraint("x0 > 1/0", 1)
+        with pytest.raises(InputError, match="zero denominator"):
+            parse_constraint("3/0*x0 + 1 >= 0", 1)
+
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             parse_constraint("x0 ? 0", 1)

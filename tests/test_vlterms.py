@@ -9,13 +9,13 @@ import pytest
 from latdev.errors import InputError, ResourceLimitError
 from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
     intersect, is_empty, is_empty_set, same_set
-from latdev.vlterms import (Scale, UNIT_KEY, cevian_dev,
+from latdev.vlterms import (MAX_TERM_DEPTH, Scale, UNIT_KEY, cevian_dev,
                             check_cevian_triple, const, cozero_set, evaluate,
                             gen, ideal_join, ideal_leq, ideal_meet,
                             ideal_meet_is_zero, linearize, noiso_probe,
                             omega_extend, omega_region, one, parse_term,
                             pseudocomplement_probe, random_term, substitute,
-                            zero, zero_set)
+                            term_depth, zero, zero_set)
 
 from conftest import random_point
 
@@ -61,6 +61,41 @@ class TestParse:
             parse_term("g0 +")
         with pytest.raises(InputError):
             parse_term("q0")
+
+    @pytest.mark.parametrize("text", ["1/0*g0", "g0 + 3/0", "2/0"])
+    def test_zero_denominator_is_input_error(self, text):
+        with pytest.raises(InputError, match="zero denominator"):
+            parse_term(text)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 2000 + "g0" + ")" * 2000,
+        "-" * 2000 + "g0",
+        "g0" + "^+" * 2000,
+        " + ".join(["g0"] * 2000),
+        "|" * 2000 + "g0" + "|" * 2000,
+        "2*" * 2000 + "g0",
+    ], ids=["parens", "minus", "postfix", "sum", "bars", "scaling"])
+    def test_deep_terms_rejected(self, text):
+        with pytest.raises(InputError, match=str(MAX_TERM_DEPTH)):
+            parse_term(text)
+
+    def test_depth_limit_is_inclusive(self):
+        t = parse_term("(" * MAX_TERM_DEPTH + "g0" + ")" * MAX_TERM_DEPTH)
+        assert t == g0
+        t = parse_term(" + ".join(["g0"] * (MAX_TERM_DEPTH + 1)))
+        assert term_depth(t) == MAX_TERM_DEPTH
+        assert evaluate(t, (2,)) == 2 * (MAX_TERM_DEPTH + 1)
+        assert len(linearize(t, 1).pieces) == 1
+        assert ideal_leq(t, g0, 1) == (True, None)
+        with pytest.raises(InputError):
+            parse_term(" + ".join(["g0"] * (MAX_TERM_DEPTH + 2)))
+        with pytest.raises(InputError):
+            parse_term("-" * (MAX_TERM_DEPTH + 1) + "g0")
+
+    def test_term_depth(self):
+        assert term_depth(g0) == 0 and term_depth(one()) == 0
+        assert term_depth(parse_term("(g0 - 2*g1)^+")) == 4
+        assert term_depth(abs(abs(g0))) == 4
 
     def test_roundtrip_via_str(self, rng):
         for _ in range(40):
