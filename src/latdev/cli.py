@@ -22,9 +22,10 @@ from . import adjustment, deviations, lattices, posets, semilinear, vlterms
 from .errors import InputError, ResourceLimitError
 from .serialize import (amalgam_from_json, deviation_from_json,
                         deviation_to_json, dot_lattice, dot_poset,
-                        lattice_from_json, load_json, poset_from_json,
-                        semilinear_from_json, semilinear_to_json,
-                        witness_from_json, witness_to_json)
+                        elements_from_text, lattice_from_json, load_json,
+                        poset_from_json, semilinear_from_json,
+                        semilinear_to_json, witness_from_json,
+                        witness_to_json)
 
 
 @dataclass
@@ -128,11 +129,11 @@ def _run_deviation_enumerate(cfg: RunConfig):
 def _run_adjust(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
     d = deviation_from_json(load_json(cfg.args["map"]), D)
-    order = cfg.args["order"].split(",")
+    order = elements_from_text(cfg.args["order"], D)
     res = adjustment.monotone_adjustment(
         D.poset, D, d, order, use_shadows=cfg.args.get("use_shadows", False))
     report = {
-        "order": order,
+        "order": [_idstr(x) for x in order],
         "d_prime": {f"{_idstr(x)},{_idstr(y)}": _idstr(v)
                     for (x, y), v in sorted(
                         res.d_prime.items(),

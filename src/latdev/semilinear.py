@@ -10,7 +10,8 @@ substitution when possible.
 
 The elimination runs on integer rows: an atom becomes its relation and
 the primitive integer vector ``(c0, ..., c{n-1}, const)`` of its form
-(scaled by a positive rational, which keeps its meaning), and a single
+(scaled by a positive rational, which keeps its meaning; computed once,
+when the atom is built), and a single
 projection loop, ``_project``, serves emptiness, witness points and
 projection.  Membership tests scale the point to integers over one
 common denominator and read the sign of each atom there, in integer
@@ -118,18 +119,24 @@ class Constraint:
     ``key`` is the flat tuple ``(rel, c0, ..., c{n-1}, const)`` with
     integral values stored as ints: atoms are equal, hashed and sorted by
     it (equal to comparing ``(rel, coeffs, const)``, with int-to-int
-    comparisons)."""
+    comparisons).  ``row`` is the atom's integer row for elimination:
+    its relation and the primitive integer vector of its form."""
     form: LinearForm
     rel: str
     key: tuple = field(init=False, repr=False)
+    row: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rel not in _RELS:
             raise InputError(f"relation must be one of {_RELS}, got {self.rel!r}")
         f = self.form
-        object.__setattr__(self, "key", (self.rel, *(
-            v.numerator if v.denominator == 1 else v
-            for v in f.coeffs + (f.const,))))
+        vals = [v.numerator if v.denominator == 1 else v
+                for v in f.coeffs + (f.const,)]
+        object.__setattr__(self, "key", (self.rel, *vals))
+        d = lcm(*[v.denominator for v in vals])
+        if d > 1:
+            vals = [v.numerator * (d // v.denominator) for v in vals]
+        object.__setattr__(self, "row", (self.rel, _primitive(vals)))
 
     def __eq__(self, other):
         if other.__class__ is not Constraint:
@@ -249,16 +256,6 @@ def _primitive(vec) -> tuple:
     return tuple(vec) if g <= 1 else tuple(v // g for v in vec)
 
 
-def _row(a: Constraint) -> tuple:
-    """The integer row of an atom: its relation and the primitive integer
-    vector (c0, ..., c{n-1}, const) of its form."""
-    rel, vals = a.key[0], a.key[1:]
-    d = lcm(*[v.denominator for v in vals])
-    if d > 1:
-        vals = [v.numerator * (d // v.denominator) for v in vals]
-    return rel, _primitive(vals)
-
-
 def _from_row(row: tuple) -> Constraint:
     rel, vec = row
     return Constraint(LinearForm(tuple(map(Fraction, vec[:-1])),
@@ -359,7 +356,7 @@ def is_empty(cell: Cell) -> bool:
     if not cell.atoms:
         return False
     n = cell.atoms[0].form.dimension
-    rows = [_row(a) for a in cell.atoms]
+    rows = [a.row for a in cell.atoms]
     return _project(rows, range(n), prune=True) is None
 
 
@@ -374,7 +371,7 @@ def witness_point(cell: Cell,
     n = cell.atoms[0].form.dimension
     if dimension is not None and dimension != n:
         raise InputError("dimension mismatch")
-    projected = _project([_row(a) for a in cell.atoms], range(n), prune=True)
+    projected = _project([a.row for a in cell.atoms], range(n), prune=True)
     if projected is None:
         return None
     point: dict = {}
@@ -512,7 +509,7 @@ def eliminate(S: SemilinearSet, variables: Iterable[int],
             if any(key[1:-1]) and not any(key[i + 1] for i in vs):
                 kept.append(a)
             else:
-                rows.append(_row(a))
+                rows.append(a.row)
         projected = _project(rows, vs)
         if projected is None:
             continue

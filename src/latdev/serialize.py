@@ -10,7 +10,8 @@ Formats (element ids are JSON strings):
                "check_distributive": bool?}
 * deviation:  {"d": {"x,y": value}}, or a ``deviation search`` report
               holding it under "deviation"; ids are written as str(id)
-              or, for down-set lattices, as {a,b}
+              or, for down-set lattices, as {a,b} (so are the ids of
+              ``adjust --order``)
 * amalgam:    {"carrier": <poset>, "index": <poset>,
                "family": {p: [ids]}, "nu": {x: p}?}
 * semilinear: {"dimension": n, "cells": [["2*x0 - 1 > 0", ...], ...]}
@@ -96,6 +97,43 @@ def _pair(key: str, names: dict) -> tuple:
     return cuts[0]
 
 
+def _element_names(D: FiniteDistributiveLattice) -> dict:
+    """Each element of the lattice under both of its renderings."""
+    names: dict = {}
+    for e in D.poset.elements:
+        names.setdefault(str(e), e)
+        names.setdefault(_downset_id_to_str(e), e)
+    return names
+
+
+def elements_from_text(text: str, D: FiniteDistributiveLattice) -> list:
+    """The elements of a comma-separated list of ids, rendered by
+    ``str`` or as ``{a,b}`` (so they may hold commas): the one way of
+    cutting the text at commas into segments that each name an element."""
+    names = _element_names(D)
+    width = 1 + max(name.count(",") for name in names)
+    parts = text.split(",")
+    # count[j]: the cuttings of parts[:j], counted up to two (ambiguous);
+    # start[j]: where the last segment of one of them starts
+    count = [1] + [0] * len(parts)
+    start = [0] * (len(parts) + 1)
+    for j in range(1, len(parts) + 1):
+        for i in range(max(0, j - width), j):
+            if count[i] and ",".join(parts[i:j]) in names:
+                count[j] = min(2, count[j] + count[i])
+                start[j] = i
+    if count[-1] == 0:
+        raise InputError(f"{text!r} is not a list of lattice elements")
+    if count[-1] > 1:
+        raise InputError(f"{text!r} reads as more than one list of "
+                         f"lattice elements")
+    segments, j = [], len(parts)
+    while j:
+        segments.append(",".join(parts[start[j]:j]))
+        j = start[j]
+    return [names[segment] for segment in reversed(segments)]
+
+
 def deviation_from_json(obj, D: FiniteDistributiveLattice) -> dict:
     """Read a deviation map, or the map of a ``deviation search`` report
     (under ``"deviation"``).  Element ids may be written as ``str(id)``
@@ -109,10 +147,7 @@ def deviation_from_json(obj, D: FiniteDistributiveLattice) -> dict:
         items = list(raw.items())
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed deviation JSON: {exc}") from None
-    names: dict = {}
-    for e in D.poset.elements:
-        names.setdefault(str(e), e)
-        names.setdefault(_downset_id_to_str(e), e)
+    names = _element_names(D)
     d = {}
     for key, v in items:
         x, y = _pair(key, names)

@@ -14,6 +14,18 @@ piecewise-linear function on ℚⁿ (``one`` denotes the constant 1), and
   zero set of h is contained in the zero set of g — optionally relative
   to a region, in which case only zeros inside the region count.
 
+A term is a DAG: ``|t|`` holds ``t`` twice.  Nodes store their hash and
+largest generator index, and the functions that walk a term visit each
+shared node once.  ``linearize`` caches the pieces of each node (one
+``functools`` cache keyed on the node, the dimension and the piece
+ceiling), so subterms shared between terms or within one are split once.
+A join, meet or sum pairs the pieces of its two sides and skips, before
+building any cell, each pair whose cells clash syntactically: a strict
+row ``f > 0`` in one cell and a row on ``-f``, or ``f = 0``, in the other
+(the test that elimination applies first).  Every cell built from such a
+pair is empty, so the pieces are those of building and testing all
+pairs.
+
 The region of interest is ``omega_region(n)``: points u with
 0 <= u_i <= 1 for all i and u_j <= 2*u_k whenever 0 < j < k.
 
@@ -26,10 +38,10 @@ the non-monotonicity construction at finite dimension.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
@@ -40,9 +52,19 @@ UNIT_KEY = "one"   # sigma key for the unit when substitution may move it
 
 DEFAULT_PIECE_CEILING = 10_000
 
-# Deepest term that ``parse_term`` accepts: the parser and the term
-# functions (``linearize``, ``evaluate``, hashing, ``str``) recurse once
-# per level, and this keeps them far below Python's recursion limit.
+# Largest k that ``noiso_probe`` accepts.  Its report writes 2^(k-1) in
+# decimal (in the terms and the witness points), and Python refuses to
+# print an int of more than 4300 digits; 2^1023 has 308, and it bounds
+# m * n_coeff too.
+MAX_NOISO_K = 1024
+
+# Deepest term that ``parse_term`` accepts: the parser, ``str`` and
+# ``linearize`` (through its per-node cache) recurse once per level, and
+# this keeps them far below Python's recursion limit.  Nothing walks a
+# term path by path, so depth costs no more than size: hashes and maximal
+# generator indices are stored in the nodes, and equality, ``evaluate``,
+# ``substitute`` and ``term_depth`` visit each shared node once without
+# recursion.
 MAX_TERM_DEPTH = 100
 
 
@@ -51,8 +73,23 @@ MAX_TERM_DEPTH = 100
 # ---------------------------------------------------------------------------
 
 class VLTerm:
-    """Base class; subclasses are frozen dataclasses."""
+    """Base class; subclasses are frozen dataclasses.
+
+    A term is a DAG (``|t|`` holds ``t`` twice), so nothing here walks it
+    path by path: each node stores its hash, computed once from its
+    children's stored hashes, and the largest generator index below it;
+    equality is structural, comparing each pair of nodes once."""
     __slots__ = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, VLTerm):
+            return NotImplemented
+        return _same(self, other)
+
+    def __hash__(self):
+        return self._hash
 
     def __add__(self, other: "VLTerm") -> "VLTerm":
         return Add(self, other)
@@ -79,54 +116,140 @@ class VLTerm:
         return Join(self, Scale(Fraction(-1), self))
 
 
-@dataclass(frozen=True)
+def _stored(**values):
+    """A field that a node sets itself: its hash and its largest
+    generator index."""
+    return field(init=False, repr=False, **values)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Gen(VLTerm):
     index: int
+    _hash: int = _stored()
+    _top: int = _stored()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((1, self.index)))
+        object.__setattr__(self, "_top", self.index)
 
     def __str__(self):
         return f"g{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class One(VLTerm):
+    _hash: int = _stored(default=hash((2,)))
+    _top: int = _stored(default=-1)
+
     def __str__(self):
         return "one"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Scale(VLTerm):
     coeff: Fraction
     arg: VLTerm
+    _hash: int = _stored()
+    _top: int = _stored()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((3, self.coeff, self.arg._hash)))
+        object.__setattr__(self, "_top", self.arg._top)
 
     def __str__(self):
         return f"{self.coeff}*({self.arg})"
 
 
-@dataclass(frozen=True)
-class Add(VLTerm):
+@dataclass(frozen=True, eq=False, slots=True)
+class _Binary(VLTerm):
     left: VLTerm
     right: VLTerm
+    _hash: int = _stored()
+    _top: int = _stored()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self._TAG, self.left._hash, self.right._hash)))
+        object.__setattr__(self, "_top", max(self.left._top,
+                                             self.right._top))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Add(_Binary):
+    _TAG = 4
 
     def __str__(self):
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True)
-class Join(VLTerm):
-    left: VLTerm
-    right: VLTerm
+@dataclass(frozen=True, eq=False, slots=True)
+class Join(_Binary):
+    _TAG = 5
 
     def __str__(self):
         return f"({self.left} \\/ {self.right})"
 
 
-@dataclass(frozen=True)
-class Meet(VLTerm):
-    left: VLTerm
-    right: VLTerm
+@dataclass(frozen=True, eq=False, slots=True)
+class Meet(_Binary):
+    _TAG = 6
 
     def __str__(self):
         return f"({self.left} /\\ {self.right})"
+
+
+def _children(s: VLTerm) -> tuple:
+    if isinstance(s, (Gen, One)):
+        return ()
+    if isinstance(s, Scale):
+        return (s.arg,)
+    if isinstance(s, _Binary):
+        return (s.left, s.right)
+    raise InputError(f"not a term: {s!r}")
+
+
+def _same(a: VLTerm, b: VLTerm) -> bool:
+    """Structural equality, comparing each pair of nodes once."""
+    todo, seen = [(a, b)], set()
+    while todo:
+        x, y = todo.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        if x.__class__ is not y.__class__ or x._hash != y._hash:
+            return False
+        seen.add((id(x), id(y)))
+        if isinstance(x, Gen):
+            if x.index != y.index:
+                return False
+        elif isinstance(x, Scale):
+            if x.coeff != y.coeff:
+                return False
+            todo.append((x.arg, y.arg))
+        elif isinstance(x, _Binary):
+            todo += ((x.left, y.left), (x.right, y.right))
+    return True
+
+
+def _fold(t: VLTerm, combine):
+    """``combine(node, values of its children)`` over the nodes of the
+    term, children first and left before right, each shared node once and
+    without recursion; returns the value at the root."""
+    value: dict = {}
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        if id(s) in value:
+            stack.pop()
+            continue
+        kids = _children(s)
+        todo = [k for k in kids if id(k) not in value]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        value[id(s)] = combine(s, [value[id(k)] for k in kids])
+    return value[id(t)]
 
 
 def gen(i: int) -> Gen:
@@ -149,13 +272,9 @@ def const(q) -> VLTerm:
 
 def max_generator(t: VLTerm) -> int:
     """Largest generator index used, or -1 if none."""
-    if isinstance(t, Gen):
-        return t.index
-    if isinstance(t, One):
-        return -1
-    if isinstance(t, Scale):
-        return max_generator(t.arg)
-    return max(max_generator(t.left), max_generator(t.right))
+    if not isinstance(t, VLTerm):
+        raise InputError(f"not a term: {t!r}")
+    return t._top
 
 
 def evaluate(t: VLTerm, point: Sequence) -> Fraction:
@@ -165,22 +284,18 @@ def evaluate(t: VLTerm, point: Sequence) -> Fraction:
     if max_generator(t) >= len(pt):
         raise InputError("point dimension too small for the term")
 
-    def ev(s: VLTerm) -> Fraction:
+    def value(s: VLTerm, kids: list) -> Fraction:
         if isinstance(s, Gen):
             return pt[s.index]
         if isinstance(s, One):
             return Fraction(1)
         if isinstance(s, Scale):
-            return s.coeff * ev(s.arg)
+            return s.coeff * kids[0]
         if isinstance(s, Add):
-            return ev(s.left) + ev(s.right)
-        if isinstance(s, Join):
-            return max(ev(s.left), ev(s.right))
-        if isinstance(s, Meet):
-            return min(ev(s.left), ev(s.right))
-        raise InputError(f"not a term: {s!r}")
+            return kids[0] + kids[1]
+        return max(kids) if isinstance(s, Join) else min(kids)
 
-    return ev(t)
+    return _fold(t, value)
 
 
 # ---------------------------------------------------------------------------
@@ -204,64 +319,78 @@ def linearize(t: VLTerm, n: int,
     (difference >= 0), the other the open side.
     """
     limit = DEFAULT_PIECE_CEILING if ceiling is None else ceiling
-    return PiecewiseForm(n, _linearize_cached(t, n, limit))
-
-
-@lru_cache(maxsize=4096)
-def _linearize_cached(t: VLTerm, n: int, limit: int) -> tuple:
     if max_generator(t) >= n:
         raise InputError("term uses a generator outside the declared dimension")
-    memo: Dict[VLTerm, tuple] = {}
+    return PiecewiseForm(n, _node_pieces(t, n, limit)[0])
 
-    def guard(pieces):
-        if len(pieces) > limit:
-            raise ResourceLimitError(
-                f"piece count {len(pieces)} exceeds ceiling {limit}")
-        return pieces
 
-    def go(s: VLTerm) -> tuple:
-        if s in memo:
-            return memo[s]
-        if isinstance(s, Gen):
-            coeffs = [Fraction(0)] * n
-            coeffs[s.index] = Fraction(1)
-            out = ((Cell(()), LinearForm(tuple(coeffs))),)
-        elif isinstance(s, One):
-            out = ((Cell(()), LinearForm(tuple([Fraction(0)] * n),
-                                         Fraction(1))),)
-        elif isinstance(s, Scale):
-            out = tuple((c, f.scale(s.coeff)) for c, f in go(s.arg))
-        elif isinstance(s, Add):
-            acc = []
-            for c1, f1 in go(s.left):
-                for c2, f2 in go(s.right):
-                    cell = Cell.of(c1.atoms + c2.atoms)
-                    if not is_empty(cell):
-                        acc.append((cell, f1 + f2))
-            out = tuple(guard(acc))
-        elif isinstance(s, (Join, Meet)):
-            keep_left_closed = isinstance(s, Join)
-            acc = []
-            for c1, f1 in go(s.left):
-                for c2, f2 in go(s.right):
-                    base = c1.atoms + c2.atoms
-                    diff = f1 - f2
-                    # join keeps the larger branch, meet the smaller
-                    first = Cell.of(base + (Constraint(
-                        diff if keep_left_closed else -diff, GE),))
-                    second = Cell.of(base + (Constraint(
-                        -diff if keep_left_closed else diff, GT),))
-                    if not is_empty(first):
-                        acc.append((first, f1))
-                    if not is_empty(second):
-                        acc.append((second, f2))
-            out = tuple(guard(acc))
-        else:
-            raise InputError(f"not a term: {s!r}")
-        memo[s] = out
-        return out
+_WHOLE = Cell(())
+_NO_ROWS = ((), ())
 
-    return go(t)
+
+def _clash_rows(cell: Cell) -> tuple:
+    """``(vectors, probes)`` of a piece's cell, for the syntactic test of
+    ``semilinear``'s elimination: a row ``f > 0`` contradicts a row on
+    ``-f`` (any relation) and ``f = 0``.  ``vectors`` holds the integer
+    vector of every row and the negated vector of every equality row,
+    ``probes`` the negated vector of every strict row; two cells clash
+    when the probes of one meet the vectors of the other."""
+    vectors, probes = [], []
+    for rel, vec in (a.row for a in cell.atoms):
+        vectors.append(vec)
+        if rel != GE:
+            neg = tuple(-v for v in vec)
+            (probes if rel == GT else vectors).append(neg)
+    return tuple(vectors), tuple(probes)
+
+
+@lru_cache(maxsize=1 << 14)
+def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
+    """``(pieces, clash rows)``: the pieces (cell, form) of one term node,
+    and ``_clash_rows`` of each piece's cell.  The cache is keyed on the
+    node, so the subterms that several terms share, or one term holds
+    twice, are split once.  A pair of pieces whose cells clash is skipped
+    before any cell is built: every cell built from it is empty."""
+    if isinstance(t, Gen):
+        coeffs = [Fraction(0)] * n
+        coeffs[t.index] = Fraction(1)
+        return ((_WHOLE, LinearForm(tuple(coeffs))),), (_NO_ROWS,)
+    if isinstance(t, One):
+        return (((_WHOLE, LinearForm(tuple([Fraction(0)] * n),
+                                     Fraction(1))),), (_NO_ROWS,))
+    if isinstance(t, Scale):
+        pieces, clash = _node_pieces(t.arg, n, limit)
+        return tuple((c, f.scale(t.coeff)) for c, f in pieces), clash
+    if not isinstance(t, _Binary):
+        raise InputError(f"not a term: {t!r}")
+    left = _node_pieces(t.left, n, limit)
+    right = _node_pieces(t.right, n, limit)
+    is_add, is_join = isinstance(t, Add), isinstance(t, Join)
+    acc = []
+    for (c1, f1), (vectors1, probes1) in zip(*left):
+        for (c2, f2), (vectors2, probes2) in zip(*right):
+            if any(p in vectors2 for p in probes1) or \
+                    any(p in vectors1 for p in probes2):
+                continue
+            base = c1.atoms + c2.atoms
+            if is_add:
+                cell = Cell.of(base)
+                if not is_empty(cell):
+                    acc.append((cell, f1 + f2))
+                continue
+            # join keeps the larger branch on the closed side, meet the
+            # smaller
+            diff = f1 - f2 if is_join else f2 - f1
+            first = Cell.of(base + (Constraint(diff, GE),))
+            second = Cell.of(base + (Constraint(-diff, GT),))
+            if not is_empty(first):
+                acc.append((first, f1))
+            if not is_empty(second):
+                acc.append((second, f2))
+    if len(acc) > limit:
+        raise ResourceLimitError(
+            f"piece count {len(acc)} exceeds ceiling {limit}")
+    return tuple(acc), tuple(_clash_rows(c) for c, _ in acc)
 
 
 def cozero_set(t: VLTerm, n: int,
@@ -478,7 +607,7 @@ def substitute(t: VLTerm, sigma: Mapping, unit_fixed: bool = True) -> VLTerm:
     generator appearing in ``t``.  With ``unit_fixed`` the unit maps to
     itself; otherwise ``sigma`` may carry an image for it under the key
     ``UNIT_KEY``."""
-    def go(s: VLTerm) -> VLTerm:
+    def image(s: VLTerm, kids: list) -> VLTerm:
         if isinstance(s, Gen):
             if s.index not in sigma:
                 raise InputError(f"sigma missing generator {s.index}")
@@ -488,16 +617,10 @@ def substitute(t: VLTerm, sigma: Mapping, unit_fixed: bool = True) -> VLTerm:
                 return s
             return sigma[UNIT_KEY]
         if isinstance(s, Scale):
-            return Scale(s.coeff, go(s.arg))
-        if isinstance(s, Add):
-            return Add(go(s.left), go(s.right))
-        if isinstance(s, Join):
-            return Join(go(s.left), go(s.right))
-        if isinstance(s, Meet):
-            return Meet(go(s.left), go(s.right))
-        raise InputError(f"not a term: {s!r}")
+            return Scale(s.coeff, kids[0])
+        return type(s)(*kids)
 
-    return go(t)
+    return _fold(t, image)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +729,8 @@ def noiso_probe(k: int, m: int, n_coeff: int,
     """Two-variable instance of the inclusion failures that block
     one-sided monotone deviations on the bounded region.
 
-    Requires 2^(k-1) > m * n_coeff.  Primary ladder: the inclusion
+    Requires 2^(k-1) > m * n_coeff and k <= ``MAX_NOISO_K``.  Primary
+    ladder: the inclusion
     <(2^(k-1)*g0 - m*g1)^+> <= <(n_coeff*g0 - g1)^+> must be FALSE, with
     anchor point (1/n_coeff, 1).  Dual ladder:
     <(g1 - m*g0)^+> <= <(n_coeff*g1 - 2^(k-1)*g0)^+> must be FALSE, with
@@ -614,6 +738,8 @@ def noiso_probe(k: int, m: int, n_coeff: int,
     """
     if k < 1 or m < 1 or n_coeff < 1:
         raise InputError("k, m, n_coeff must be positive integers")
+    if k > MAX_NOISO_K:
+        raise InputError(f"k must be at most {MAX_NOISO_K}")
     if 2 ** (k - 1) <= m * n_coeff:
         raise InputError("parameters must satisfy 2^(k-1) > m * n_coeff")
     region = omega_region(2)
@@ -686,21 +812,7 @@ def _tokenize(text: str) -> list:
 def term_depth(t: VLTerm) -> int:
     """The number of operators on the longest path from the root of the
     term to a leaf (computed without recursion)."""
-    depth: dict = {}
-    stack = [t]
-    while stack:
-        s = stack[-1]
-        if isinstance(s, (Gen, One)):
-            depth[id(s)] = 0
-        else:
-            kids = (s.arg,) if isinstance(s, Scale) else (s.left, s.right)
-            todo = [k for k in kids if id(k) not in depth]
-            if todo:
-                stack.extend(todo)
-                continue
-            depth[id(s)] = 1 + max(depth[id(k)] for k in kids)
-        stack.pop()
-    return depth[id(t)]
+    return _fold(t, lambda s, kids: 1 + max(kids) if kids else 0)
 
 
 def parse_term(text: str) -> VLTerm:

@@ -13,17 +13,25 @@ is decided by ``satisfied_by``/``contains`` below (the replaced
 ``Constraint.satisfied_by`` and ``SemilinearSet.contains``, evaluating
 each form in ``Fraction``), so that no check here runs the integer
 kernel.
+
+``linearize_pieces`` is the piecewise-form computation of
+``latdev.vlterms`` that the per-node cache replaced (``test_linearize.py``
+compares the two): one recursive walk per term with a per-call memo,
+building and testing every pair of pieces.  Departures: it is not
+cached, and its emptiness test is ``is_empty`` below.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import (DEFAULT_CELL_CEILING, EQ, GE, GT, Cell,
                                Constraint, LinearForm, SemilinearSet)
+from latdev.vlterms import (Add, Gen, Join, Meet, One, Scale, VLTerm,
+                            max_generator)
 
 
 def satisfied_by(a: Constraint, point) -> bool:
@@ -305,3 +313,58 @@ def includes(S: SemilinearSet, T: SemilinearSet,
                 return (False, w)
     return (True, None)
 
+
+def linearize_pieces(t: VLTerm, n: int, limit: int) -> tuple:
+    if max_generator(t) >= n:
+        raise InputError("term uses a generator outside the declared dimension")
+    memo: Dict[VLTerm, tuple] = {}
+
+    def guard(pieces):
+        if len(pieces) > limit:
+            raise ResourceLimitError(
+                f"piece count {len(pieces)} exceeds ceiling {limit}")
+        return pieces
+
+    def go(s: VLTerm) -> tuple:
+        if s in memo:
+            return memo[s]
+        if isinstance(s, Gen):
+            coeffs = [Fraction(0)] * n
+            coeffs[s.index] = Fraction(1)
+            out = ((Cell(()), LinearForm(tuple(coeffs))),)
+        elif isinstance(s, One):
+            out = ((Cell(()), LinearForm(tuple([Fraction(0)] * n),
+                                         Fraction(1))),)
+        elif isinstance(s, Scale):
+            out = tuple((c, f.scale(s.coeff)) for c, f in go(s.arg))
+        elif isinstance(s, Add):
+            acc = []
+            for c1, f1 in go(s.left):
+                for c2, f2 in go(s.right):
+                    cell = Cell.of(c1.atoms + c2.atoms)
+                    if not is_empty(cell):
+                        acc.append((cell, f1 + f2))
+            out = tuple(guard(acc))
+        elif isinstance(s, (Join, Meet)):
+            keep_left_closed = isinstance(s, Join)
+            acc = []
+            for c1, f1 in go(s.left):
+                for c2, f2 in go(s.right):
+                    base = c1.atoms + c2.atoms
+                    diff = f1 - f2
+                    # join keeps the larger branch, meet the smaller
+                    first = Cell.of(base + (Constraint(
+                        diff if keep_left_closed else -diff, GE),))
+                    second = Cell.of(base + (Constraint(
+                        -diff if keep_left_closed else diff, GT),))
+                    if not is_empty(first):
+                        acc.append((first, f1))
+                    if not is_empty(second):
+                        acc.append((second, f2))
+            out = tuple(guard(acc))
+        else:
+            raise InputError(f"not a term: {s!r}")
+        memo[s] = out
+        return out
+
+    return go(t)

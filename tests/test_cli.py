@@ -2,6 +2,9 @@
 
 import json
 import os
+import signal
+import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from latdev.cli import SCHEMAS, _idstr, main
 from latdev.serialize import (deviation_from_json, deviation_to_json,
                               lattice_from_json, load_json)
+from latdev.vlterms import MAX_NOISO_K, evaluate, parse_term
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -201,6 +205,59 @@ class TestAdjust:
                           "--map", chain4_dev, "--order", "0,a")
         assert code == 2
 
+    def test_search_check_adjust_on_tuple_ids(self, capsys, tmp_path):
+        """Down-set lattice ids are tuples: the order is read in both
+        renderings, cutting at the commas between elements only."""
+        tree = os.path.join(GOLDEN, "fixtures", "tree.json")
+        code, out = run_cli(capsys, "deviation", "search", "--lattice", tree)
+        assert code == 0
+        found = write(tmp_path, "search.json", json.loads(out))
+        code, out = run_cli(capsys, "deviation", "check", "--lattice", tree,
+                            "--map", found)
+        assert code == 0 and json.loads(out)["valid"]
+        elements = lattice_from_json(load_json(tree)).poset.elements[::-1]
+        for render in (str, _idstr):
+            code, out = run_cli(capsys, "adjust", "--lattice", tree,
+                                "--map", found, "--order",
+                                ",".join(map(render, elements)))
+            assert code == 0
+            schema_check("adjust", out)
+            rep = json.loads(out)
+            assert rep["order"] == [_idstr(e) for e in elements]
+            adjusted = write(tmp_path, "adjusted.json", {"d": rep["d_prime"]})
+            code, out = run_cli(capsys, "deviation", "check", "--lattice",
+                                tree, "--map", adjusted)
+            assert code == 0 and json.loads(out)["properties"]["monotone"]
+
+    @pytest.mark.parametrize("order", ["{x},{w", "(),('x',)", "{},{x},q"])
+    def test_order_not_naming_the_elements_exits_2(self, capsys, tmp_path,
+                                                   order):
+        tree = os.path.join(GOLDEN, "fixtures", "tree.json")
+        _, out = run_cli(capsys, "deviation", "search", "--lattice", tree)
+        found = write(tmp_path, "search.json", json.loads(out))
+        code, out = run_cli(capsys, "adjust", "--lattice", tree,
+                            "--map", found, "--order", order)
+        assert code == 2 and out == ""
+
+    def test_ambiguous_order_exits_2(self, capsys, tmp_path):
+        """With ids a, b and "a,b", the text a,b,a,b reads as three
+        different lists."""
+        chain = write(tmp_path, "chain.json", {
+            "elements": ["a", "a,b", "b"],
+            "leq": [["a", "a,b"], ["a,b", "b"]]})
+        dev = write(tmp_path, "dev.json", {"d": {
+            "a,a": "a", "a,a,b": "a", "a,b": "a", "a,b,a": "a,b",
+            "a,b,a,b": "a", "a,b,b": "a", "b,a": "b", "b,a,b": "b",
+            "b,b": "a"}})
+        code, _ = run_cli(capsys, "deviation", "check", "--lattice", chain,
+                          "--map", dev)
+        assert code == 0
+        capsys.readouterr()
+        code = main(["adjust", "--lattice", chain, "--map", dev,
+                     "--order", "a,b,a,b"])
+        captured = capsys.readouterr()
+        assert code == 2 and "more than one" in captured.err
+
 
 class TestPoset:
     def test_witness_and_order_roundtrip(self, capsys, tmp_path):
@@ -336,6 +393,40 @@ class TestVlat:
                             "--g", "g0", f"--h={term}", "--k", "g0")
         assert code == 2 and out == ""
 
+    @staticmethod
+    def _timed(capsys, *argv):
+        """Run the CLI, failing after 10 s instead of hanging; returns the
+        exit code, the report and the wall time."""
+        def stop(signum, frame):
+            raise TimeoutError("vlat leq ran for 10 s")
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            t0 = time.perf_counter()
+            code, out = run_cli(capsys, *argv)
+            return code, json.loads(out), time.perf_counter() - t0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_nested_bars_true_under_a_second(self, capsys):
+        """|t| holds t twice: 30 nested bars are 2^30 paths, 60 nodes."""
+        lhs = "|" * 30 + "g0" + "|" * 30
+        code, rep, wall = self._timed(capsys, "vlat", "leq", "--n", "1",
+                                      "--lhs", lhs, "--rhs", "g0")
+        assert code == 0 and rep == {"leq": True, "witness": None}
+        assert wall < 1
+
+    def test_nested_bars_false_under_a_second(self, capsys):
+        lhs = "|" * 30 + "g0 - g1" + "|" * 30
+        code, rep, wall = self._timed(capsys, "vlat", "leq", "--n", "2",
+                                      "--lhs", lhs, "--rhs", "g0")
+        assert code == 1 and not rep["leq"]
+        w = [Fraction(v) for v in rep["witness"]]
+        assert evaluate(parse_term("g0"), w) == 0
+        assert evaluate(parse_term(lhs), w) != 0
+        assert wall < 1
+
     def test_cevian(self, capsys):
         code, out = run_cli(capsys, "vlat", "cevian", "--n", "3",
                             "--g", "g0", "--h", "g1", "--k", "g2")
@@ -355,6 +446,16 @@ class TestVlat:
         code, _ = run_cli(capsys, "vlat", "noiso-probe",
                           "--k", "1", "--m", "1", "--n", "1")
         assert code == 2
+
+    def test_noiso_probe_k_above_cap_exits_2(self, capsys):
+        """2^(k-1) with k = 20000 has more digits than Python prints."""
+        for k in ("20000", str(MAX_NOISO_K + 1)):
+            code, out = run_cli(capsys, "vlat", "noiso-probe",
+                                "--k", k, "--m", "1", "--n", "1")
+            assert code == 2 and out == ""
+        code, out = run_cli(capsys, "vlat", "noiso-probe",
+                            "--k", str(MAX_NOISO_K), "--m", "1", "--n", "1")
+        assert code == 0 and json.loads(out)["reproduced"]
 
     @pytest.mark.parametrize("c", ["1/0", "half"])
     def test_pscom_probe_bad_c_exits_2(self, capsys, c):

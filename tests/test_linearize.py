@@ -1,0 +1,151 @@
+"""Differential tests: ``vlterms.linearize``, which caches the pieces of
+every term node and skips clashing pairs of pieces, against the per-term
+walk it replaced (``oracle_fm.linearize_pieces``).
+
+On seeded random terms (n = 1..4, depth <= 4), on terms heavy in ``|.|``
+and on terms that hold a subterm several times, the pieces must be
+identical in order (cell atoms and forms), with an empty node cache and
+again once the cache holds the pieces of every other term; a piece
+ceiling must fail with the same exception type and message.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracle_fm as oracle
+from latdev.errors import InputError, ResourceLimitError
+from latdev.semilinear import is_empty
+from latdev.vlterms import (DEFAULT_PIECE_CEILING, Add, Join, Meet, One,
+                            Scale, _node_pieces, gen, linearize,
+                            random_term, substitute)
+
+TERMS = 600
+
+
+def _leaf(rng: random.Random, n: int):
+    r = rng.random()
+    if r < 0.75:
+        return gen(rng.randrange(n))
+    return One() if r < 0.9 else Scale(Fraction(rng.randint(-2, 2)), One())
+
+
+def abs_heavy_term(rng: random.Random, n: int, depth: int):
+    """Mostly absolute values and positive parts: the pairs of pieces of
+    one partition that clash."""
+    if depth <= 0:
+        return _leaf(rng, n)
+    op = rng.choice(["abs", "abs", "pos", "add", "join", "meet", "scale"])
+    a = abs_heavy_term(rng, n, depth - 1)
+    if op == "abs":
+        return abs(a)
+    if op == "pos":
+        return a.pos()
+    if op == "scale":
+        return Scale(Fraction(rng.choice([-2, -1, 1, 3]),
+                              rng.choice([1, 2])), a)
+    b = abs_heavy_term(rng, n, depth - 1)
+    return {"add": Add, "join": Join, "meet": Meet}[op](a, b)
+
+
+def shared_term(rng: random.Random, n: int, depth: int):
+    """A term that holds one random subterm several times, as one object
+    and as a separately built equal one."""
+    s = random_term(rng, n, 2)
+    copy = substitute(s, {i: gen(i) for i in range(n)})
+    other = random_term(rng, n, max(depth - 2, 0))
+    shapes = [
+        lambda: Add(abs(s), Meet(copy, other)),
+        lambda: Join((s - other).pos(), (other - copy).pos()),
+        lambda: Meet(abs(s - other), abs(copy) + other),
+        lambda: abs(abs(s) - abs(copy)),
+    ]
+    return rng.choice(shapes)()
+
+
+def _corpus():
+    rng = random.Random(20261019)
+    makers = [random_term, abs_heavy_term, shared_term]
+    for k in range(TERMS):
+        n = 1 + k % 4
+        depth = 1 + (k // 4) % 4
+        yield n, makers[k % 3](rng, n, depth)
+
+
+CORPUS = list(_corpus())
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (InputError, ResourceLimitError) as exc:
+        return (type(exc), str(exc))
+
+
+def _new(t, n, limit=DEFAULT_PIECE_CEILING):
+    return _outcome(lambda: linearize(t, n, limit).pieces)
+
+
+def _old(t, n, limit=DEFAULT_PIECE_CEILING):
+    return _outcome(lambda: oracle.linearize_pieces(t, n, limit))
+
+
+def test_corpus_has_the_intended_shapes():
+    pieces = [len(oracle.linearize_pieces(t, n, DEFAULT_PIECE_CEILING))
+              for n, t in CORPUS]
+    assert max(pieces) >= 8 and sum(p > 1 for p in pieces) > TERMS // 3
+
+
+def test_pieces_identical_cold_and_warm():
+    expected = [_old(t, n) for n, t in CORPUS]
+    for (n, t), want in zip(CORPUS, expected):
+        _node_pieces.cache_clear()
+        is_empty.cache_clear()
+        assert _new(t, n) == want, str(t)
+    # warming: each term is assembled from the cached pieces of the
+    # subterms it shares with earlier terms
+    for (n, t), want in zip(CORPUS, expected):
+        assert _new(t, n) == want, str(t)
+    # warm: every node of the corpus is cached
+    misses = _node_pieces.cache_info().misses
+    for (n, t), want in zip(CORPUS, expected):
+        assert _new(t, n) == want, str(t)
+    assert _node_pieces.cache_info().misses == misses
+
+
+def test_skipped_pairs_leave_fewer_emptiness_tests():
+    """|t| pairs the pieces of one partition: only the matching pairs are
+    built."""
+    g0, g1 = gen(0), gen(1)
+    _node_pieces.cache_clear()
+    is_empty.cache_clear()
+    pw = linearize(abs(Join(g0, g1)), 2)
+    calls = is_empty.cache_info()
+    assert pw.pieces == oracle.linearize_pieces(abs(Join(g0, g1)), 2,
+                                                DEFAULT_PIECE_CEILING)
+    # Join(g0, g1): 2 cells; |.|: 2 of the 4 pairs survive, 2 cells each
+    assert calls.hits + calls.misses == 2 + 2 * 2
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 5])
+def test_ceilings_fail_alike(limit):
+    tripped = 0
+    for n, t in CORPUS[::3]:
+        want = _old(t, n, limit)
+        tripped += isinstance(want, tuple) and \
+            want[0] is ResourceLimitError
+        _node_pieces.cache_clear()
+        assert _new(t, n, limit) == want, str(t)
+        # warm: the subterms below the ceiling are cached now
+        assert _new(t, n, limit) == want, str(t)
+        assert _new(t, n) == _old(t, n)
+    assert tripped > 0
+
+
+def test_generator_outside_dimension_fails_alike():
+    t = Add(Join(gen(0), gen(1)), gen(3))
+    assert _new(t, 2) == _old(t, 2)
+    assert _new(t, 2)[0] is InputError
+    # the dimension check precedes any ceiling
+    assert _new(t, 2, 1) == _old(t, 2, 1) == _new(t, 2)

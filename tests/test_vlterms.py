@@ -12,10 +12,10 @@ from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
 from latdev.vlterms import (MAX_TERM_DEPTH, Scale, UNIT_KEY, cevian_dev,
                             check_cevian_triple, const, cozero_set, evaluate,
                             gen, ideal_join, ideal_leq, ideal_meet,
-                            ideal_meet_is_zero, linearize, noiso_probe,
-                            omega_extend, omega_region, one, parse_term,
-                            pseudocomplement_probe, random_term, substitute,
-                            term_depth, zero, zero_set)
+                            ideal_meet_is_zero, linearize, max_generator,
+                            noiso_probe, omega_extend, omega_region, one,
+                            parse_term, pseudocomplement_probe, random_term,
+                            substitute, term_depth, zero, zero_set)
 
 from conftest import random_point
 
@@ -104,6 +104,36 @@ class TestParse:
             u = parse_term(s)
             p = random_point(rng, 3)
             assert evaluate(t, p) == evaluate(u, p)
+
+
+class TestSharedNodes:
+    """|t| holds t twice: k nested bars are 2k nodes but 2^k paths."""
+
+    BARS = 48
+
+    def test_equality_and_hash_of_separately_built_terms(self):
+        text = "|" * self.BARS + "g0 - 1/2*g1" + "|" * self.BARS
+        a, b = parse_term(text), parse_term(text)
+        assert a is not b and a == b and hash(a) == hash(b)
+        c = parse_term(text.replace("1/2", "1/3"))
+        assert a != c
+        assert parse_term("g0 \\/ g1") != parse_term("g0 /\\ g1")
+        assert parse_term("g0 + g1") != parse_term("g1 + g0")
+        assert Scale(F(2), g0) != Scale(F(3), g0) and g0 != g1
+
+    def test_walks_visit_each_node_once(self):
+        t = parse_term("|" * self.BARS + "g0 - g2" + "|" * self.BARS)
+        assert max_generator(t) == 2
+        assert term_depth(t) == 2 * self.BARS + 2
+        assert evaluate(t, (F(-3), 7, F(1, 2))) == F(7, 2)
+        s = substitute(t, {0: g1, 2: g0})
+        assert evaluate(s, (F(1, 2), F(-3), 7)) == F(7, 2)
+        assert max_generator(s) == 1
+
+    def test_linearize_nested_bars(self):
+        t = parse_term("|" * self.BARS + "g0 - g1" + "|" * self.BARS)
+        assert len(linearize(t, 2).pieces) == 2
+        assert ideal_leq(t, g0 - g1, 2) == (True, None)
 
 
 class TestLinearize:
