@@ -16,7 +16,8 @@ from latdev import (FinitePoset, StrongAmalgamSpec, check_strong_amalgam,
 V = FinitePoset(["a", "b", "c"], [("a", "c"), ("b", "c")])
 
 # Minimal shadows: the canonical finite stand-ins for up/down sets.
-print("lower shadow of c on {a,b}:", shadow(V, {"a", "b"}, "c", "lower"))
+print("lower shadow of c on {a,b}:",
+      sorted(shadow(V, {"a", "b"}, "c", "lower")))
 
 # A witness built along the enumeration a, b, c.
 W = witness_from_order(V, ("a", "b", "c"))

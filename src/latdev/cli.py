@@ -5,27 +5,34 @@ the report); 2 input error; 3 resource ceiling exceeded.
 
 Reports are JSON with sorted keys, so identical configuration (and seed,
 for randomized probes) yields byte-identical output.  Each subcommand
-accepts ``--schema`` to print the JSON schema of its report.
+accepts ``--schema`` to print the JSON schema of its report.  A
+subcommand is declared once, by ``@command`` on its handler (arguments
+and report schema); the parser, ``SCHEMAS`` and ``run`` read that table.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import adjustment, deviations, lattices, posets, semilinear, vlterms
 from .errors import InputError, ResourceLimitError
 from .serialize import (amalgam_from_json, deviation_from_json,
                         deviation_to_json, dot_lattice, dot_poset,
                         elements_from_text, lattice_from_json, load_json,
-                        poset_from_json, semilinear_from_json,
-                        semilinear_to_json, witness_from_json,
-                        witness_to_json)
+                        poset_from_json, read_text, render_id,
+                        semilinear_from_json, semilinear_to_json,
+                        witness_from_json, witness_to_json)
+
+# Longest term text a pscom-probe report writes: ``str`` of a term walks
+# every path of its DAG, so ``|g0|`` nested 30 deep would be ~14 GB.
+MAX_TERM_TEXT = 10 ** 6
 
 
 @dataclass
@@ -38,10 +45,71 @@ class RunConfig:
     cell_ceiling: int = semilinear.DEFAULT_CELL_CEILING
 
 
-def _idstr(x) -> str:
-    if isinstance(x, tuple):
-        return "{" + ",".join(map(_idstr, x)) + "}"
-    return str(x)
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler, which returns (exit_code, report dict or
+    rendered text); its argparse arguments as ``(flags, options)`` pairs;
+    its report schema; and the defaults of its optional arguments."""
+    handler: Callable
+    arguments: tuple
+    schema: dict
+    defaults: dict
+
+
+COMMANDS: dict = {}
+
+
+def _arg(*flags, **options) -> tuple:
+    return flags, options
+
+
+def _dest(flags) -> str:
+    return flags[0].lstrip("-").replace("-", "_")
+
+
+def command(name: str, *arguments, schema: dict):
+    """Register the decorated handler as subcommand ``name`` ("group sub",
+    or one word for a subcommand without group)."""
+    defaults = {_dest(flags): options.get(
+                    "default",
+                    False if options.get("action") == "store_true" else None)
+                for flags, options in arguments
+                if flags[0].startswith("-") and not options.get("required")}
+
+    def register(handler):
+        COMMANDS[name] = Command(handler, arguments, schema, defaults)
+        return handler
+    return register
+
+
+_GLOBAL_OPTIONS = (
+    _arg("--output", help="write the report to this file"),
+    _arg("--format", choices=["json", "dot", "text"], default="json"),
+    _arg("--seed", type=int, default=0),
+    _arg("--cell-ceiling", type=int,
+         default=semilinear.DEFAULT_CELL_CEILING),
+    _arg("--schema", action="store_true",
+         help="print the JSON schema of this subcommand's report"),
+)
+
+
+def _obj(props, required=None):
+    return {"type": "object", "properties": props,
+            "required": sorted(required or props), "additionalProperties": True}
+
+
+def _type(*types):
+    return {"type": types[0] if len(types) == 1 else list(types)}
+
+
+_INT, _BOOL = _type("integer"), _type("boolean")
+_OBJECT, _ARRAY = _type("object"), _type("array")
+_STR_ARRAY = {"type": "array", "items": {"type": "string"}}
+_NULL_OR_STR_ARRAY = {"type": ["array", "null"], "items": {"type": "string"}}
+
+
+def _ids(xs):
+    return None if xs is None else [render_id(x) for x in xs]
 
 
 def _pointstr(point):
@@ -49,15 +117,29 @@ def _pointstr(point):
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (exit_code, report_dict_or_text)
+# Subcommands
 # ---------------------------------------------------------------------------
 
+@command("lattice check",
+         _arg("input"),
+         _arg("--prime-ideals", action="store_true",
+              help="with --format dot, draw the prime-ideal poset"),
+         schema=_obj({
+             "elements": _INT, "distributive": _BOOL,
+             "completely_normal": _BOOL,
+             "completely_normal_counterexample": _NULL_OR_STR_ARRAY,
+             "zero_distributive": _BOOL,
+             "zero_distributive_counterexample": _NULL_OR_STR_ARRAY,
+             "prime_ideal_count": _INT, "root_system": _BOOL,
+             "root_system_counterexample": _type("string", "null")}))
 def _run_lattice_check(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["input"]))
     if cfg.fmt == "dot":
-        if cfg.args.get("prime_ideals"):
-            return 0, dot_poset(lattices.prime_ideal_poset(D).poset,
-                                "prime_ideals")
+        if cfg.args["prime_ideals"]:
+            # the labels write the members of an ideal (down-sets) by str
+            P = lattices.prime_ideal_poset(D).poset
+            return 0, dot_poset(P, "prime_ideals", {
+                I: render_id(tuple(map(str, I))) for I in P.elements})
         return 0, dot_lattice(D)
     cn, cn_ce = lattices.is_completely_normal(D)
     zd, zd_ce = lattices.is_zero_distributive(D)
@@ -67,27 +149,28 @@ def _run_lattice_check(cfg: RunConfig):
         "elements": len(D),
         "distributive": D.is_distributive,
         "completely_normal": cn,
-        "completely_normal_counterexample":
-            None if cn_ce is None else [_idstr(v) for v in cn_ce],
+        "completely_normal_counterexample": _ids(cn_ce),
         "zero_distributive": zd,
-        "zero_distributive_counterexample":
-            None if zd_ce is None else [_idstr(v) for v in zd_ce],
+        "zero_distributive_counterexample": _ids(zd_ce),
         "prime_ideal_count": len(pip.ideals),
         "root_system": rs,
         "root_system_counterexample":
-            None if rs_ce is None else _idstr(rs_ce),
+            None if rs_ce is None else render_id(rs_ce),
     }
-    code = 0 if (cn and zd and rs) else 1
-    return code, report
+    return (0 if (cn and zd and rs) else 1), report
 
 
+@command("deviation check",
+         _arg("--lattice", required=True), _arg("--map", required=True),
+         schema=_obj({"valid": _BOOL, "violation": _type("object", "null")},
+                     required=["valid", "violation"]))
 def _run_deviation_check(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
     d = deviation_from_json(load_json(cfg.args["map"]), D)
     v = deviations.check_deviation(D, d)
     report = {"valid": v is None,
               "violation": None if v is None else
-              {"axiom": v.axiom, "pair": [_idstr(x) for x in v.pair]}}
+              {"axiom": v.axiom, "pair": _ids(v.pair)}}
     if v is None:
         rep = deviations.deviation_properties(D, d)
         report["properties"] = {
@@ -95,63 +178,77 @@ def _run_deviation_check(cfg: RunConfig):
             "right_antitone": rep.right_antitone,
             "monotone": rep.monotone,
             "cevian": rep.cevian,
-            "left_isotone_counterexample":
-                None if rep.left_isotone_ce is None
-                else [_idstr(x) for x in rep.left_isotone_ce],
-            "right_antitone_counterexample":
-                None if rep.right_antitone_ce is None
-                else [_idstr(x) for x in rep.right_antitone_ce],
-            "cevian_counterexample":
-                None if rep.cevian_ce is None
-                else [_idstr(x) for x in rep.cevian_ce],
+            "left_isotone_counterexample": _ids(rep.left_isotone_ce),
+            "right_antitone_counterexample": _ids(rep.right_antitone_ce),
+            "cevian_counterexample": _ids(rep.cevian_ce),
         }
     return (0 if v is None else 1), report
 
 
+@command("deviation search",
+         _arg("--lattice", required=True),
+         _arg("--monotone", action="store_true"),
+         _arg("--cevian", action="store_true"),
+         schema=_obj({"found": _BOOL, "required": _OBJECT,
+                      "deviation": _type("object", "null")}))
 def _run_deviation_search(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
-    d = deviations.search_deviation(
-        D, require_monotone=cfg.args.get("monotone", False),
-        require_cevian=cfg.args.get("cevian", False))
+    monotone, cevian = cfg.args["monotone"], cfg.args["cevian"]
+    d = deviations.search_deviation(D, require_monotone=monotone,
+                                    require_cevian=cevian)
     report = {"found": d is not None,
-              "required": {"monotone": cfg.args.get("monotone", False),
-                           "cevian": cfg.args.get("cevian", False)},
+              "required": {"monotone": monotone, "cevian": cevian},
               "deviation": None if d is None else deviation_to_json(d)}
     return (0 if d is not None else 1), report
 
 
+@command("deviation enumerate",
+         _arg("--lattice", required=True),
+         _arg("--limit", type=int, default=10),
+         schema=_obj({"count": _INT, "deviations": _ARRAY}))
 def _run_deviation_enumerate(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
     ds = deviations.enumerate_deviations(D, cfg.args["limit"])
     return 0, {"count": len(ds), "deviations": [deviation_to_json(d) for d in ds]}
 
 
+def _by_pair(mapping: dict) -> list:
+    return sorted(mapping.items(),
+                  key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
+
+
+@command("adjust",
+         _arg("--lattice", required=True), _arg("--map", required=True),
+         _arg("--order", required=True,
+              help="comma-separated enumeration, e.g. 0,a,b,1"),
+         _arg("--use-shadows", action="store_true"),
+         schema=_obj({"order": _STR_ARRAY, "d_prime": _OBJECT,
+                      "trace": _OBJECT}))
 def _run_adjust(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
     d = deviation_from_json(load_json(cfg.args["map"]), D)
     order = elements_from_text(cfg.args["order"], D)
     res = adjustment.monotone_adjustment(
-        D.poset, D, d, order, use_shadows=cfg.args.get("use_shadows", False))
+        D.poset, D, d, order, use_shadows=cfg.args["use_shadows"])
     report = {
-        "order": [_idstr(x) for x in order],
-        "d_prime": {f"{_idstr(x)},{_idstr(y)}": _idstr(v)
-                    for (x, y), v in sorted(
-                        res.d_prime.items(),
-                        key=lambda kv: (str(kv[0][0]), str(kv[0][1])))},
-        "trace": {f"{_idstr(x)},{_idstr(y)}": {
-            "base": _idstr(e.base_value),
-            "meetands": [[_idstr(a), _idstr(b)] for a, b in e.meetands],
-            "joinands": [[_idstr(a), _idstr(b)] for a, b in e.joinands]}
-            for (x, y), e in sorted(
-                res.trace.items(),
-                key=lambda kv: (str(kv[0][0]), str(kv[0][1])))},
+        "order": _ids(order),
+        "d_prime": {f"{render_id(x)},{render_id(y)}": render_id(v)
+                    for (x, y), v in _by_pair(res.d_prime)},
+        "trace": {f"{render_id(x)},{render_id(y)}": {
+            "base": render_id(e.base_value),
+            "meetands": [_ids(pair) for pair in e.meetands],
+            "joinands": [_ids(pair) for pair in e.joinands]}
+            for (x, y), e in _by_pair(res.trace)},
     }
     return 0, report
 
 
+@command("poset witness",
+         _arg("--poset", required=True), _arg("--order"),
+         schema=_obj({"A": _OBJECT, "B": _OBJECT, "valid": _BOOL}))
 def _run_poset_witness(cfg: RunConfig):
     P = poset_from_json(load_json(cfg.args["poset"]))
-    order = cfg.args["order"].split(",") if cfg.args.get("order") \
+    order = cfg.args["order"].split(",") if cfg.args["order"] \
         else list(P.elements)
     W = posets.witness_from_order(P, order)
     report = witness_to_json(P, W)
@@ -159,35 +256,42 @@ def _run_poset_witness(cfg: RunConfig):
     return 0, report
 
 
+@command("poset order",
+         _arg("--poset", required=True), _arg("--witness", required=True),
+         schema=_obj({"enumeration": _STR_ARRAY, "blocks": _ARRAY,
+                      "prefix_shadows": _OBJECT}))
 def _run_poset_order(cfg: RunConfig):
     P = poset_from_json(load_json(cfg.args["poset"]))
     W = witness_from_json(load_json(cfg.args["witness"]))
     res = posets.order_from_witness(P, W)
     report = {
-        "enumeration": [_idstr(x) for x in res.enumeration],
-        "blocks": [[_idstr(x) for x in b] for b in res.blocks],
+        "enumeration": _ids(res.enumeration),
+        "blocks": [_ids(b) for b in res.blocks],
         "prefix_shadows": {
-            _idstr(x): {"upper": sorted(map(_idstr, u)),
-                        "lower": sorted(map(_idstr, v))}
+            render_id(x): {"upper": sorted(_ids(u)),
+                           "lower": sorted(_ids(v))}
             for x, (u, v) in res.prefix_shadows.items()},
     }
     return 0, report
 
 
+@command("poset amalgam",
+         _arg("--spec", required=True), _arg("--block-witnesses"),
+         schema=_obj({"ok": _BOOL, "violation": _type("object", "null")},
+                     required=["ok", "violation"]))
 def _run_poset_amalgam(cfg: RunConfig):
     spec, nu = amalgam_from_json(load_json(cfg.args["spec"]))
     v = posets.check_strong_amalgam(spec)
     report = {"ok": v is None,
               "violation": None if v is None else
-              {"clause": v.clause, "data": [_idstr(x) for x in v.data]}}
-    if v is None and cfg.args.get("block_witnesses"):
+              {"clause": v.clause, "data": _ids(v.data)}}
+    if v is None and cfg.args["block_witnesses"]:
         blocks = {p: witness_from_json(w)
                   for p, w in load_json(cfg.args["block_witnesses"]).items()}
         if nu is None:
-            nu = {}
-            for x in spec.carrier.elements:
-                nu[x] = next(p for p in spec.index.elements
-                             if x in spec.family[p])
+            nu = {x: next(p for p in spec.index.elements
+                          if x in spec.family[p])
+                  for x in spec.carrier.elements}
         W = posets.witness_from_amalgam(spec, blocks, nu)
         report["witness"] = witness_to_json(spec.carrier, W)
         report["witness_valid"] = posets.is_separability_witness(
@@ -195,6 +299,11 @@ def _run_poset_amalgam(cfg: RunConfig):
     return (0 if v is None else 1), report
 
 
+@command("semilinear includes",
+         _arg("--outer", required=True,
+              help="decides: inner is a subset of outer"),
+         _arg("--inner", required=True),
+         schema=_obj({"includes": _BOOL, "witness": _NULL_OR_STR_ARRAY}))
 def _run_semilinear_includes(cfg: RunConfig):
     outer = semilinear_from_json(load_json(cfg.args["outer"]))
     inner = semilinear_from_json(load_json(cfg.args["inner"]))
@@ -202,19 +311,34 @@ def _run_semilinear_includes(cfg: RunConfig):
     return (0 if ok else 1), {"includes": ok, "witness": _pointstr(w)}
 
 
+@command("semilinear shadow",
+         _arg("--set", required=True),
+         _arg("--vars", required=True,
+              help="comma-separated kept variable indices"),
+         _arg("--kind", choices=["upper", "lower"], default="upper"),
+         schema=_obj({"dimension": _INT, "cells": _ARRAY}))
 def _run_semilinear_shadow(cfg: RunConfig):
     U = semilinear_from_json(load_json(cfg.args["set"]))
-    X = [int(v) for v in cfg.args["vars"].split(",")] if cfg.args["vars"] \
-        else []
+    text = cfg.args["vars"]
+    try:
+        X = [int(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise InputError(f"--vars {text!r} is not a comma-separated list "
+                         f"of variable indices") from None
     fn = (semilinear.upper_shadow_set if cfg.args["kind"] == "upper"
           else semilinear.lower_shadow_set)
     return 0, semilinear_to_json(fn(U, X, cfg.cell_ceiling))
 
 
 def _region(cfg, n):
-    return vlterms.omega_region(n) if cfg.args.get("omega") else None
+    return vlterms.omega_region(n) if cfg.args["omega"] else None
 
 
+@command("vlat leq",
+         _arg("--n", type=int, required=True),
+         _arg("--lhs", required=True), _arg("--rhs", required=True),
+         _arg("--omega", action="store_true"),
+         schema=_obj({"leq": _BOOL, "witness": _NULL_OR_STR_ARRAY}))
 def _run_vlat_leq(cfg: RunConfig):
     n = cfg.args["n"]
     g = vlterms.parse_term(cfg.args["lhs"])
@@ -223,6 +347,12 @@ def _run_vlat_leq(cfg: RunConfig):
     return (0 if ok else 1), {"leq": ok, "witness": _pointstr(w)}
 
 
+@command("vlat cevian",
+         _arg("--n", type=int, required=True),
+         _arg("--g", required=True), _arg("--h", required=True),
+         _arg("--k", required=True),
+         _arg("--omega", action="store_true"),
+         schema=_obj({"cevian": _BOOL}))
 def _run_vlat_cevian(cfg: RunConfig):
     n = cfg.args["n"]
     g = vlterms.parse_term(cfg.args["g"])
@@ -233,16 +363,37 @@ def _run_vlat_cevian(cfg: RunConfig):
     return (0 if ok else 1), {"cevian": ok}
 
 
+def _term_text(t) -> str:
+    length = vlterms.text_length(t)
+    if length > MAX_TERM_TEXT:
+        raise ResourceLimitError(f"a probe term's text has {length} "
+                                 f"characters, more than {MAX_TERM_TEXT}")
+    return str(t)
+
+
+@command("vlat pscom-probe",
+         _arg("--n", type=int, default=3),
+         _arg("--alpha", type=int, default=1), _arg("--c", default="1"),
+         _arg("--count", type=int, default=100),
+         _arg("--depth", type=int, default=2),
+         _arg("--probes", help="file with one term per line"),
+         schema=_obj({"n": _INT, "alpha": _INT, "c": _type("string"),
+                      "probes": _INT, "counterexample_count": _INT,
+                      "entries": _ARRAY}))
 def _run_vlat_pscom(cfg: RunConfig):
     n = cfg.args["n"]
-    if cfg.args.get("probes"):
-        with open(cfg.args["probes"]) as fh:
-            terms = [vlterms.parse_term(line) for line in fh
-                     if line.strip()]
+    for name in ("count", "depth"):
+        if cfg.args[name] < 0:
+            raise InputError(f"--{name} must be non-negative")
+    if cfg.args["probes"]:
+        terms = [vlterms.parse_term(line)
+                 for line in read_text(cfg.args["probes"]).split("\n")
+                 if line.strip()]
     else:
         rng = random.Random(cfg.seed)
-        terms = [vlterms.random_term(rng, n, cfg.args.get("depth", 2))
-                 for _ in range(cfg.args.get("count", 100))]
+        # drawn lazily: pseudocomplement_probe checks n and alpha first
+        terms = (vlterms.random_term(rng, n, cfg.args["depth"])
+                 for _ in range(cfg.args["count"]))
     rep = vlterms.pseudocomplement_probe(
         n, cfg.args["alpha"], semilinear.parse_rational(cfg.args["c"]),
         terms, cfg.cell_ceiling)
@@ -255,7 +406,7 @@ def _run_vlat_pscom(cfg: RunConfig):
         "n": rep.n, "alpha": rep.alpha, "c": str(rep.c),
         "probes": len(rep.entries),
         "counterexample_count": len(rep.counterexamples),
-        "entries": [{"term": str(e.term),
+        "entries": [{"term": _term_text(e.term),
                      "lower_implication": rec(e.lower_implication),
                      "upper_implication": rec(e.upper_implication),
                      "counterexample": e.is_counterexample}
@@ -264,6 +415,12 @@ def _run_vlat_pscom(cfg: RunConfig):
     return (0 if not rep.counterexamples else 1), report
 
 
+@command("vlat noiso-probe",
+         _arg("--k", type=int, required=True),
+         _arg("--m", type=int, required=True),
+         _arg("--n", type=int, required=True),
+         schema=_obj({"k": _INT, "m": _INT, "n": _INT, "primary": _OBJECT,
+                      "dual": _OBJECT, "reproduced": _BOOL}))
 def _run_vlat_noiso(cfg: RunConfig):
     rep = vlterms.noiso_probe(cfg.args["k"], cfg.args["m"], cfg.args["n"],
                               cfg.cell_ceiling)
@@ -281,110 +438,11 @@ def _run_vlat_noiso(cfg: RunConfig):
     return (0 if rep.reproduced else 1), report
 
 
-_HANDLERS = {
-    "lattice check": _run_lattice_check,
-    "deviation check": _run_deviation_check,
-    "deviation search": _run_deviation_search,
-    "deviation enumerate": _run_deviation_enumerate,
-    "adjust": _run_adjust,
-    "poset witness": _run_poset_witness,
-    "poset order": _run_poset_order,
-    "poset amalgam": _run_poset_amalgam,
-    "semilinear includes": _run_semilinear_includes,
-    "semilinear shadow": _run_semilinear_shadow,
-    "vlat leq": _run_vlat_leq,
-    "vlat cevian": _run_vlat_cevian,
-    "vlat pscom-probe": _run_vlat_pscom,
-    "vlat noiso-probe": _run_vlat_noiso,
-}
+SCHEMAS = {name: c.schema for name, c in COMMANDS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Report schemas
-# ---------------------------------------------------------------------------
-
-def _obj(props, required=None):
-    return {"type": "object", "properties": props,
-            "required": sorted(required or props), "additionalProperties": True}
-
-
-_NULL_OR = lambda t: {"type": [t, "null"]}  # noqa: E731
-_STR_ARRAY = {"type": "array", "items": {"type": "string"}}
-_NULL_OR_STR_ARRAY = {"type": ["array", "null"], "items": {"type": "string"}}
-
-SCHEMAS = {
-    "lattice check": _obj({
-        "elements": {"type": "integer"},
-        "distributive": {"type": "boolean"},
-        "completely_normal": {"type": "boolean"},
-        "completely_normal_counterexample": _NULL_OR_STR_ARRAY,
-        "zero_distributive": {"type": "boolean"},
-        "zero_distributive_counterexample": _NULL_OR_STR_ARRAY,
-        "prime_ideal_count": {"type": "integer"},
-        "root_system": {"type": "boolean"},
-        "root_system_counterexample": _NULL_OR("string"),
-    }),
-    "deviation check": _obj({
-        "valid": {"type": "boolean"},
-        "violation": _NULL_OR("object"),
-    }, required=["valid", "violation"]),
-    "deviation search": _obj({
-        "found": {"type": "boolean"},
-        "required": {"type": "object"},
-        "deviation": _NULL_OR("object"),
-    }),
-    "deviation enumerate": _obj({
-        "count": {"type": "integer"},
-        "deviations": {"type": "array"},
-    }),
-    "adjust": _obj({
-        "order": _STR_ARRAY,
-        "d_prime": {"type": "object"},
-        "trace": {"type": "object"},
-    }),
-    "poset witness": _obj({
-        "A": {"type": "object"}, "B": {"type": "object"},
-        "valid": {"type": "boolean"},
-    }),
-    "poset order": _obj({
-        "enumeration": _STR_ARRAY,
-        "blocks": {"type": "array"},
-        "prefix_shadows": {"type": "object"},
-    }),
-    "poset amalgam": _obj({
-        "ok": {"type": "boolean"},
-        "violation": _NULL_OR("object"),
-    }, required=["ok", "violation"]),
-    "semilinear includes": _obj({
-        "includes": {"type": "boolean"},
-        "witness": _NULL_OR_STR_ARRAY,
-    }),
-    "semilinear shadow": _obj({
-        "dimension": {"type": "integer"},
-        "cells": {"type": "array"},
-    }),
-    "vlat leq": _obj({
-        "leq": {"type": "boolean"},
-        "witness": _NULL_OR_STR_ARRAY,
-    }),
-    "vlat cevian": _obj({"cevian": {"type": "boolean"}}),
-    "vlat pscom-probe": _obj({
-        "n": {"type": "integer"}, "alpha": {"type": "integer"},
-        "c": {"type": "string"}, "probes": {"type": "integer"},
-        "counterexample_count": {"type": "integer"},
-        "entries": {"type": "array"},
-    }),
-    "vlat noiso-probe": _obj({
-        "k": {"type": "integer"}, "m": {"type": "integer"},
-        "n": {"type": "integer"},
-        "primary": {"type": "object"}, "dual": {"type": "object"},
-        "reproduced": {"type": "boolean"},
-    }),
-}
-
-
-# ---------------------------------------------------------------------------
-# Argument parsing
+# Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -393,106 +451,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Order-theory lab: lattices, deviations, monotone "
                     "adjustment, separability witnesses, exact semilinear "
                     "decisions.")
-    ap.add_argument("--output", help="write the report to this file")
-    ap.add_argument("--format", choices=["json", "dot", "text"],
-                    default="json")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cell-ceiling", type=int,
-                    default=semilinear.DEFAULT_CELL_CEILING)
-    ap.add_argument("--schema", action="store_true",
-                    help="print the JSON schema of this subcommand's report")
+    for flags, options in _GLOBAL_OPTIONS:
+        ap.add_argument(*flags, **options)
     top = ap.add_subparsers(dest="group", required=True)
-
-    lat = top.add_parser("lattice").add_subparsers(dest="sub", required=True)
-    p = lat.add_parser("check")
-    p.add_argument("input")
-    p.add_argument("--prime-ideals", action="store_true",
-                   help="with --format dot, draw the prime-ideal poset")
-
-    dev = top.add_parser("deviation").add_subparsers(dest="sub", required=True)
-    p = dev.add_parser("check")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--map", required=True)
-    p = dev.add_parser("search")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--monotone", action="store_true")
-    p.add_argument("--cevian", action="store_true")
-    p = dev.add_parser("enumerate")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--limit", type=int, default=10)
-
-    p = top.add_parser("adjust")
-    p.add_argument("--lattice", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--order", required=True,
-                   help="comma-separated enumeration, e.g. 0,a,b,1")
-    p.add_argument("--use-shadows", action="store_true")
-
-    pos = top.add_parser("poset").add_subparsers(dest="sub", required=True)
-    p = pos.add_parser("witness")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--order")
-    p = pos.add_parser("order")
-    p.add_argument("--poset", required=True)
-    p.add_argument("--witness", required=True)
-    p = pos.add_parser("amalgam")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--block-witnesses")
-
-    sl = top.add_parser("semilinear").add_subparsers(dest="sub", required=True)
-    p = sl.add_parser("includes")
-    p.add_argument("--outer", required=True,
-                   help="decides: inner is a subset of outer")
-    p.add_argument("--inner", required=True)
-    p = sl.add_parser("shadow")
-    p.add_argument("--set", required=True)
-    p.add_argument("--vars", required=True,
-                   help="comma-separated kept variable indices")
-    p.add_argument("--kind", choices=["upper", "lower"], default="upper")
-
-    vl = top.add_parser("vlat").add_subparsers(dest="sub", required=True)
-    p = vl.add_parser("leq")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    p.add_argument("--omega", action="store_true")
-    p = vl.add_parser("cevian")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--omega", action="store_true")
-    p = vl.add_parser("pscom-probe")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--c", default="1")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--probes", help="file with one term per line")
-    p = vl.add_parser("noiso-probe")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    groups = {}
+    for name, c in COMMANDS.items():
+        group, _, sub = name.partition(" ")
+        if not sub:
+            p = top.add_parser(group)
+        else:
+            if group not in groups:
+                groups[group] = top.add_parser(group).add_subparsers(
+                    dest="sub", required=True)
+            p = groups[group].add_parser(sub)
+        for flags, options in c.arguments:
+            p.add_argument(*flags, **options)
     return ap
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     sub = ns.group if getattr(ns, "sub", None) is None \
         else f"{ns.group} {ns.sub}"
-    args = {k: v for k, v in vars(ns).items()
-            if k not in ("group", "sub", "output", "format", "seed",
-                         "cell_ceiling", "schema")}
+    args = {_dest(flags): getattr(ns, _dest(flags))
+            for flags, _ in COMMANDS[sub].arguments}
     return RunConfig(subcommand=sub, args=args, output=ns.output,
                      fmt=ns.format, seed=ns.seed,
                      cell_ceiling=ns.cell_ceiling)
 
 
 def run(cfg: RunConfig) -> tuple:
-    """Dispatch a configuration; returns (exit_code, rendered_report)."""
-    handler = _HANDLERS.get(cfg.subcommand)
-    if handler is None:
+    """Dispatch a configuration; returns (exit_code, rendered_report).
+    Optional arguments missing from ``cfg.args`` take their defaults."""
+    c = COMMANDS.get(cfg.subcommand)
+    if c is None:
         raise InputError(f"unknown subcommand {cfg.subcommand!r}")
-    code, report = handler(cfg)
+    code, report = c.handler(dataclasses.replace(
+        cfg, args={**c.defaults, **cfg.args}))
     if isinstance(report, str):          # already rendered (dot)
         return code, report
     if cfg.fmt == "text":
@@ -503,15 +497,10 @@ def run(cfg: RunConfig) -> tuple:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     cfg = config_from_args(ns)
     if ns.schema:
-        schema = SCHEMAS.get(cfg.subcommand)
-        if schema is None:
-            print(f"no schema for {cfg.subcommand!r}", file=sys.stderr)
-            return 2
-        print(json.dumps(schema, sort_keys=True, indent=2))
+        print(json.dumps(SCHEMAS[cfg.subcommand], sort_keys=True, indent=2))
         return 0
     try:
         code, rendered = run(cfg)

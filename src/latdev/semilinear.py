@@ -491,14 +491,20 @@ def complement(S: SemilinearSet,
     return SemilinearSet(S.dimension, tuple(acc))
 
 
+def _variables(S: SemilinearSet, variables: Iterable[int]) -> set:
+    """The variable indices as a set, each checked to lie in range."""
+    vs = set(variables)
+    for i in sorted(vs):
+        if not 0 <= i < S.dimension:
+            raise InputError(f"variable index {i} out of range")
+    return vs
+
+
 def eliminate(S: SemilinearSet, variables: Iterable[int],
               ceiling: Optional[int] = None) -> SemilinearSet:
     """Existential projection over the listed variables, cylindrified
     back to the ambient dimension (projected coordinates unconstrained)."""
-    vs = sorted(set(variables))
-    for i in vs:
-        if not 0 <= i < S.dimension:
-            raise InputError(f"variable index {i} out of range")
+    vs = sorted(_variables(S, variables))
     out = []
     for cell in S.cells:
         # atoms that mention variables but no eliminated one pass through
@@ -549,14 +555,16 @@ def same_set(S: SemilinearSet, T: SemilinearSet,
 def upper_shadow_set(U: SemilinearSet, X: Iterable[int],
                      ceiling: Optional[int] = None) -> SemilinearSet:
     """Smallest X-definable superset of U: project away the variables
-    outside X.  Atoms of the result mention only variables in X."""
-    X = set(X)
+    outside X.  Atoms of the result mention only variables in X; an
+    index of X outside ``0..dimension-1`` is an input error."""
+    X = _variables(U, X)
     return eliminate(U, [i for i in range(U.dimension) if i not in X], ceiling)
 
 
 def lower_shadow_set(U: SemilinearSet, X: Iterable[int],
                      ceiling: Optional[int] = None) -> SemilinearSet:
     """Largest X-definable subset of U."""
+    X = _variables(U, X)
     return complement(upper_shadow_set(complement(U, ceiling), X, ceiling),
                       ceiling)
 

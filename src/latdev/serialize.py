@@ -77,10 +77,11 @@ def lattice_to_json(D: FiniteDistributiveLattice) -> dict:
     return out
 
 
-def _downset_id_to_str(x) -> str:
-    # down-set lattice ids are tuples of member ids
+def render_id(x) -> str:
+    """The text of an element id in reports: ``str`` of a scalar id, and
+    ``{a,b}`` for the tuple ids of down-set lattices."""
     if isinstance(x, tuple):
-        return "{" + ",".join(map(str, x)) + "}"
+        return "{" + ",".join(map(render_id, x)) + "}"
     return str(x)
 
 
@@ -102,7 +103,7 @@ def _element_names(D: FiniteDistributiveLattice) -> dict:
     names: dict = {}
     for e in D.poset.elements:
         names.setdefault(str(e), e)
-        names.setdefault(_downset_id_to_str(e), e)
+        names.setdefault(render_id(e), e)
     return names
 
 
@@ -191,12 +192,17 @@ def semilinear_to_json(S: SemilinearSet) -> dict:
             "cells": [[str(a) for a in c.atoms] for c in S.cells]}
 
 
-def load_json(path: str):
+def read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def load_json(path: str):
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
@@ -210,7 +216,7 @@ def dot_poset(P: FinitePoset, name: str = "poset",
     def lab(x):
         if labels and x in labels:
             return labels[x]
-        return _downset_id_to_str(x)
+        return render_id(x)
 
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for x in P.elements:

@@ -252,6 +252,20 @@ def _fold(t: VLTerm, combine):
     return value[id(t)]
 
 
+def text_length(t: VLTerm) -> int:
+    """``len(str(t))``, counted over the shared nodes of the term: the
+    text itself has one copy of a subterm per path to it."""
+    def length(s, kids):
+        if isinstance(s, Gen):
+            return len(str(s))
+        if isinstance(s, One):
+            return 3
+        if isinstance(s, Scale):
+            return len(str(s.coeff)) + 3 + kids[0]
+        return kids[0] + kids[1] + (5 if isinstance(s, Add) else 6)
+    return _fold(t, length)
+
+
 def gen(i: int) -> Gen:
     if i < 0:
         raise InputError("generator index must be non-negative")

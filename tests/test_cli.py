@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import signal
 import time
 from fractions import Fraction
@@ -9,12 +11,13 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from latdev.cli import SCHEMAS, _idstr, main
+from latdev.cli import COMMANDS, SCHEMAS, _build_parser, config_from_args, main
 from latdev.serialize import (deviation_from_json, deviation_to_json,
-                              lattice_from_json, load_json)
+                              lattice_from_json, load_json, render_id)
 from latdev.vlterms import MAX_NOISO_K, evaluate, parse_term
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +59,24 @@ def chain4_dev(tmp_path, chain4):
 
 def schema_check(sub, out):
     jsonschema.validate(json.loads(out), SCHEMAS[sub])
+
+
+def timed(capsys, limit, *argv):
+    """Run the CLI, failing after ``limit`` seconds instead of hanging;
+    returns the exit code, stdout, stderr and the wall time."""
+    def stop(signum, frame):
+        raise TimeoutError(f"latdev ran for {limit} s")
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        t0 = time.perf_counter()
+        code = main(list(argv))
+        wall = time.perf_counter() - t0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, wall
 
 
 class TestLattice:
@@ -103,6 +124,12 @@ class TestLattice:
                   {"elements": ["x", "y"], "leq": []})
         code, _ = run_cli(capsys, "lattice", "check", p)
         assert code == 2
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "binary.json"
+        p.write_bytes(b'{"elements": ["\xd0\xff"]}')
+        code, out = run_cli(capsys, "lattice", "check", str(p))
+        assert code == 2 and out == ""
 
 
 class TestDeviation:
@@ -160,7 +187,7 @@ class TestDeviation:
             D = lattice_from_json(load_json(tree))
             d = deviation_from_json(report, D)
             assert deviation_to_json(d) == report["deviation"]
-            braces = {"d": {f"{_idstr(x)},{_idstr(y)}": _idstr(v)
+            braces = {"d": {f"{render_id(x)},{render_id(y)}": render_id(v)
                             for (x, y), v in d.items()}}
             assert deviation_from_json(braces, D) == d
 
@@ -216,14 +243,14 @@ class TestAdjust:
                             "--map", found)
         assert code == 0 and json.loads(out)["valid"]
         elements = lattice_from_json(load_json(tree)).poset.elements[::-1]
-        for render in (str, _idstr):
+        for render in (str, render_id):
             code, out = run_cli(capsys, "adjust", "--lattice", tree,
                                 "--map", found, "--order",
                                 ",".join(map(render, elements)))
             assert code == 0
             schema_check("adjust", out)
             rep = json.loads(out)
-            assert rep["order"] == [_idstr(e) for e in elements]
+            assert rep["order"] == [render_id(e) for e in elements]
             adjusted = write(tmp_path, "adjusted.json", {"d": rep["d_prime"]})
             code, out = run_cli(capsys, "deviation", "check", "--lattice",
                                 tree, "--map", adjusted)
@@ -342,6 +369,18 @@ class TestSemilinear:
         assert rep["cells"] == [["x0 > 0"]]
         schema_check("semilinear shadow", out)
 
+    @pytest.mark.parametrize("kind", ["upper", "lower"])
+    @pytest.mark.parametrize("kept", ["x", "0,,1", "9", "-1", "0,3"])
+    def test_shadow_bad_vars_exit_2(self, capsys, kind, kept):
+        """Kept variables must be indices 0..2 of the 3-dimensional set:
+        an index out of range would project every variable away."""
+        U = os.path.join(GOLDEN, "fixtures", "sl_shadow.json")
+        code = main(["semilinear", "shadow", "--set", U, "--vars", kept,
+                     "--kind", kind])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error")
+
     def test_zero_denominator_exits_2(self, capsys, tmp_path):
         bad = write(tmp_path, "bad.json",
                     {"dimension": 1, "cells": [["x0 > 1/0"]]})
@@ -393,34 +432,19 @@ class TestVlat:
                             "--g", "g0", f"--h={term}", "--k", "g0")
         assert code == 2 and out == ""
 
-    @staticmethod
-    def _timed(capsys, *argv):
-        """Run the CLI, failing after 10 s instead of hanging; returns the
-        exit code, the report and the wall time."""
-        def stop(signum, frame):
-            raise TimeoutError("vlat leq ran for 10 s")
-        old = signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, 10)
-        try:
-            t0 = time.perf_counter()
-            code, out = run_cli(capsys, *argv)
-            return code, json.loads(out), time.perf_counter() - t0
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
-
     def test_nested_bars_true_under_a_second(self, capsys):
         """|t| holds t twice: 30 nested bars are 2^30 paths, 60 nodes."""
         lhs = "|" * 30 + "g0" + "|" * 30
-        code, rep, wall = self._timed(capsys, "vlat", "leq", "--n", "1",
-                                      "--lhs", lhs, "--rhs", "g0")
-        assert code == 0 and rep == {"leq": True, "witness": None}
+        code, out, _, wall = timed(capsys, 10, "vlat", "leq", "--n", "1",
+                                   "--lhs", lhs, "--rhs", "g0")
+        assert code == 0 and json.loads(out) == {"leq": True, "witness": None}
         assert wall < 1
 
     def test_nested_bars_false_under_a_second(self, capsys):
         lhs = "|" * 30 + "g0 - g1" + "|" * 30
-        code, rep, wall = self._timed(capsys, "vlat", "leq", "--n", "2",
-                                      "--lhs", lhs, "--rhs", "g0")
+        code, out, _, wall = timed(capsys, 10, "vlat", "leq", "--n", "2",
+                                   "--lhs", lhs, "--rhs", "g0")
+        rep = json.loads(out)
         assert code == 1 and not rep["leq"]
         w = [Fraction(v) for v in rep["witness"]]
         assert evaluate(parse_term("g0"), w) == 0
@@ -463,6 +487,34 @@ class TestVlat:
                             "--alpha", "1", "--c", c, "--count", "2")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "0", "--count", "2"), ("--n", "1", "--count", "2"),
+        ("--count", "-3"), ("--depth", "-1"),
+    ], ids=["n0", "n1", "count", "depth"])
+    def test_pscom_probe_bad_parameters_exit_2(self, capsys, argv):
+        """n and alpha are checked before a random probe is drawn (with
+        n = 0 there is no generator to draw)."""
+        code, out = run_cli(capsys, "vlat", "pscom-probe", *argv)
+        assert code == 2 and out == ""
+
+    def test_pscom_probe_long_term_text_exits_3(self, capsys, tmp_path):
+        """30 nested bars are 60 nodes but a text of ~14e9 characters:
+        the report refuses to write it instead of building it."""
+        probes = tmp_path / "bars.txt"
+        probes.write_text("g0\n" + "|" * 30 + "g0" + "|" * 30 + "\n")
+        code, out, err, _ = timed(capsys, 1, "vlat", "pscom-probe",
+                                  "--probes", str(probes))
+        assert code == 3 and out == ""
+        assert "13958643701 characters" in err
+
+    def test_pscom_probe_unreadable_file_exits_2(self, capsys, tmp_path):
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"g0 \xd0\xff\n")
+        for path in (tmp_path / "absent.txt", binary):
+            code, out = run_cli(capsys, "vlat", "pscom-probe",
+                                "--probes", str(path))
+            assert code == 2 and out == ""
+
     def test_pscom_probe_seeded(self, capsys):
         code, out = run_cli(capsys, "--seed", "5", "vlat", "pscom-probe",
                             "--n", "3", "--alpha", "1", "--c", "1/2",
@@ -503,6 +555,39 @@ class TestInfrastructure:
                             "lattice", "check", chain4)
         assert code == 0 and "completely_normal: true" in out
 
-    def test_every_subcommand_has_schema(self):
-        from latdev.cli import _HANDLERS
-        assert set(SCHEMAS) == set(_HANDLERS)
+    def test_registry_defaults_match_parser(self):
+        """Each registered subcommand parses, and ``run`` fills in the
+        same defaults for missing optional arguments as the parser."""
+        ap = _build_parser()
+        for name, command in COMMANDS.items():
+            argv = name.split()
+            for flags, options in command.arguments:
+                if not flags[0].startswith("-"):
+                    argv.append("1")
+                elif options.get("required"):
+                    argv += [flags[0], "1"]
+            cfg = config_from_args(ap.parse_args(argv))
+            assert cfg.subcommand == name
+            assert {k: cfg.args[k] for k in command.defaults} == \
+                command.defaults
+        assert list(SCHEMAS) == list(COMMANDS)
+
+    def test_readme_command_lines_parse(self):
+        """Every ``latdev`` line of README's command-line block parses,
+        with its optional ``[...]`` parts dropped and kept, and together
+        they name every subcommand."""
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            block = fh.read().split("## Command line")[1].split("```")[1]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("latdev ")]
+        named = set()
+        for line in lines:
+            for text in (re.sub(r"\[[^]]*\]", "", line),
+                         re.sub(r"\[([^]]*)\]", r"\1", line)):
+                try:
+                    ns = _build_parser().parse_args(
+                        shlex.split(text, comments=True)[1:])
+                except SystemExit:
+                    pytest.fail(f"README line does not parse: {text}")
+                named.add(config_from_args(ns).subcommand)
+        assert named == set(COMMANDS)

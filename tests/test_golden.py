@@ -8,17 +8,23 @@ To record a newly added case (existing ones are frozen and must not be
 re-recorded to make a change pass)::
 
     PYTHONPATH=src python tests/test_golden.py <name> ...
+
+``golden/argparse_surface.json`` freezes the command-line surface: every
+parser of ``latdev`` with each of its actions.  It was recorded with
+``PYTHONPATH=src python tests/test_golden.py --surface``.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import sys
 
+import jsonschema
 import pytest
 
-from latdev.cli import main
+from latdev.cli import SCHEMAS, _build_parser, config_from_args, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -41,6 +47,39 @@ def run_case(argv) -> dict:
             "stderr": err.getvalue().replace(GOLDEN + os.sep, "")}
 
 
+def parser_surface() -> list:
+    """Each parser of the command line (the subparsers depth first, in
+    the order they were added) with its actions, as JSON data."""
+    out = []
+
+    def visit(path, parser):
+        actions = []
+        for a in parser._actions:
+            actions.append({
+                "class": type(a).__name__,
+                "option_strings": a.option_strings, "dest": a.dest,
+                "default": a.default, "required": a.required,
+                "type": None if a.type is None else a.type.__name__,
+                "choices": None if a.choices is None else list(a.choices),
+                "nargs": a.nargs, "const": a.const, "help": a.help,
+                "metavar": a.metavar})
+        out.append({"parser": path, "prog": parser.prog,
+                     "description": parser.description,
+                     "actions": actions})
+        for a in parser._actions:
+            if isinstance(a, argparse._SubParsersAction):
+                for name, sub in a.choices.items():
+                    visit(f"{path} {name}", sub)
+
+    visit("latdev", _build_parser())
+    return out
+
+
+def test_argparse_surface():
+    with open(os.path.join(GOLDEN, "argparse_surface.json")) as fh:
+        assert parser_surface() == json.load(fh)
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_report(case):
     with open(_report_path(case["name"])) as fh:
@@ -48,8 +87,27 @@ def test_golden_report(case):
     assert run_case(case["argv"]) == expected
 
 
+def test_golden_reports_match_schemas():
+    """Every recorded JSON report (exit code 0 or 1) validates against
+    the schema of its subcommand."""
+    validated = 0
+    for case in CASES:
+        with open(_report_path(case["name"])) as fh:
+            expected = json.load(fh)
+        cfg = config_from_args(_build_parser().parse_args(case["argv"]))
+        if cfg.fmt == "json" and expected["code"] in (0, 1):
+            jsonschema.validate(json.loads(expected["stdout"]),
+                                SCHEMAS[cfg.subcommand])
+            validated += 1
+    assert validated > len(CASES) // 2
+
+
 if __name__ == "__main__":
     wanted = set(sys.argv[1:])
+    if "--surface" in wanted:
+        with open(os.path.join(GOLDEN, "argparse_surface.json"), "w") as fh:
+            json.dump(parser_surface(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
     for case in CASES:
         if case["name"] in wanted:
             with open(_report_path(case["name"]), "w") as fh:

@@ -226,6 +226,15 @@ class TestShadows:
     def test_whole_space_self_shadow(self):
         assert same_set(lower_shadow_set(WHOLE2, [1]), WHOLE2)
 
+    @pytest.mark.parametrize("X", [[2], [-1], [0, 9]])
+    def test_support_out_of_range_rejected(self, X):
+        """Kept variables outside 0..n-1 would project every variable
+        away and answer the whole space."""
+        U = S([["x0 > 0", "x1 > 0"]], 2)
+        for shadow in (upper_shadow_set, lower_shadow_set):
+            with pytest.raises(InputError, match="out of range"):
+                shadow(U, X)
+
     def test_sandwich_idempotence_extremality(self, rng):
         # the full decision-procedure sweep runs in acceptance; this is a
         # smaller instance of the same laws

@@ -15,7 +15,8 @@ from latdev.vlterms import (MAX_TERM_DEPTH, Scale, UNIT_KEY, cevian_dev,
                             ideal_meet_is_zero, linearize, max_generator,
                             noiso_probe, omega_extend, omega_region, one,
                             parse_term, pseudocomplement_probe, random_term,
-                            substitute, term_depth, zero, zero_set)
+                            substitute, term_depth, text_length, zero,
+                            zero_set)
 
 from conftest import random_point
 
@@ -129,6 +130,18 @@ class TestSharedNodes:
         s = substitute(t, {0: g1, 2: g0})
         assert evaluate(s, (F(1, 2), F(-3), 7)) == F(7, 2)
         assert max_generator(s) == 1
+
+    def test_text_length(self, rng):
+        for depth in range(5):
+            for _ in range(50):
+                t = random_term(rng, 3, depth)
+                assert text_length(t) == len(str(t))
+        for bars in range(8):
+            t = parse_term("|" * bars + "1/3*g10 - one /\\ (g2)^+" +
+                           "|" * bars)
+            assert text_length(t) == len(str(t))
+        t = parse_term("|" * self.BARS + "g0" + "|" * self.BARS)
+        assert text_length(t) == 13 * 2 ** self.BARS - 11
 
     def test_linearize_nested_bars(self):
         t = parse_term("|" * self.BARS + "g0 - g1" + "|" * self.BARS)
