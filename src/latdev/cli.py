@@ -33,6 +33,9 @@ from .serialize import (amalgam_from_json, deviation_from_json,
 # Longest term text a pscom-probe report writes: ``str`` of a term walks
 # every path of its DAG, so ``|g0|`` nested 30 deep would be ~14 GB.
 MAX_TERM_TEXT = 10 ** 6
+# Deepest random probe term: ``random_term`` recurses once per level and
+# doubles at each binary operator, so depth 16 is at most 2^17 nodes.
+MAX_PROBE_DEPTH = 16
 
 
 @dataclass
@@ -385,6 +388,8 @@ def _run_vlat_pscom(cfg: RunConfig):
     for name in ("count", "depth"):
         if cfg.args[name] < 0:
             raise InputError(f"--{name} must be non-negative")
+    if cfg.args["depth"] > MAX_PROBE_DEPTH:
+        raise InputError(f"--depth must be at most {MAX_PROBE_DEPTH}")
     if cfg.args["probes"]:
         terms = [vlterms.parse_term(line)
                  for line in read_text(cfg.args["probes"]).split("\n")

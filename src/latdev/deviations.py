@@ -8,6 +8,13 @@ A deviation is a total binary map d on the lattice with
 
 Deviations are represented as plain dicts mapping ordered id pairs to
 ids of the host lattice.
+
+Search relies on Birkhoff's representation: in a finite distributive
+lattice a join-irreducible p lies below y ∨ c iff it lies below y or
+below c.  So the values that axiom 1 allows at (x, y) are exactly the
+filter ↑(x∖y), where x∖y = ⋁{p join-irreducible : p <= x, p not<= y},
+and a mirrored pair (x, y), (y, x) has values meeting axiom 2 iff
+(x∖y) ∧ (y∖x) = 0.  Search therefore requires a distributive lattice.
 """
 
 from __future__ import annotations
@@ -15,11 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from .errors import InputError
+from .errors import ContractError, InputError, ResourceLimitError
 from .lattices import FiniteDistributiveLattice
 from .posets import ElementId, bits
 
 DeviationMap = Dict[Tuple[ElementId, ElementId], ElementId]
+
+# Most values one search or enumeration places (search nodes) before it
+# stops with ResourceLimitError.  A search that never backtracks places
+# n² values: 4096 on B6, 33,489 on a 183-element lattice.
+MAX_SEARCH_NODES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -99,27 +111,44 @@ class PropertyReport:
         return self.left_isotone and self.right_antitone
 
 
-def _property_failures(D: FiniteDistributiveLattice, t: list) -> tuple:
-    """First counterexamples (position triples or None) to left
-    isotonicity, right antitonicity and the Cevian inequality."""
+def _isotone_failure(D: FiniteDistributiveLattice,
+                     t: list) -> Optional[tuple]:
+    """First (x, x', y) with x <= x' and d(x,y) not<= d(x',y), or None."""
+    n = len(D)
+    up = D.poset._up
+    return next(((x, x2, y) for x in range(n) for x2 in bits(up[x])
+                 for y in range(n)
+                 if not up[t[x * n + y]] >> t[x2 * n + y] & 1), None)
+
+
+def _antitone_failure(D: FiniteDistributiveLattice,
+                      t: list) -> Optional[tuple]:
+    """First (x, y, y') with y <= y' and d(x,y') not<= d(x,y), or None."""
+    n = len(D)
+    up = D.poset._up
+    ups = [bits(m) for m in up]
+    return next(((x, y, y2) for x in range(n) for y in range(n)
+                 for y2 in ups[y]
+                 if not up[t[x * n + y2]] >> t[x * n + y] & 1), None)
+
+
+def _cevian_failure(D: FiniteDistributiveLattice,
+                    t: list) -> Optional[tuple]:
+    """First (x, y, z) with d(x,z) not<= d(x,y) ∨ d(y,z), or None."""
     n = len(D)
     up, jn = D.poset._up, D._join
     N = range(n)
-    li = next(((x, x2, y) for x in N for x2 in bits(up[x]) for y in N
-               if not up[t[x * n + y]] >> t[x2 * n + y] & 1), None)
-    ra = next(((x, y, y2) for x in N for y in N for y2 in bits(up[y])
-               if not up[t[x * n + y2]] >> t[x * n + y] & 1), None)
-    cev = next(((x, y, z) for x in N for y in N for z in N
-                if not up[t[x * n + z]] >> jn[t[x * n + y]][t[y * n + z]] & 1),
-               None)
-    return li, ra, cev
+    return next(((x, y, z) for x in N for y in N for z in N
+                 if not up[t[x * n + z]] >> jn[t[x * n + y]][t[y * n + z]] & 1),
+                None)
 
 
 def deviation_properties(D: FiniteDistributiveLattice,
                          d: DeviationMap) -> PropertyReport:
-    els = D.elements
+    els, t = D.elements, _table(D, d)
     li, ra, cev = (None if ce is None else tuple(els[i] for i in ce)
-                   for ce in _property_failures(D, _table(D, d)))
+                   for ce in (_isotone_failure(D, t), _antitone_failure(D, t),
+                              _cevian_failure(D, t)))
     return PropertyReport(li is None, ra is None, cev is None, li, ra, cev)
 
 
@@ -127,32 +156,79 @@ def deviation_properties(D: FiniteDistributiveLattice,
 # Search
 # ---------------------------------------------------------------------------
 
+def _differences(D: FiniteDistributiveLattice) -> list:
+    """x∖y = ⋁{p join-irreducible : p <= x, p not<= y} for every pair of
+    the distributive lattice D, as a flat position table
+    dif[x*n + y].
+
+    Elements are visited upwards.  Above 0, x has a lower cover x′, and
+    its join-irreducibles are those of x′ and one more, p; so
+    x∖y = (x′∖y) ∨ (p∖y), where p∖y is p or 0: one join lookup per pair.
+    """
+    n = len(D)
+    up, down, jn = D.poset._up, D.poset._down, D._join
+    irreducible = sum(1 << p for p in D._irreducibles())
+    rank = [m.bit_count() for m in down]
+    dif = [D._bot] * (n * n)
+    for x in sorted(range(n), key=rank.__getitem__):
+        strict = down[x] & ~(1 << x)
+        if not strict:
+            continue
+        cover = max(bits(strict), key=rank.__getitem__)
+        p = (irreducible & down[x] & ~down[cover]).bit_length() - 1
+        up_p, row, below = up[p], x * n, cover * n
+        for y in range(n):
+            v = dif[below + y]
+            dif[row + y] = v if up_p >> y & 1 else jn[v][p]
+    return dif
+
+
+def _confirm_clash(D: FiniteDistributiveLattice, dif: list, x: int,
+                   y: int) -> None:
+    """Re-verify that no values of the pairs (x, y) and (y, x) meet both
+    axioms, where (x∖y) ∧ (y∖x) != 0: every value that axiom 1 allows
+    must lie above the difference, so any two allowed values meet above
+    (x∖y) ∧ (y∖x)."""
+    n = len(D)
+    up, jn = D.poset._up, D._join
+    for a, b in ((x, y), (y, x)):
+        floor = up[dif[a * n + b]]
+        for c in range(n):
+            if up[a] >> jn[b][c] & 1 and not floor >> c & 1:
+                raise ContractError(
+                    f"value {D.elements[c]!r} meets axiom 1 at "
+                    f"{(D.elements[a], D.elements[b])!r} but lies outside "
+                    "the filter of the difference")
+
+
 def _solutions(D: FiniteDistributiveLattice, require_monotone: bool,
                require_cevian: bool) -> Iterator[list]:
     """Every table passing the pruning, in search order, as flat position
     tables.
 
-    Backtracks over ordered pairs in canonical order with an explicit
-    stack; candidates for a pair (x, y) are the values c with
-    x <= y ∨ c (axiom-1 closure), in canonical order.
+    D must be distributive (InputError otherwise).  Backtracks over
+    ordered pairs in canonical order with an explicit stack; candidates
+    for a pair (x, y) are the values c with x <= y ∨ c, which in a
+    distributive lattice are the filter ↑(x∖y), in canonical order.  A
+    mirrored pair with (x∖y) ∧ (y∖x) != 0 has no values meeting both
+    axioms and ends the search before its first node, once that verdict
+    is re-verified.  Placing more than ``MAX_SEARCH_NODES`` values raises
+    ResourceLimitError.
     """
+    if not D.is_distributive:
+        raise InputError("deviation search needs a distributive lattice")
     n = len(D)
     up, down, jn, mt, bot = (D.poset._up, D.poset._down, D._join, D._meet,
                              D._bot)
-    cands = [[c for c in range(n) if up[x] >> jn[y][c] & 1]
-             for x in range(n) for y in range(n)]
-    # a mirrored pair {(x,y), (y,x)} without axiom-respecting values at
-    # all dooms every full table
-    disjoint = [sum(1 << v for v in range(n) if mt[u][v] == bot)
-                for u in range(n)]
-    cand_mask = [sum(1 << c for c in cs) for cs in cands]
+    dif = _differences(D)
     for x in range(n):
-        for y in range(n):
-            if not any(disjoint[u] & cand_mask[y * n + x]
-                       for u in cands[x * n + y]):
+        for y in range(x + 1, n):
+            if mt[dif[x * n + y]][dif[y * n + x]] != bot:
+                _confirm_clash(D, dif, x, y)
                 return
     ups = [bits(m) for m in up]
     downs = [bits(m) for m in down]
+    cands = [ups[v] for v in dif]
     tab: list = [None] * (n * n)
 
     def consistent(x, y, c) -> bool:
@@ -199,7 +275,7 @@ def _solutions(D: FiniteDistributiveLattice, require_monotone: bool,
 
     size = n * n
     tried = [0] * (size + 1)    # next candidate position, per stack level
-    k = 0
+    k = nodes = 0
     while k >= 0:
         if k == size:
             yield list(tab)
@@ -210,6 +286,11 @@ def _solutions(D: FiniteDistributiveLattice, require_monotone: bool,
             while c < len(cs) and not consistent(x, y, cs[c]):
                 c += 1
             if c < len(cs):
+                nodes += 1
+                if nodes > MAX_SEARCH_NODES:
+                    raise ResourceLimitError(
+                        f"deviation search placed more than "
+                        f"{MAX_SEARCH_NODES} values")
                 tab[k] = cs[c]
                 tried[k] = c + 1
                 k += 1
@@ -221,14 +302,14 @@ def _solutions(D: FiniteDistributiveLattice, require_monotone: bool,
 
 
 def _verify(D, t, require_monotone, require_cevian) -> bool:
+    """Whether t is a deviation with the requested properties; only the
+    requested sweeps run."""
     if _violation(D, t) is not None:
         return False
-    li, ra, cev = _property_failures(D, t)
-    if require_monotone and (li is not None or ra is not None):
+    if require_monotone and (_isotone_failure(D, t) is not None
+                             or _antitone_failure(D, t) is not None):
         return False
-    if require_cevian and cev is not None:
-        return False
-    return True
+    return not require_cevian or _cevian_failure(D, t) is None
 
 
 def search_deviation(D: FiniteDistributiveLattice,
@@ -241,25 +322,27 @@ def search_deviation(D: FiniteDistributiveLattice,
     pair are tried in canonical order among values respecting axiom 1.
     Partial assignments are pruned by axiom 2 on the mirrored pair and by
     the requested properties restricted to decided pairs/triples.  The
-    returned table is re-verified by a full sweep before being returned.
+    returned table is re-verified by the requested sweeps before being
+    returned.  Raises InputError on a non-distributive lattice and
+    ResourceLimitError past ``MAX_SEARCH_NODES`` search nodes.
     """
     for t in _solutions(D, require_monotone, require_cevian):
         if _verify(D, t, require_monotone, require_cevian):
             return _to_map(D, t)
-        raise AssertionError("search produced an inconsistent table")
+        raise ContractError("search produced an inconsistent table")
     return None
 
 
 def enumerate_deviations(D: FiniteDistributiveLattice,
                          limit: int) -> list:
     """Up to ``limit`` (at least 1) distinct deviations in search order
-    (deterministic)."""
+    (deterministic), with the errors of :func:`search_deviation`."""
     if limit < 1:
         raise InputError(f"limit must be at least 1, got {limit}")
     out = []
     for t in _solutions(D, False, False):
         if _violation(D, t) is not None:
-            raise AssertionError("search produced an inconsistent table")
+            raise ContractError("search produced an inconsistent table")
         out.append(_to_map(D, t))
         if len(out) >= limit:
             break

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import ContractError, InputError
 from .posets import (ElementId, FinitePoset, bits, canonical_key,
                      down_set_masks)
 
@@ -89,12 +89,9 @@ class FiniteDistributiveLattice:
                                 self.elements[k])
         return None
 
-    @property
-    def is_distributive(self) -> bool:
-        """Birkhoff's count: |L| equals the number of down-sets of the
-        join-irreducibles J(L) (counted up to |L| + 1).  Every element is
-        the join of the join-irreducibles below it, so x -> J(L) ∩ ↓x
-        embeds L into O(J(L)); L is distributive iff that is onto."""
+    def _irreducibles(self) -> dict:
+        """{p: mask of the join-irreducibles strictly below p} over the
+        join-irreducibles p: the elements with exactly one lower cover."""
         down = self.poset._down
         principal = set(down)
         below = {}
@@ -103,9 +100,16 @@ class FiniteDistributiveLattice:
             if strict in principal:     # exactly one lower cover
                 below[x] = strict
         irreducible = sum(1 << x for x in below)
-        below = {x: b & irreducible for x, b in below.items()}
-        n = len(down)
-        return len(down_set_masks(below, limit=n)) == n
+        return {x: b & irreducible for x, b in below.items()}
+
+    @property
+    def is_distributive(self) -> bool:
+        """Birkhoff's count: |L| equals the number of down-sets of the
+        join-irreducibles J(L) (counted up to |L| + 1).  Every element is
+        the join of the join-irreducibles below it, so x -> J(L) ∩ ↓x
+        embeds L into O(J(L)); L is distributive iff that is onto."""
+        n = len(self.elements)
+        return len(down_set_masks(self._irreducibles(), limit=n)) == n
 
     def idx(self, x: ElementId) -> int:
         return self.poset.index(x)
@@ -180,8 +184,32 @@ def is_zero_distributive(D: FiniteDistributiveLattice) -> tuple:
     """Whether x∧z = y∧z = 0 always implies (x∨y)∧z = 0.
 
     Returns (True, None) or (False, (x, y, z)) for the first failing
-    triple in canonical order.
+    triple in canonical order.  For each z the elements disjoint from z
+    form a down-set, so they are closed under joins iff their join is
+    disjoint from z: one pass over the meet table, in any finite
+    lattice.  Only after a failure does a triple scan name the triple.
     """
+    n, bot = len(D), D._bot
+    jn, mt = D._join, D._meet
+    for z in range(n):
+        acc, row = bot, mt[z]
+        for x in range(n):
+            if row[x] == bot:
+                acc = jn[acc][x]
+        if row[acc] != bot:
+            triple = _zero_distributivity_failure(D)
+            if triple is None:
+                raise ContractError(
+                    f"the elements disjoint from {D.elements[z]!r} are "
+                    "not closed under joins, yet no triple fails")
+            return (False, triple)
+    return (True, None)
+
+
+def _zero_distributivity_failure(
+        D: FiniteDistributiveLattice) -> Optional[tuple]:
+    """The first triple (x, y, z) in canonical order with x∧z = y∧z = 0
+    and (x∨y)∧z != 0, or None."""
     bot = D._bot
     n = len(D)
     jn, mt = D._join, D._meet
@@ -190,9 +218,8 @@ def is_zero_distributive(D: FiniteDistributiveLattice) -> tuple:
             for k in range(n):
                 if (mt[i][k] == bot and mt[j][k] == bot
                         and mt[jn[i][j]][k] != bot):
-                    return (False, (D.elements[i], D.elements[j],
-                                    D.elements[k]))
-    return (True, None)
+                    return (D.elements[i], D.elements[j], D.elements[k])
+    return None
 
 
 def is_completely_normal(D: FiniteDistributiveLattice) -> tuple:

@@ -37,14 +37,6 @@ def poset_from_json(obj) -> FinitePoset:
     return FinitePoset.from_relation(elements, pairs)
 
 
-def poset_to_json(P: FinitePoset) -> dict:
-    return {"elements": list(P.elements),
-            "leq": [[a, b] for (a, b) in sorted(
-                ((a, b) for a in P.elements for b in P.elements
-                 if P.lt(a, b)),
-                key=lambda ab: (P.index(ab[0]), P.index(ab[1])))]}
-
-
 def witness_from_json(obj) -> SeparabilityWitness:
     try:
         A = {x: frozenset(v) for x, v in obj["A"].items()}
@@ -69,12 +61,6 @@ def lattice_from_json(obj) -> FiniteDistributiveLattice:
         raise InputError(
             f"declared bottom {obj['bottom']!r} is not the least element")
     return D
-
-
-def lattice_to_json(D: FiniteDistributiveLattice) -> dict:
-    out = poset_to_json(D.poset)
-    out["bottom"] = D.bottom
-    return out
 
 
 def render_id(x) -> str:

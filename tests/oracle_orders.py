@@ -7,7 +7,8 @@ tests in ``test_order_kernel.py`` can compare the two:
 * the relation validation of ``FinitePoset`` (antisymmetry, then
   transitivity, with the same error messages);
 * the least-upper-bound / greatest-lower-bound scan that built the
-  join/meet tables, and the triple scan for distributivity;
+  join/meet tables, and the triple scans for distributivity and
+  zero-distributivity;
 * ``prime_ideal_poset`` by enumeration of all down-sets;
 * the down-set lattice of a poset as the inclusion relation on all
   down-sets;
@@ -111,6 +112,17 @@ def distributivity_failure(elements, jn, mt) -> Optional[tuple]:
         for j in range(n):
             for k in range(n):
                 if mt[i][jn[j][k]] != jn[mt[i][j]][mt[i][k]]:
+                    return (elements[i], elements[j], elements[k])
+    return None
+
+
+def zero_distributivity_failure(elements, jn, mt, bot) -> Optional[tuple]:
+    n = len(elements)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mt[i][k] == bot and mt[j][k] == bot \
+                        and mt[jn[i][j]][k] != bot:
                     return (elements[i], elements[j], elements[k])
     return None
 

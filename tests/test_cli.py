@@ -11,6 +11,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from latdev import deviations
 from latdev.cli import COMMANDS, SCHEMAS, _build_parser, config_from_args, main
 from latdev.serialize import (deviation_from_json, deviation_to_json,
                               lattice_from_json, load_json, render_id)
@@ -200,6 +201,17 @@ class TestDeviation:
         code, out = run_cli(capsys, "deviation", "check",
                             "--lattice", ncn_lattice, "--map", p)
         assert code == 2 and out == ""
+
+    def test_search_past_node_budget_exits_3(self, capsys, monkeypatch):
+        """The tree fixture's lattice has 7 elements: a search places at
+        least 49 values, and an enumeration more."""
+        tree = os.path.join(GOLDEN, "fixtures", "tree.json")
+        monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 48)
+        for argv in (("search",), ("search", "--monotone", "--cevian"),
+                     ("enumerate", "--limit", "20")):
+            code, out = run_cli(capsys, "deviation", *argv,
+                                "--lattice", tree)
+            assert code == 3 and out == ""
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_enumerate_non_positive_limit_exits_2(self, capsys, chain4,
@@ -496,6 +508,15 @@ class TestVlat:
         n = 0 there is no generator to draw)."""
         code, out = run_cli(capsys, "vlat", "pscom-probe", *argv)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("depth", ["17", "100000"])
+    def test_pscom_probe_depth_above_cap_exits_2(self, capsys, depth):
+        """Random probe terms double at each binary operator: a depth
+        above MAX_PROBE_DEPTH is refused before any term is drawn."""
+        code, out, err, _ = timed(capsys, 1, "vlat", "pscom-probe",
+                                  "--depth", depth)
+        assert code == 2 and out == ""
+        assert "--depth must be at most 16" in err
 
     def test_pscom_probe_long_term_text_exits_3(self, capsys, tmp_path):
         """30 nested bars are 60 nodes but a text of ~14e9 characters:

@@ -4,16 +4,19 @@ import random
 
 import pytest
 
-from latdev.deviations import (check_deviation, deviation_properties,
-                               enumerate_deviations, search_deviation)
-from latdev.errors import InputError
+from latdev import deviations
+from latdev.deviations import (_differences, check_deviation,
+                               deviation_properties, enumerate_deviations,
+                               search_deviation)
+from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.lattices import (chain_lattice, is_completely_normal,
                              lattice_from_downsets)
-from latdev.posets import FinitePoset
+from latdev.posets import FinitePoset, bits
 
 from conftest import downset_lattice_corpus
 
-from test_lattices import SQUARE, five_element_ncn
+from test_lattices import SQUARE, five_element_ncn, m3
+from test_order_kernel import chain_product, n5
 
 
 def boolean_difference(D):
@@ -127,6 +130,100 @@ class TestSearch:
         for D in downset_lattice_corpus(3):
             found = search_deviation(D) is not None
             assert found == is_completely_normal(D)[0]
+
+    @pytest.mark.parametrize("make", [n5, m3], ids=["N5", "M3"])
+    def test_search_needs_a_distributive_lattice(self, make):
+        D = make()
+        with pytest.raises(InputError):
+            search_deviation(D)
+        with pytest.raises(InputError):
+            enumerate_deviations(D, 3)
+
+    def test_inconsistent_table_raises_contract_error(self, monkeypatch):
+        monkeypatch.setattr(deviations, "_violation", lambda D, t: (1, 0, 0))
+        with pytest.raises(ContractError):
+            search_deviation(SQUARE)
+        with pytest.raises(ContractError):
+            enumerate_deviations(SQUARE, 2)
+
+    def test_plain_search_runs_no_property_sweep(self, monkeypatch):
+        def sweep(D, t):
+            raise RuntimeError("property sweep in a plain search")
+        for name in ("_isotone_failure", "_antitone_failure",
+                     "_cevian_failure"):
+            monkeypatch.setattr(deviations, name, sweep)
+        assert search_deviation(SQUARE) is not None
+        assert len(enumerate_deviations(SQUARE, 3)) == 3
+
+    def test_node_budget(self, monkeypatch):
+        """B3 has 64 ordered pairs: a search places at least 64 values."""
+        D = lattice_from_downsets(FinitePoset.antichain(range(3)))
+        monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 64)
+        assert search_deviation(D) is not None
+        monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 63)
+        with pytest.raises(ResourceLimitError):
+            search_deviation(D)
+        with pytest.raises(ResourceLimitError):
+            enumerate_deviations(D, 1)
+
+
+def upset_forest_lattice(rng: random.Random, size: int):
+    """The ``size``-element down-set lattice of an up-set forest (each
+    element has at most one upper cover) on four to six elements, drawn
+    as the orders benchmark draws the forests of its size sweep."""
+    while True:
+        n = rng.randint(4, 6)
+        parent = {}
+        for i in range(1, n):
+            if rng.random() < 0.75:
+                parent[i] = rng.randrange(i)
+        labels = [f"f{i}" for i in range(n)]
+        rng.shuffle(labels)
+        J = FinitePoset.from_relation(
+            labels, [(labels[c], labels[p]) for c, p in parent.items()])
+        D = lattice_from_downsets(J)
+        if len(D) == size:
+            return D
+
+
+def difference_lattices() -> list:
+    lattices = list(downset_lattice_corpus(4))
+    lattices += [lattice_from_downsets(chain_product(k)) for k in range(1, 7)]
+    lattices += [lattice_from_downsets(FinitePoset.antichain(range(n)))
+                 for n in range(1, 7)]
+    shapes = random.Random("order-scale shapes")
+    lattices += [upset_forest_lattice(shapes, size)
+                 for size in (10, 12, 14, 16, 18, 20, 24, 28)]
+    return lattices
+
+
+class TestDifferences:
+    def test_filters_are_the_axiom_1_values(self):
+        """↑(x∖y) is exactly the brute-force list of values c with
+        x <= y ∨ c, in ascending positions."""
+        lattices = difference_lattices()
+        assert len(lattices) == 243 + 6 + 6 + 8
+        for D in lattices:
+            n, up, jn = len(D), D.poset._up, D._join
+            dif = _differences(D)
+            for x in range(n):
+                for y in range(n):
+                    assert bits(up[dif[x * n + y]]) == \
+                        [c for c in range(n) if up[x] >> jn[y][c] & 1]
+
+    def test_corrupted_differences_caught(self, monkeypatch):
+        """A difference table that claims a clash on a chain, where every
+        mirrored pair has values meeting both axioms, fails the
+        re-verification instead of ending the search."""
+        D = chain_lattice(3)
+
+        def clashing(D):
+            dif = [D._bot] * 9
+            dif[0 * 3 + 1] = dif[1 * 3 + 0] = D._top
+            return dif
+        monkeypatch.setattr(deviations, "_differences", clashing)
+        with pytest.raises(ContractError):
+            search_deviation(D)
 
 
 class TestEnumerate:

@@ -17,8 +17,8 @@ from latdev.deviations import (check_deviation, deviation_properties,
                                enumerate_deviations, search_deviation)
 from latdev.errors import InputError
 from latdev.lattices import (FiniteDistributiveLattice, is_completely_normal,
-                             lattice_from_downsets, lattice_from_poset,
-                             prime_ideal_poset)
+                             is_zero_distributive, lattice_from_downsets,
+                             lattice_from_poset, prime_ideal_poset)
 from latdev.posets import FinitePoset
 
 from conftest import all_posets, downset_lattice_corpus, random_poset
@@ -198,8 +198,11 @@ def random_bounded_poset(rng: random.Random) -> FinitePoset:
 
 
 def test_birkhoff_count_agrees_with_triple_scan():
+    """Distributivity by Birkhoff's count and zero-distributivity by one
+    join per element agree with the triple scans, the latter also on the
+    first failing triple."""
     rng = random.Random(20261018)
-    lattices = non_distributive = 0
+    lattices = non_distributive = non_zero_distributive = 0
     while lattices < 10_000:
         P = random_bounded_poset(rng)
         err = raised(FiniteDistributiveLattice, P, check_distributive=False)
@@ -217,8 +220,13 @@ def test_birkhoff_count_agrees_with_triple_scan():
         failure = oracle.distributivity_failure(D.elements, join, meet)
         assert D.is_distributive == (failure is None)
         non_distributive += failure is not None
+        zd = oracle.zero_distributivity_failure(D.elements, join, meet,
+                                                D._bot)
+        assert is_zero_distributive(D) == (zd is None, zd)
+        non_zero_distributive += zd is not None
     # both kinds occur often enough for the agreement to mean something
     assert 1_000 < non_distributive < 9_000
+    assert 1_000 < non_zero_distributive < non_distributive
 
 
 # ---------------------------------------------------------------------------
