@@ -18,12 +18,30 @@ The default evaluation sweeps all ⊴-smaller pairs.  The shadow-based
 path replaces the index sets by finite coinitial/cofinal subsets built
 from the minimal shadows of a and b on their strict ⊑-prefixes; both
 paths produce identical maps.
+
+D must be distributive (InputError otherwise, as for deviation search):
+each value is computed as its Birkhoff mask, the set of join-irreducibles
+below it, so a meet is an AND and a join an OR.  The naive path never
+lists its meetands.  It keeps, per join-irreducible p, the mask has[p]
+of decision ranks whose d' lies above p; with S and T the rank masks of
+the meetands and the joinands of (a,b),
+
+    p <= d'(a,b)  iff  (p <= d(a,b) and S ⊆ has[p]) or T ∩ has[p] ≠ ∅,
+
+which is O(|J(D)|) mask operations per pair.  The shadow path folds the
+masks of its few keys.  The trace is decoded on read: it keeps the
+O(m) row and column rank masks and each pair's block start (naive path)
+or each pair's key lists (shadow path), and rebuilds an entry's
+meetands and joinands when the entry is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from functools import reduce
+from operator import and_, or_
+from typing import Sequence, Tuple
 
 from .errors import ContractError, InputError
 from .lattices import FiniteDistributiveLattice
@@ -41,6 +59,9 @@ class PairOrderContext:
 
     def key(self, s) -> tuple:
         """Sort key of a one- or two-element subset: (⊑-max, ⊑-min)."""
+        for x in s:
+            if x not in self.pos:
+                raise InputError(f"element {x!r} not in base enumeration")
         ps = [self.pos[x] for x in s]
         if not 1 <= len(ps) <= 2:
             raise InputError("pair sets must have one or two elements")
@@ -59,11 +80,7 @@ class PairOrderContext:
 
 def pair_leq(ctx: PairOrderContext, s, t) -> bool:
     """s ⊴ t for one- or two-element subsets of the base."""
-    s, t = set(s), set(t)
-    for x in s | t:
-        if x not in ctx.pos:
-            raise InputError(f"element {x!r} not in base enumeration")
-    return ctx.key(s) <= ctx.key(t)
+    return ctx.key(set(s)) <= ctx.key(set(t))
 
 
 @dataclass(frozen=True)
@@ -73,10 +90,82 @@ class TraceEntry:
     joinands: tuple             # index pairs (x,y) whose d' entered the join
 
 
+class AdjustmentTrace(Mapping):
+    """Read-only {(a, b): TraceEntry} in decision order.
+
+    Keeps only what rebuilds an entry: ``entry(r)`` decodes the entry
+    of the pair of decision rank r when it is read.
+    """
+
+    __slots__ = ("_idx", "_m", "_decided", "_rank", "_entry")
+
+    def __init__(self, M: FinitePoset, decided: list, rank: list, entry):
+        self._idx, self._m = M._idx, len(M)
+        self._decided = decided     # rank -> (x, y)
+        self._rank = rank           # flat position x*m + y -> rank
+        self._entry = entry
+
+    def _rank_of(self, pair) -> int:
+        if isinstance(pair, tuple) and len(pair) == 2:
+            x, y = pair
+            if x in self._idx and y in self._idx:
+                return self._rank[self._idx[x] * self._m + self._idx[y]]
+        raise KeyError(pair)
+
+    def __getitem__(self, pair) -> TraceEntry:
+        return self._entry(self._rank_of(pair))
+
+    def __contains__(self, pair) -> bool:
+        try:
+            self._rank_of(pair)
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self):
+        return iter(self._decided)
+
+    def __len__(self) -> int:
+        return len(self._decided)
+
+    def items(self):
+        return _TraceItems(self)
+
+    def values(self):
+        return _TraceValues(self)
+
+    def __repr__(self) -> str:
+        return f"AdjustmentTrace({len(self)} entries)"
+
+
+class _TraceItems(ItemsView):
+    def __iter__(self):
+        t = self._mapping
+        return zip(t._decided, map(t._entry, range(len(t._decided))))
+
+
+class _TraceValues(ValuesView):
+    def __iter__(self):
+        t = self._mapping
+        return map(t._entry, range(len(t._decided)))
+
+
 @dataclass(frozen=True)
 class AdjustmentResult:
     d_prime: Mapping[Tuple[ElementId, ElementId], ElementId]
     trace: Mapping[Tuple[ElementId, ElementId], TraceEntry]
+
+
+def _set_bits(mask: int) -> list:
+    """``bits(mask)`` by scanning the binary text: a rank mask has up to
+    m² bits, and ``bits`` costs a pass over the whole mask per set bit."""
+    text = bin(mask)[:1:-1]
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
 
 
 def prefix_shadows(M: FinitePoset, enumeration: Sequence[ElementId]) -> dict:
@@ -132,37 +221,63 @@ def finitary_bounds(ctx: PairOrderContext, M: FinitePoset, shadows: Mapping,
 def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
                         d: Mapping, enumeration: Sequence[ElementId],
                         use_shadows: bool = False) -> AdjustmentResult:
-    """The monotone adjustment of d along the given enumeration of M."""
+    """The monotone adjustment of d along the given enumeration of M.
+
+    D must be distributive (InputError otherwise): values are computed
+    on their Birkhoff masks.  The trace is decoded on read.
+    """
+    if not D.is_distributive:
+        raise InputError("monotone adjustment needs a distributive lattice")
     order = check_enumeration(M, enumeration)
     m = len(M)
     lat = D.poset._idx
-    base = []                   # d as lattice positions, flat over M × M
-    for x in M.elements:
-        for y in M.elements:
-            if (x, y) not in d:
-                raise InputError(f"map not total: missing {(x, y)!r}")
-            if d[(x, y)] not in lat:
-                raise InputError(f"value {d[(x, y)]!r} outside lattice")
-            base.append(lat[d[(x, y)]])
+    pairs = [(x, y) for x in M.elements for y in M.elements]
+    at_pair = pairs.__getitem__
+    vals = []                   # d, flat over M × M
+    for pair in pairs:
+        if pair not in d:
+            raise InputError(f"map not total: missing {pair!r}")
+        if d[pair] not in lat:
+            raise InputError(f"value {d[pair]!r} outside lattice")
+        vals.append(d[pair])
+    bk = D._birkhoff
+    dp = [bk[lat[v]] for v in vals]     # d, then d', as Birkhoff masks
     seq = [M.index(x) for x in order]
+    # the ordered pairs in decision order: the blocks {a, b} with a ⊑ b in
+    # ⊴-ascending order, (a, b) before (b, a); starts[r] is the rank of
+    # the first pair of rank r's block
+    ordered, starts, rank = [], [], [0] * (m * m)
+    for a, b in PairOrderContext(seq).blocks_ascending():
+        starts.append(len(ordered))
+        rank[a * m + b] = len(ordered)
+        ordered.append(a * m + b)
+        if a != b:
+            starts.append(starts[-1])
+            rank[b * m + a] = len(ordered)
+            ordered.append(b * m + a)
+    decided = list(map(at_pair, ordered))
     if use_shadows:
         shads = [None] * m
         for c, s in zip(seq, M._prefix_shadows(seq)):
             shads[c] = tuple(map(bits, s))
-    # the ordered pairs in decision order: the blocks {a, b} with a ⊑ b in
-    # ⊴-ascending order, (a, b) before (b, a); starts[r] is the rank of
-    # the first pair of rank r's block
-    ordered, starts = [], []
-    for a, b in PairOrderContext(seq).blocks_ascending():
-        starts.append(len(ordered))
-        ordered.append(a * m + b)
-        if a != b:
-            starts.append(starts[-1])
-            ordered.append(b * m + a)
-    if not use_shadows:
+
+        keys = []               # per rank, the flat keys of its operands
+
+        def entry(r):
+            meet_ks, join_ks = keys[r]
+            return TraceEntry(vals[ordered[r]], tuple(map(at_pair, meet_ks)),
+                              tuple(map(at_pair, join_ks)))
+
+        at = dp.__getitem__
+        for ab in ordered:
+            meet_ks, join_ks = _shadow_bound_keys(shads, m, *divmod(ab, m))
+            keys.append((meet_ks, join_ks))
+            dp[ab] = (reduce(and_, map(at, meet_ks), dp[ab])
+                      | reduce(or_, map(at, join_ks), 0))
+    else:
         # rows[x] / cols[y]: decision ranks of the pairs (x, _) / (_, y);
-        # the meetands of (a, b) are the decided ranks in the rows of ↑a
-        # and the columns of ↓b, the joinands those of ↓a and ↑b
+        # the meetands of (a, b) are the decided ranks S in the rows of ↑a
+        # and the columns of ↓b, the joinands T those of ↓a and ↑b
         rows, cols = [0] * m, [0] * m
         for r, k in enumerate(ordered):
             rows[k // m] |= 1 << r
@@ -179,32 +294,36 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
 
         rows_up, rows_down = spread(rows, M._up), spread(rows, M._down)
         cols_up, cols_down = spread(cols, M._up), spread(cols, M._down)
-    els = M.elements
-    pair_ids = [(x, y) for x in els for y in els]
-    jn, mt = D._join, D._meet
-    dp = [0] * (m * m)          # d' as lattice positions
-    d_prime: dict = {}
-    trace: dict = {}
-    for r, ab in enumerate(ordered):
-        a, b = divmod(ab, m)
-        if use_shadows:
-            meet_ks, join_ks = _shadow_bound_keys(shads, m, a, b)
-        else:
+
+        def rank_masks(r):
+            a, b = divmod(ordered[r], m)
             done = (1 << starts[r]) - 1     # ranks of the earlier blocks
-            meet_ks = [ordered[s] for s in
-                       bits(rows_up[a] & cols_down[b] & done)]
-            join_ks = [ordered[s] for s in
-                       bits(rows_down[a] & cols_up[b] & done)]
-        meet_val = base[ab]
-        for k in meet_ks:
-            meet_val = mt[meet_val][dp[k]]
-        join_val = D._bot
-        for k in join_ks:
-            join_val = jn[join_val][dp[k]]
-        dp[ab] = jn[meet_val][join_val]
-        pair = pair_ids[ab]
-        d_prime[pair] = D.elements[dp[ab]]
-        trace[pair] = TraceEntry(d[pair],
-                                 tuple(pair_ids[k] for k in meet_ks),
-                                 tuple(pair_ids[k] for k in join_ks))
-    return AdjustmentResult(d_prime, trace)
+            return (rows_up[a] & cols_down[b] & done,
+                    rows_down[a] & cols_up[b] & done)
+
+        at_rank = decided.__getitem__
+
+        def ranked_pairs(R):
+            return tuple(map(at_rank, _set_bits(R)))
+
+        def entry(r):
+            S, T = rank_masks(r)
+            return TraceEntry(vals[ordered[r]], ranked_pairs(S),
+                              ranked_pairs(T))
+
+        # has[i]: the ranks whose d' lies above the i-th join-irreducible
+        # p; p <= d'(a,b) iff p <= d(a,b) and S ⊆ has[i], or T meets has[i]
+        irr = [1 << p for p in bits(D._irr)]
+        has = [0] * len(irr)
+        for r, ab in enumerate(ordered):
+            S, T = rank_masks(r)
+            base, v, bit = dp[ab], 0, 1 << r
+            for i, p in enumerate(irr):
+                h = has[i]
+                if T & h or (base & p and S & h == S):
+                    v |= p
+                    has[i] = h | bit
+            dp[ab] = v
+    els, pos = D.elements, D._from_birkhoff
+    d_prime = {pair: els[pos[dp[ab]]] for pair, ab in zip(decided, ordered)}
+    return AdjustmentResult(d_prime, AdjustmentTrace(M, decided, rank, entry))

@@ -166,8 +166,7 @@ def _differences(D: FiniteDistributiveLattice) -> list:
     x∖y = (x′∖y) ∨ (p∖y), where p∖y is p or 0: one join lookup per pair.
     """
     n = len(D)
-    up, down, jn = D.poset._up, D.poset._down, D._join
-    irreducible = sum(1 << p for p in D._irreducibles())
+    up, down, jn, bk = D.poset._up, D.poset._down, D._join, D._birkhoff
     rank = [m.bit_count() for m in down]
     dif = [D._bot] * (n * n)
     for x in sorted(range(n), key=rank.__getitem__):
@@ -175,7 +174,7 @@ def _differences(D: FiniteDistributiveLattice) -> list:
         if not strict:
             continue
         cover = max(bits(strict), key=rank.__getitem__)
-        p = (irreducible & down[x] & ~down[cover]).bit_length() - 1
+        p = (bk[x] & ~bk[cover]).bit_length() - 1
         up_p, row, below = up[p], x * n, cover * n
         for y in range(n):
             v = dif[below + y]

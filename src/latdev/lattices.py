@@ -13,7 +13,8 @@ lattice L is distributive iff it has as many elements as the lattice of
 down-sets of its join-irreducibles.  The same theorem gives the prime
 ideals: they are the principal ideals ↓m whose complement is a filter.
 The distributivity check can be switched off to admit non-distributive
-tables as negative fixtures for the zero-distributivity test.
+tables as negative fixtures for the zero-distributivity test; deviation
+search and the monotone adjustment reject such lattices.
 """
 
 from __future__ import annotations
@@ -31,11 +32,16 @@ class FiniteDistributiveLattice:
 
     ``_join``/``_meet`` are tables over canonical positions and
     ``_bot``/``_top`` are positions; the id methods (``join``, ``meet``,
-    ``leq``) translate at the boundary.
+    ``leq``) translate at the boundary.  ``_irr`` is the mask of the
+    join-irreducibles, ``_birkhoff[x]`` the mask of those below x, and
+    ``_from_birkhoff`` maps such a mask back to its position.  These
+    tables and the ``is_distributive`` verdict are computed once, with
+    the lattice.
     """
 
     __slots__ = ("poset", "elements", "bottom", "top", "_join", "_meet",
-                 "_bot", "_top")
+                 "_bot", "_top", "_irr", "_birkhoff", "_from_birkhoff",
+                 "_distributive")
 
     def __init__(self, poset: FinitePoset, check_distributive: bool = True):
         n = len(poset)
@@ -72,7 +78,18 @@ class FiniteDistributiveLattice:
         self._top = by_down[full]
         self.bottom = els[self._bot]
         self.top = els[self._top]
-        if check_distributive and not self.is_distributive:
+        # Birkhoff's count: every element is the join of the
+        # join-irreducibles below it, so x -> J(L) ∩ ↓x embeds L into the
+        # down-sets O(J(L)); L is distributive iff that is onto, i.e. iff
+        # O(J(L)) (counted up to |L| + 1) has |L| elements.  The masks
+        # J(L) ∩ ↓x are kept: in a distributive lattice a meet is their
+        # AND and a join their OR.
+        below = self._irreducibles()
+        self._irr = sum(1 << p for p in below)
+        self._birkhoff = tuple(dx & self._irr for dx in down)
+        self._from_birkhoff = {b: x for x, b in enumerate(self._birkhoff)}
+        self._distributive = len(down_set_masks(below, limit=n)) == n
+        if check_distributive and not self._distributive:
             raise InputError("lattice is not distributive at "
                              f"{self._distributivity_failure()!r}")
 
@@ -104,12 +121,8 @@ class FiniteDistributiveLattice:
 
     @property
     def is_distributive(self) -> bool:
-        """Birkhoff's count: |L| equals the number of down-sets of the
-        join-irreducibles J(L) (counted up to |L| + 1).  Every element is
-        the join of the join-irreducibles below it, so x -> J(L) ∩ ↓x
-        embeds L into O(J(L)); L is distributive iff that is onto."""
-        n = len(self.elements)
-        return len(down_set_masks(self._irreducibles(), limit=n)) == n
+        """Birkhoff's count, taken once in the constructor."""
+        return self._distributive
 
     def idx(self, x: ElementId) -> int:
         return self.poset.index(x)

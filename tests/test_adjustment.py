@@ -5,19 +5,31 @@ adjustment directly by memoized recursion over strictly smaller pairs,
 independently of the sequential pair-loop in the implementation.
 """
 
+import os
 import random
+import signal
 
 import pytest
 
+from latdev import lattices, posets
 from latdev.adjustment import (PairOrderContext, finitary_bounds,
                                monotone_adjustment, pair_leq, prefix_shadows)
-from latdev.deviations import check_deviation, deviation_properties
+from latdev.deviations import (check_deviation, deviation_properties,
+                               search_deviation)
 from latdev.errors import ContractError, InputError
-from latdev.lattices import chain_lattice, is_completely_normal
+from latdev.lattices import (chain_lattice, is_completely_normal,
+                             lattice_from_downsets)
+from latdev.posets import FinitePoset
+from latdev.serialize import lattice_from_json, load_json
 
+import oracle_orders as oracle
 from conftest import random_downset_lattice, random_poset
 
 from test_deviations import non_antitone_chain4
+from test_order_kernel import m3, n5
+
+TREE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                    "fixtures", "tree.json")
 
 
 def dprime_recursive(M, D, d, order):
@@ -246,7 +258,6 @@ class TestDeviationPreservation:
     def test_adjusted_deviation_is_monotone_deviation(self):
         # with M = D and d a deviation, the adjustment is a monotone
         # deviation; spot-check on completely normal lattices
-        from latdev.deviations import search_deviation
         from conftest import downset_lattice_corpus
         rng = random.Random(46)
         for D in downset_lattice_corpus(3):
@@ -258,3 +269,147 @@ class TestDeviationPreservation:
             res = monotone_adjustment(D.poset, D, d, order)
             assert check_deviation(D, res.d_prime) is None
             assert deviation_properties(D, res.d_prime).monotone
+
+
+class TestDistributiveRequirement:
+    def test_non_distributive_lattice_rejected(self):
+        rng = random.Random(49)
+        for D in (n5(), m3()):
+            assert not D.is_distributive
+            for M in (D.poset, random_poset(rng, 3, 0.5)):
+                d = random_map(rng, M, D)
+                for use_shadows in (False, True):
+                    with pytest.raises(InputError, match="monotone adjustment "
+                                       "needs a distributive lattice"):
+                        monotone_adjustment(M, D, d, M.elements,
+                                            use_shadows=use_shadows)
+
+    def test_distributivity_verdict_is_read_only(self):
+        """The guards trust the kept verdict, so it cannot be overwritten."""
+        D = n5()
+        with pytest.raises(AttributeError):
+            D.is_distributive = True
+        with pytest.raises(InputError):
+            monotone_adjustment(D.poset, D, random_map(random.Random(1),
+                                                       D.poset, D),
+                                D.elements)
+
+    def test_kept_distributivity_verdict_is_read(self, monkeypatch):
+        """One search and two adjustments on a checked lattice recount
+        nothing: Birkhoff's count ran once, when the lattice was built."""
+        J = FinitePoset.from_relation(range(4), [(0, 2), (1, 2), (3, 1)])
+        D = lattice_from_downsets(J)
+        calls = []
+        real = posets.down_set_masks
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(posets, "down_set_masks", counting)
+        monkeypatch.setattr(lattices, "down_set_masks", counting)
+        d = search_deviation(D)
+        order = list(D.elements)[::-1]
+        monotone_adjustment(D.poset, D, d, order)
+        monotone_adjustment(D.poset, D, d, order, use_shadows=True)
+        assert calls == []
+        lattice_from_downsets(J)         # the counter does see a build
+        assert calls
+
+
+def test_pair_key_rejects_unknown_element():
+    ctx = PairOrderContext(("x", "y"))
+    with pytest.raises(InputError,
+                       match="element 'z' not in base enumeration"):
+        ctx.key({"z"})
+    with pytest.raises(InputError):
+        ctx.key({"x", "z"})
+
+
+# ---------------------------------------------------------------------------
+# The trace decoded on read, against the eager oracle
+# ---------------------------------------------------------------------------
+
+def binary_tree_lattice(n: int):
+    """The down-set lattice of the heap-shaped binary tree on n nodes,
+    root on top: 183 elements for n = 12."""
+    return lattice_from_downsets(FinitePoset.from_relation(
+        range(n), [(i, (i - 1) // 2) for i in range(1, n)]))
+
+
+def trace_cases():
+    """(M, D, d, enumeration): B5 and the golden tree lattice with a
+    deviation, and the tree lattice under a random poset M."""
+    rng = random.Random(48)
+    B5 = lattice_from_downsets(FinitePoset(range(5), []))
+    tree = lattice_from_json(load_json(TREE))
+    cases = [(D.poset, D, search_deviation(D)) for D in (B5, tree)]
+    M = random_poset(rng, 6, 0.4)
+    cases.append((M, tree, random_map(rng, M, tree)))
+    out = []
+    for M, D, d in cases:
+        order = list(M.elements)
+        rng.shuffle(order)
+        out.append((M, D, d, order))
+    return out
+
+
+@pytest.mark.parametrize("use_shadows", [False, True],
+                         ids=["naive", "shadows"])
+def test_trace_matches_oracle_beyond_corpus(use_shadows):
+    for M, D, d, order in trace_cases():
+        mine = monotone_adjustment(M, D, d, order,
+                                   use_shadows=use_shadows).trace
+        theirs = oracle.monotone_adjustment(M, D, d, order,
+                                            use_shadows=use_shadows).trace
+        assert list(mine.items()) == list(theirs.items())
+        assert list(mine.values()) == list(theirs.values())
+        assert list(mine) == list(theirs) and len(mine) == len(theirs)
+        assert all(pair in mine for pair in theirs)
+        for absent in ((M.elements[0],), ("nowhere", M.elements[0]),
+                       (M.elements[0], M.elements[0], M.elements[0])):
+            assert absent not in mine and mine.get(absent) is None
+            with pytest.raises(KeyError):
+                mine[absent]
+        for pair in list(theirs)[::7]:
+            assert mine.get(pair) == mine[pair] == theirs[pair]
+        assert mine == theirs and theirs == mine
+        assert dict(mine) == theirs
+        assert list(mine.items()) == list(mine.items())
+        assert not mine != theirs
+
+
+def test_naive_adjustment_scales_to_tree_lattice():
+    """Naive d′ on the 183-element tree lattice; the eager trace made
+    this take over a minute."""
+    D = binary_tree_lattice(12)
+    assert len(D) == 183
+    d = search_deviation(D)
+    order = list(D.elements)[::-1]
+
+    def stop(signum, frame):
+        raise TimeoutError("naive adjustment ran for 20 s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        naive = monotone_adjustment(D.poset, D, d, order)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    shadow = monotone_adjustment(D.poset, D, d, order, use_shadows=True)
+    assert naive.d_prime == shadow.d_prime
+    assert list(naive.d_prime) == list(shadow.d_prime)
+    # the last entries, whose rank masks run to ~33,000 bits, against the
+    # definition: the pairs of the earlier blocks above/below (a, b)
+    decided = list(naive.trace)
+    leq = D.poset.leq
+    for a, b in decided[-3:]:
+        earlier = decided[:min(decided.index((a, b)),
+                               decided.index((b, a)))]
+        entry = naive.trace[(a, b)]
+        assert entry.base_value == d[(a, b)]
+        assert list(entry.meetands) == [(x, y) for x, y in earlier
+                                        if leq(a, x) and leq(y, b)]
+        assert list(entry.joinands) == [(x, y) for x, y in earlier
+                                        if leq(x, a) and leq(b, y)]

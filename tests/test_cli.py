@@ -1,15 +1,19 @@
 """CLI: subcommands, exit codes, schema validation, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
 import signal
+import tempfile
 import time
 from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from latdev import deviations
 from latdev.cli import COMMANDS, SCHEMAS, _build_parser, config_from_args, main
@@ -296,6 +300,93 @@ class TestAdjust:
                      "--order", "a,b,a,b"])
         captured = capsys.readouterr()
         assert code == 2 and "more than one" in captured.err
+
+    @pytest.mark.parametrize("fixture", ["n5.json", "m3.json"])
+    def test_non_distributive_lattice_exits_2(self, capsys, tmp_path,
+                                              fixture):
+        """Lattices admitted with check_distributive: false are refused
+        by adjust as by deviation search."""
+        lattice = os.path.join(GOLDEN, "fixtures", fixture)
+        D = lattice_from_json(load_json(lattice))
+        dev = write(tmp_path, "zero.json", {"d": {
+            f"{x},{y}": str(D.bottom) for x in D.elements
+            for y in D.elements}})
+        for argv, what in (
+                (["adjust", "--lattice", lattice, "--map", dev,
+                  "--order", ",".join(map(str, D.elements))],
+                 "monotone adjustment"),
+                (["deviation", "search", "--lattice", lattice],
+                 "deviation search")):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"{what} needs a distributive lattice" in captured.err
+
+
+# Lattices for the adjust fuzz: string ids, tuple ids, not distributive.
+FUZZ_FILES = [os.path.join(GOLDEN, "fixtures", name)
+              for name in ("chain4.json", "tree.json", "n5.json")]
+FUZZ_LATTICES = [lattice_from_json(load_json(f)) for f in FUZZ_FILES]
+
+
+@st.composite
+def adjust_inputs(draw):
+    """A lattice file, a map with missing pairs, off-lattice values and
+    ids rendered either way, and an --order text with duplicate, unknown
+    or missing ids."""
+    k = draw(st.integers(0, len(FUZZ_LATTICES) - 1))
+    D = FUZZ_LATTICES[k]
+    render = draw(st.sampled_from([str, render_id]))
+    names = [render(e) for e in D.elements]
+    n = len(names)
+    values = draw(st.lists(st.sampled_from(names), min_size=n * n,
+                           max_size=n * n))
+    d = {f"{names[i // n]},{names[i % n]}": v for i, v in enumerate(values)}
+    keys = list(d)
+    # about half the inputs are left well formed
+    edit = draw(st.sampled_from(["none"] * 5 + ["drop pairs", "bad values",
+                                                "duplicate", "unknown",
+                                                "missing"]))
+    if edit == "drop pairs":
+        for i in draw(st.lists(st.integers(0, n * n - 1), min_size=1,
+                               max_size=2)):
+            d.pop(keys[i], None)
+    elif edit == "bad values":
+        for i, bad in draw(st.lists(st.tuples(
+                st.integers(0, n * n - 1),
+                st.sampled_from(["q", "", "{x}"])), min_size=1, max_size=2)):
+            d[keys[i]] = bad
+    order = draw(st.permutations(names))
+    if edit == "duplicate":
+        order.insert(draw(st.integers(0, n)), draw(st.sampled_from(names)))
+    elif edit == "unknown":
+        order.insert(draw(st.integers(0, n)),
+                     draw(st.sampled_from(["q", "", "{q}", "(1,)"])))
+    elif edit == "missing":
+        order.pop(draw(st.integers(0, n - 1)))
+    return FUZZ_FILES[k], {"d": d}, ",".join(order)
+
+
+@given(adjust_inputs(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_adjust_fuzz_exit_codes_and_schema(inputs, use_shadows):
+    lattice, dev, order = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.json")
+        with open(path, "w") as fh:
+            json.dump(dev, fh)
+        argv = ["adjust", "--lattice", lattice, "--map", path,
+                f"--order={order}"] + (["--use-shadows"] if use_shadows
+                                       else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        jsonschema.validate(json.loads(out.getvalue()), SCHEMAS["adjust"])
+    else:
+        assert out.getvalue() == "" and err.getvalue()
 
 
 class TestPoset:
