@@ -37,8 +37,8 @@ from .semilinear import (Cell, Constraint, LinearForm, SemilinearSet,
 from .vlterms import (Gen, One, PrincipalIdeal, VLTerm, cevian_dev,
                       check_cevian_triple, cozero_set, evaluate, gen,
                       ideal_join, ideal_leq, ideal_meet, linearize,
-                      multiplier_cross_check, noiso_probe, omega_extend,
-                      omega_region, one, parse_term,
-                      pseudocomplement_probe, substitute, zero_set)
+                      noiso_probe, omega_extend, omega_region, one,
+                      parse_term, pseudocomplement_probe, substitute,
+                      zero_set)
 
 __version__ = "0.1.0"

@@ -168,14 +168,6 @@ def _set_bits(mask: int) -> list:
     return out
 
 
-def prefix_shadows(M: FinitePoset, enumeration: Sequence[ElementId]) -> dict:
-    """Minimal upper/lower shadows of each element on its strict prefix."""
-    order = check_enumeration(M, enumeration)
-    seq = [M.index(x) for x in order]
-    return {x: (frozenset(M._members(U)), frozenset(M._members(V)))
-            for x, (U, V) in zip(order, M._prefix_shadows(seq))}
-
-
 def _shadow_bound_keys(shads: Sequence, m: int, a: int, b: int) -> tuple:
     """The pairs, as flat positions x*m + y in M × M, whose d' values
     make up the coinitial and the cofinal set of the pair (a, b).
@@ -189,7 +181,7 @@ def _shadow_bound_keys(shads: Sequence, m: int, a: int, b: int) -> tuple:
             [x * m + b for x in V_a] + [a * m + y for y in U_b])
 
 
-def finitary_bounds(ctx: PairOrderContext, M: FinitePoset, shadows: Mapping,
+def finitary_bounds(M: FinitePoset, shadows: Mapping,
                     d_prime_partial: Mapping, a: ElementId,
                     b: ElementId) -> tuple:
     """Finite coinitial/cofinal value sets replacing the full sweeps.

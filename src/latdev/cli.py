@@ -36,6 +36,11 @@ MAX_TERM_TEXT = 10 ** 6
 # Deepest random probe term: ``random_term`` recurses once per level and
 # doubles at each binary operator, so depth 16 is at most 2^17 nodes.
 MAX_PROBE_DEPTH = 16
+# Most meetand and joinand pairs an ``adjust`` report writes: the naive
+# trace lists every earlier pair above or below (a, b), so it grows
+# with the square of the pair count, not with d′ (32,828,250 pairs on
+# the 183-element down-set lattice of a 12-node binary tree).
+MAX_TRACE_PAIRS = 10 ** 6
 
 
 @dataclass
@@ -233,6 +238,14 @@ def _run_adjust(cfg: RunConfig):
     order = elements_from_text(cfg.args["order"], D)
     res = adjustment.monotone_adjustment(
         D.poset, D, d, order, use_shadows=cfg.args["use_shadows"])
+    trace, pairs = {}, 0
+    for key, e in res.trace.items():     # decoded once, in decision order
+        pairs += len(e.meetands) + len(e.joinands)
+        if pairs > MAX_TRACE_PAIRS:
+            raise ResourceLimitError(
+                f"adjustment trace exceeds {MAX_TRACE_PAIRS} "
+                f"meetand/joinand pairs")
+        trace[key] = e
     report = {
         "order": _ids(order),
         "d_prime": {f"{render_id(x)},{render_id(y)}": render_id(v)
@@ -241,7 +254,7 @@ def _run_adjust(cfg: RunConfig):
             "base": render_id(e.base_value),
             "meetands": [_ids(pair) for pair in e.meetands],
             "joinands": [_ids(pair) for pair in e.joinands]}
-            for (x, y), e in _by_pair(res.trace)},
+            for (x, y), e in _by_pair(trace)},
     }
     return 0, report
 
@@ -490,6 +503,9 @@ def run(cfg: RunConfig) -> tuple:
     c = COMMANDS.get(cfg.subcommand)
     if c is None:
         raise InputError(f"unknown subcommand {cfg.subcommand!r}")
+    if cfg.cell_ceiling < 1:
+        raise InputError(
+            f"--cell-ceiling must be at least 1, got {cfg.cell_ceiling}")
     code, report = c.handler(dataclasses.replace(
         cfg, args={**c.defaults, **cfg.args}))
     if isinstance(report, str):          # already rendered (dot)

@@ -20,7 +20,7 @@ search and the monotone adjustment reject such lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .errors import ContractError, InputError
 from .posets import (ElementId, FinitePoset, bits, canonical_key,
@@ -136,29 +136,11 @@ class FiniteDistributiveLattice:
     def meet(self, a: ElementId, b: ElementId) -> ElementId:
         return self.elements[self._meet[self.idx(a)][self.idx(b)]]
 
-    def join_all(self, xs: Iterable[ElementId]) -> ElementId:
-        acc = self.bottom
-        for x in xs:
-            acc = self.join(acc, x)
-        return acc
-
-    def meet_all(self, xs: Iterable[ElementId], start: ElementId) -> ElementId:
-        acc = start
-        for x in xs:
-            acc = self.meet(acc, x)
-        return acc
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def __repr__(self) -> str:
         return f"FiniteDistributiveLattice({len(self.elements)} elements)"
-
-
-def lattice_from_poset(elements: Sequence[ElementId], relation: Iterable[tuple],
-                       check_distributive: bool = True) -> FiniteDistributiveLattice:
-    return FiniteDistributiveLattice(FinitePoset(elements, relation),
-                                     check_distributive=check_distributive)
 
 
 def chain_lattice(n: int) -> FiniteDistributiveLattice:

@@ -328,13 +328,6 @@ class SeparabilityWitness:
     B: Mapping[ElementId, frozenset]
 
     @classmethod
-    def diagonal(cls, P: FinitePoset) -> "SeparabilityWitness":
-        """A(x) = B(x) = {x}.  A witness iff P is an antichain: any
-        strictly comparable pair x < y has A(x) ∩ B(y) empty."""
-        return cls({x: frozenset([x]) for x in P.elements},
-                   {x: frozenset([x]) for x in P.elements})
-
-    @classmethod
     def full(cls, P: FinitePoset) -> "SeparabilityWitness":
         """A(x) = all upper bounds, B(x) = all lower bounds; a witness on
         every finite poset (x itself lies in A(x) ∩ B(y) when x <= y)."""
@@ -390,6 +383,15 @@ def check_enumeration(P: FinitePoset, order: Sequence[ElementId]) -> tuple:
     if sorted(map(P.index, order)) != list(range(len(P))):
         raise InputError("enumeration must list every element exactly once")
     return order
+
+
+def prefix_shadows(P: FinitePoset, enumeration: Sequence[ElementId]) -> dict:
+    """Minimal upper/lower shadows of each element on its strict prefix:
+    {x: (upper, lower)} as frozensets, in enumeration order."""
+    order = check_enumeration(P, enumeration)
+    seq = [P.index(x) for x in order]
+    return {x: (frozenset(P._members(U)), frozenset(P._members(V)))
+            for x, (U, V) in zip(order, P._prefix_shadows(seq))}
 
 
 def witness_from_order(P: FinitePoset,
@@ -457,10 +459,8 @@ def order_from_witness(P: FinitePoset,
         blocks.append(tuple(P._members(block)))
         covered |= block
     enumeration = tuple(x for block in blocks for x in block)
-    seq = [P.index(x) for x in enumeration]
-    shadows = {x: (frozenset(P._members(U)), frozenset(P._members(V)))
-               for x, (U, V) in zip(enumeration, P._prefix_shadows(seq))}
-    return OrderFromWitnessResult(enumeration, tuple(blocks), shadows)
+    return OrderFromWitnessResult(enumeration, tuple(blocks),
+                                  prefix_shadows(P, enumeration))
 
 
 # ---------------------------------------------------------------------------

@@ -296,20 +296,19 @@ def _obviously_empty(rows: list) -> bool:
                for vec in strict)
 
 
-def _project(rows: list, variables: Iterable[int], prune: bool = False):
+def _project(rows: list, variables: Iterable[int]):
     """Eliminate ``variables`` in order from the rows.
 
     Returns ``(stages, rows)``, with one stage per variable for
     back-substitution: ``("skip", i)``, ``("eq", i, pivot)`` or
     ``("ineq", i, involved)``; or None once a false constant row appears
-    (with ``prune``, also once ``_obviously_empty`` holds; ``eliminate``
-    goes without, as it decides the projected cell through the cached
-    ``is_empty``).  An equality step substitutes the first equality that
-    mentions x_i into every other row in place, so the order of the rows,
-    and with it the next pivot, is kept; an inequality step keeps the
-    rows without x_i and appends each lower/upper combination."""
+    or ``_obviously_empty`` holds.  An equality step substitutes the first
+    equality that mentions x_i into every other row in place, so the
+    order of the rows, and with it the next pivot, is kept; an inequality
+    step keeps the rows without x_i and appends each lower/upper
+    combination."""
     rows = _tidy(rows)
-    if rows is None or (prune and _obviously_empty(rows)):
+    if rows is None or _obviously_empty(rows):
         return None
     stages = []
     for i in variables:
@@ -345,7 +344,7 @@ def _project(rows: list, variables: Iterable[int], prune: bool = False):
                         [c2 * a + c1 * b for a, b in zip(lo, up)])))
             stages.append(("ineq", i, involved))
         rows = _tidy(new)
-        if rows is None or (prune and _obviously_empty(rows)):
+        if rows is None or _obviously_empty(rows):
             return None
     return stages, rows
 
@@ -357,7 +356,7 @@ def is_empty(cell: Cell) -> bool:
         return False
     n = cell.atoms[0].form.dimension
     rows = [a.row for a in cell.atoms]
-    return _project(rows, range(n), prune=True) is None
+    return _project(rows, range(n)) is None
 
 
 def witness_point(cell: Cell,
@@ -371,7 +370,7 @@ def witness_point(cell: Cell,
     n = cell.atoms[0].form.dimension
     if dimension is not None and dimension != n:
         raise InputError("dimension mismatch")
-    projected = _project([a.row for a in cell.atoms], range(n), prune=True)
+    projected = _project([a.row for a in cell.atoms], range(n))
     if projected is None:
         return None
     point: dict = {}
@@ -594,18 +593,6 @@ def interpolant(U: SemilinearSet, X: Iterable[int], V: SemilinearSet,
     if not (ok1 and ok2):
         raise ContractError("interpolant sandwich failed")
     return W
-
-
-def is_homogeneous_strict(S: SemilinearSet) -> bool:
-    """Whether every atom is a strict homogeneous inequality (the shape
-    of generating sets of the open-cone lattice over a variable set)."""
-    return all(a.rel == GT and a.form.const == 0
-               for c in S.cells for a in c.atoms)
-
-
-def is_proper(S: SemilinearSet, ceiling: Optional[int] = None) -> bool:
-    """Whether S is not the whole space."""
-    return not includes(S, SemilinearSet.whole(S.dimension), ceiling)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                          SemilinearSet, intersect, is_empty, is_empty_set,
-                         parse_rational, set_witness)
+                         parse_rational, set_witness, unit_form)
 
 UNIT_KEY = "one"   # sigma key for the unit when substitution may move it
 
@@ -455,20 +455,14 @@ def omega_region(n: int) -> OmegaRegion:
         raise InputError("region dimension must be >= 1")
     atoms = []
     for i in range(n):
-        atoms.append(Constraint(_unit(n, i, 1), GE))                  # u_i >= 0
-        atoms.append(Constraint(_unit(n, i, -1, const=1), GE))        # u_i <= 1
+        atoms.append(Constraint(unit_form(n, i, 1), GE))              # u_i >= 0
+        atoms.append(Constraint(unit_form(n, i, -1, const=1), GE))    # u_i <= 1
     for j in range(1, n):
         for k in range(j + 1, n):
             f = [Fraction(0)] * n
             f[j], f[k] = Fraction(-1), Fraction(2)
             atoms.append(Constraint(LinearForm(tuple(f)), GE))        # u_j <= 2 u_k
     return OmegaRegion(n, SemilinearSet(n, (Cell.of(atoms),)))
-
-
-def _unit(n, i, coeff, const=0) -> LinearForm:
-    coeffs = [Fraction(0)] * n
-    coeffs[i] = Fraction(coeff)
-    return LinearForm(tuple(coeffs), Fraction(const))
 
 
 def omega_extend(u: Mapping[int, Fraction], n: int) -> tuple:
@@ -562,22 +556,6 @@ class PrincipalIdeal:
                                      other.representative))
 
 
-def multiplier_cross_check(g: VLTerm, h: VLTerm, points: Iterable,
-                           m_max: int = 64) -> Optional[int]:
-    """Falsification-only sanity check of the ideal order against the
-    bounded-multiplier characterization: the least m <= m_max with
-    |g|(z) <= m * |h|(z) at every sampled point, or None.  A false
-    `ideal_leq` verdict makes every multiplier fail at its witness; a
-    true verdict does not guarantee a bounded m, so absence of one is
-    never evidence by itself."""
-    ga, ha = abs(g), abs(h)
-    vals = [(evaluate(ga, p), evaluate(ha, p)) for p in points]
-    for m in range(1, m_max + 1):
-        if all(gv <= m * hv for gv, hv in vals):
-            return m
-    return None
-
-
 def ideal_join(g: VLTerm, h: VLTerm) -> VLTerm:
     """Representative of <g> ∨ <h>: |g| ∨ |h| (cozero = union)."""
     return Join(abs(g), abs(h))
@@ -598,8 +576,8 @@ def ideal_meet_is_zero(g: VLTerm, h: VLTerm, n: int,
                        ceiling: Optional[int] = None) -> bool:
     """Whether <|g|> ∧ <|h|> is the zero ideal (no common cozero point,
     within the region when given)."""
-    common = intersect(cozero_set(abs(g), n, ceiling),
-                       cozero_set(abs(h), n, ceiling), ceiling)
+    common = intersect(cozero_set(g, n, ceiling),
+                       cozero_set(h, n, ceiling), ceiling)
     if region is not None:
         common = intersect(common, region.set, ceiling)
     return is_empty_set(common)

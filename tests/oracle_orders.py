@@ -14,7 +14,8 @@ tests in ``test_order_kernel.py`` can compare the two:
   down-sets;
 * ``check_deviation``, ``deviation_properties`` and the recursive search;
 * ``monotone_adjustment``: the naive sweep, and the shadow path with its
-  id-based shadows, ⊴ block order and finitary bounds.
+  id-based shadows, ⊴ block order and finitary bounds, folding values
+  with ``join_all`` and ``meet_all``.
 
 They only use the public id API of posets and lattices (``leq``,
 ``join``, ``meet``), so they are slow: use them on small inputs.
@@ -363,6 +364,20 @@ def finitary_bounds(M, shadows, d_prime_partial, a, b) -> tuple:
     return coinitial, cofinal
 
 
+def join_all(D, xs):
+    acc = D.bottom
+    for x in xs:
+        acc = D.join(acc, x)
+    return acc
+
+
+def meet_all(D, xs, start):
+    acc = start
+    for x in xs:
+        acc = D.meet(acc, x)
+    return acc
+
+
 def monotone_adjustment(M, D, d, enumeration,
                         use_shadows: bool = False) -> AdjustmentResult:
     """The naive sweep over all ⊴-smaller decided pairs, or the shadow
@@ -383,8 +398,8 @@ def monotone_adjustment(M, D, d, enumeration,
     def settle(a, b):
         if use_shadows:
             coin, cof = finitary_bounds(M, shads, d_prime, a, b)
-            meet_val = D.meet_all(coin, start=d[(a, b)])
-            join_val = D.join_all(cof)
+            meet_val = meet_all(D, coin, d[(a, b)])
+            join_val = join_all(D, cof)
             U_a, V_a = shads[a]
             U_b, V_b = shads[b]
             meet_idx = (tuple((x, b) for x in sorted(U_a, key=M.index))
@@ -396,9 +411,9 @@ def monotone_adjustment(M, D, d, enumeration,
                              if M.leq(a, x) and M.leq(y, b))
             join_idx = tuple((x, y) for (x, y) in decided
                              if M.leq(x, a) and M.leq(b, y))
-            meet_val = D.meet_all((d_prime[p] for p in meet_idx),
-                                  start=d[(a, b)])
-            join_val = D.join_all(d_prime[p] for p in join_idx)
+            meet_val = meet_all(D, (d_prime[p] for p in meet_idx),
+                                d[(a, b)])
+            join_val = join_all(D, (d_prime[p] for p in join_idx))
         d_prime[(a, b)] = D.join(meet_val, join_val)
         trace[(a, b)] = TraceEntry(d[(a, b)], meet_idx, join_idx)
 

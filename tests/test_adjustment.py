@@ -13,13 +13,13 @@ import pytest
 
 from latdev import lattices, posets
 from latdev.adjustment import (PairOrderContext, finitary_bounds,
-                               monotone_adjustment, pair_leq, prefix_shadows)
+                               monotone_adjustment, pair_leq)
 from latdev.deviations import (check_deviation, deviation_properties,
                                search_deviation)
 from latdev.errors import ContractError, InputError
 from latdev.lattices import (chain_lattice, is_completely_normal,
                              lattice_from_downsets)
-from latdev.posets import FinitePoset
+from latdev.posets import FinitePoset, prefix_shadows
 from latdev.serialize import lattice_from_json, load_json
 
 import oracle_orders as oracle
@@ -201,19 +201,17 @@ class TestFinitaryBounds:
         D = chain_lattice(3)
         M = D.poset
         order = (0, 1, 2)
-        ctx = PairOrderContext(order)
         shads = prefix_shadows(M, order)
-        coin, cof = finitary_bounds(ctx, M, shads, {}, 0, 0)
+        coin, cof = finitary_bounds(M, shads, {}, 0, 0)
         assert coin == () and cof == ()
 
     def test_undecided_pair_rejected(self):
         D = chain_lattice(3)
         M = D.poset
         order = (0, 1, 2)
-        ctx = PairOrderContext(order)
         shads = prefix_shadows(M, order)
         with pytest.raises(ContractError):
-            finitary_bounds(ctx, M, shads, {}, 2, 1)
+            finitary_bounds(M, shads, {}, 2, 1)
 
     def test_bounds_reach_sweep_extremes(self):
         # meet of the primed set equals the meet of the full meetand set
@@ -225,7 +223,6 @@ class TestFinitaryBounds:
             d = random_map(rng, M, D)
             order = list(M.elements)
             rng.shuffle(order)
-            ctx = PairOrderContext(order)
             shads = prefix_shadows(M, order)
             res = monotone_adjustment(M, D, d, order)
             pos = {e: i for i, e in enumerate(order)}
@@ -240,7 +237,7 @@ class TestFinitaryBounds:
                     # forget the target pair and anything ⊴-above it
                     partial = {p: v for p, v in dp.items()
                                if key(*p) < kab}
-                    coin, cof = finitary_bounds(ctx, M, shads, partial, a, b)
+                    coin, cof = finitary_bounds(M, shads, partial, a, b)
                     full_meet = [dp[(x, y)] for x in M.elements
                                  for y in M.elements
                                  if key(x, y) < kab and M.leq(a, x)
@@ -249,9 +246,10 @@ class TestFinitaryBounds:
                                  for y in M.elements
                                  if key(x, y) < kab and M.leq(x, a)
                                  and M.leq(b, y)]
-                    assert D.meet_all(coin, start=D.top) == \
-                        D.meet_all(full_meet, start=D.top)
-                    assert D.join_all(cof) == D.join_all(full_join)
+                    assert oracle.meet_all(D, coin, D.top) == \
+                        oracle.meet_all(D, full_meet, D.top)
+                    assert oracle.join_all(D, cof) == \
+                        oracle.join_all(D, full_join)
 
 
 class TestDeviationPreservation:

@@ -322,6 +322,32 @@ class TestAdjust:
             assert code == 2 and captured.out == ""
             assert f"{what} needs a distributive lattice" in captured.err
 
+    @pytest.mark.parametrize("elements, leq, code", [
+        (list("abcde"), [], 0),
+        ([str(i) for i in range(12)],
+         [[str(i), str((i - 1) // 2)] for i in range(1, 12)], 3)],
+        ids=["b5", "tree"])
+    def test_trace_pair_cap(self, capsys, tmp_path, elements, leq, code):
+        """The naive trace of B5's first deviation, reversed enumeration,
+        lists 57,814 pairs and is written; that of the 183-element
+        down-set lattice of a 12-node binary tree lists 32.8 M, and adjust
+        stops past MAX_TRACE_PAIRS instead of writing it."""
+        obj = {"downsets_of": {"elements": elements, "leq": leq}}
+        lattice = write(tmp_path, "lattice.json", obj)
+        D = lattice_from_json(obj)
+        dev = write(tmp_path, "dev.json",
+                    deviation_to_json(deviations.search_deviation(D)))
+        got, out, err, _ = timed(
+            capsys, 20, "adjust", "--lattice", lattice, "--map", dev,
+            "--order", ",".join(map(render_id, D.elements[::-1])))
+        assert got == code
+        if code == 0:
+            trace = json.loads(out)["trace"].values()
+            assert sum(len(e["meetands"]) + len(e["joinands"])
+                       for e in trace) == 57_814
+        else:
+            assert out == "" and "meetand/joinand pairs" in err
+
 
 # Lattices for the adjust fuzz: string ids, tuple ids, not distributive.
 FUZZ_FILES = [os.path.join(GOLDEN, "fixtures", name)
@@ -638,6 +664,19 @@ class TestVlat:
 
 
 class TestInfrastructure:
+    @pytest.mark.parametrize("ceiling", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["semilinear", "includes",
+         "--outer", os.path.join(GOLDEN, "fixtures", "sl_box.json"),
+         "--inner", os.path.join(GOLDEN, "fixtures", "sl_triangle.json")],
+        ["vlat", "leq", "--n", "1", "--lhs", "g0", "--rhs", "g0"]],
+        ids=["semilinear-includes", "vlat-leq"])
+    def test_cell_ceiling_below_1_exits_2(self, capsys, ceiling, argv):
+        code = main(["--cell-ceiling", ceiling, *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--cell-ceiling must be at least 1" in captured.err
+
     def test_byte_identical_reports(self, capsys, ncn_lattice):
         _, out1 = run_cli(capsys, "lattice", "check", ncn_lattice)
         _, out2 = run_cli(capsys, "lattice", "check", ncn_lattice)

@@ -12,18 +12,29 @@ re-recorded to make a change pass)::
 ``golden/argparse_surface.json`` freezes the command-line surface: every
 parser of ``latdev`` with each of its actions.  It was recorded with
 ``PYTHONPATH=src python tests/test_golden.py --surface``.
+
+``golden/api_surface.json`` freezes the Python surface in the same way:
+the public names of ``latdev`` and, per module, its public functions and
+classes with their signatures and its public constants.  It was recorded
+with ``PYTHONPATH=src python tests/test_golden.py --api``; a change to it
+is a change of the API and is recorded as one.
 """
 
 import argparse
+import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import sys
 
 import jsonschema
 import pytest
 
+import latdev
 from latdev.cli import SCHEMAS, _build_parser, config_from_args, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -75,6 +86,76 @@ def parser_surface() -> list:
     return out
 
 
+def _signature(obj):
+    try:
+        return str(inspect.signature(obj))
+    except ValueError:               # a class with a C-level __init__
+        return None
+
+
+def _class_surface(cls) -> dict:
+    """The class's signature and its own public methods and properties
+    (a dataclass's fields are in its signature)."""
+    members = {}
+    for name, value in vars(cls).items():
+        if name.startswith("_"):
+            continue
+        if isinstance(value, property):
+            members[name] = "property"
+        elif inspect.isfunction(value) or \
+                isinstance(value, (classmethod, staticmethod)):
+            members[name] = _signature(getattr(cls, name))
+    return {"signature": _signature(cls), "members": members}
+
+
+def _constant_names(module) -> list:
+    """The public upper-case names that the module assigns at top level."""
+    names = []
+    for node in ast.parse(inspect.getsource(module)).body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            names += [n.id for n in ast.walk(target)
+                      if isinstance(n, ast.Name) and n.id.isupper()
+                      and not n.id.startswith("_")]
+    return names
+
+
+def api_surface() -> dict:
+    """The public names of ``latdev``; per module, the functions and
+    classes it defines (signatures, and a class's own public members)
+    and its constants (the value of a scalar, else its type)."""
+    modules = {}
+    for info in pkgutil.iter_modules(latdev.__path__):
+        module = importlib.import_module(f"latdev.{info.name}")
+        functions, classes = {}, {}
+        for name, value in vars(module).items():
+            if name.startswith("_") or \
+                    getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(value):
+                classes[name] = _class_surface(value)
+            elif callable(value):
+                functions[name] = _signature(value)
+        constants = {}
+        for name in _constant_names(module):
+            value = getattr(module, name)
+            constants[name] = value if isinstance(
+                value, (bool, int, float, str, type(None))) \
+                else f"<{type(value).__name__}>"
+        modules[info.name] = {"functions": functions, "classes": classes,
+                              "constants": constants}
+    return {"latdev": sorted(name for name, value in vars(latdev).items()
+                             if not name.startswith("_")
+                             and not inspect.ismodule(value)),
+            "modules": modules}
+
+
+def test_api_surface():
+    with open(os.path.join(GOLDEN, "api_surface.json")) as fh:
+        assert api_surface() == json.load(fh)
+
+
 def test_argparse_surface():
     with open(os.path.join(GOLDEN, "argparse_surface.json")) as fh:
         assert parser_surface() == json.load(fh)
@@ -107,6 +188,10 @@ if __name__ == "__main__":
     if "--surface" in wanted:
         with open(os.path.join(GOLDEN, "argparse_surface.json"), "w") as fh:
             json.dump(parser_surface(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    if "--api" in wanted:
+        with open(os.path.join(GOLDEN, "api_surface.json"), "w") as fh:
+            json.dump(api_surface(), fh, indent=1, sort_keys=True)
             fh.write("\n")
     for case in CASES:
         if case["name"] in wanted:

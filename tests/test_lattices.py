@@ -6,7 +6,7 @@ from latdev.errors import InputError
 from latdev.lattices import (FiniteDistributiveLattice, chain_lattice,
                              is_completely_normal, is_root_system,
                              is_zero_distributive, lattice_from_downsets,
-                             lattice_from_poset, prime_ideal_poset)
+                             prime_ideal_poset)
 from latdev.posets import FinitePoset
 
 from conftest import downset_lattice_corpus
@@ -23,7 +23,8 @@ def m3():
     """The diamond: five elements, three incomparable atoms."""
     els = ["0", "a", "b", "c", "1"]
     rel = [("0", x) for x in els] + [(x, "1") for x in els]
-    return lattice_from_poset(els, rel, check_distributive=False)
+    return FiniteDistributiveLattice(FinitePoset(els, rel),
+                                     check_distributive=False)
 
 
 SQUARE = lattice_from_downsets(FinitePoset.antichain(["p", "q"]))
@@ -62,7 +63,7 @@ class TestConstruction:
         els = ["0", "a", "b", "c", "1"]
         rel = [("0", x) for x in els] + [(x, "1") for x in els]
         with pytest.raises(InputError):
-            lattice_from_poset(els, rel)
+            FiniteDistributiveLattice(FinitePoset(els, rel))
         assert not m3().is_distributive
 
 

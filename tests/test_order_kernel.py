@@ -18,7 +18,7 @@ from latdev.deviations import (check_deviation, deviation_properties,
 from latdev.errors import InputError
 from latdev.lattices import (FiniteDistributiveLattice, is_completely_normal,
                              is_zero_distributive, lattice_from_downsets,
-                             lattice_from_poset, prime_ideal_poset)
+                             prime_ideal_poset)
 from latdev.posets import FinitePoset
 
 from conftest import all_posets, downset_lattice_corpus, random_poset
@@ -34,16 +34,17 @@ def chain_product(k: int) -> FinitePoset:
 
 
 def n5():
-    return lattice_from_poset(
+    return FiniteDistributiveLattice(FinitePoset(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1"),
-         ("0", "b"), ("0", "1"), ("a", "1")], check_distributive=False)
+         ("0", "b"), ("0", "1"), ("a", "1")]), check_distributive=False)
 
 
 def m3():
     els = ["0", "a", "b", "c", "1"]
     rel = [("0", x) for x in els] + [(x, "1") for x in els]
-    return lattice_from_poset(els, rel, check_distributive=False)
+    return FiniteDistributiveLattice(FinitePoset(els, rel),
+                                     check_distributive=False)
 
 
 def transitive_closure(elements, pairs) -> list:

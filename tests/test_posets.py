@@ -21,6 +21,13 @@ def powerset(xs):
     return chain.from_iterable(combinations(xs, r) for r in range(len(xs) + 1))
 
 
+def diagonal(P):
+    """A(x) = B(x) = {x}: a witness iff P is an antichain, since a
+    strictly comparable pair x < y has A(x) ∩ B(y) empty."""
+    return SeparabilityWitness({x: frozenset([x]) for x in P.elements},
+                               {x: frozenset([x]) for x in P.elements})
+
+
 V = FinitePoset(["a", "b", "c"], [("a", "c"), ("b", "c")])
 CHAIN3 = FinitePoset.chain(3)
 
@@ -105,9 +112,9 @@ class TestWitness:
     def test_diagonal_witness_valid_only_on_antichains(self):
         assert is_separability_witness(
             FinitePoset.antichain(["x", "y"]),
-            SeparabilityWitness.diagonal(FinitePoset.antichain(["x", "y"])))
+            diagonal(FinitePoset.antichain(["x", "y"])))
         v = check_separability_witness(
-            CHAIN3, SeparabilityWitness.diagonal(CHAIN3))
+            CHAIN3, diagonal(CHAIN3))
         assert v is not None and v.kind == "intersection"
 
     def test_empty_A_violates_intersection(self):
@@ -168,7 +175,7 @@ class TestWitness:
 class TestOrderFromWitness:
     def test_diagonal_witness_singleton_blocks(self):
         P = FinitePoset.antichain(["a", "b"])
-        res = order_from_witness(P, SeparabilityWitness.diagonal(P))
+        res = order_from_witness(P, diagonal(P))
         assert res.blocks == (("a",), ("b",))
         assert res.enumeration == ("a", "b")
 
@@ -350,7 +357,7 @@ class TestStrongAmalgam:
 class TestWitnessTransform:
     def test_dual_swaps_maps(self):
         A = FinitePoset.antichain(["x", "y"])
-        Wd = SeparabilityWitness.diagonal(A)
+        Wd = diagonal(A)
         Q, W = witness_transform("dual", A, Wd)
         assert Q == A.dual()
         assert W.A == Wd.B and W.B == Wd.A

@@ -471,6 +471,26 @@ def test_ideal_meet_is_zero_on_disjoint_supports():
     assert not ideal_meet_is_zero(g0.pos(), g0.pos(), 1)
 
 
+def test_ideal_meet_is_zero_matches_absolute_value_formulation():
+    """cozero(|g|) = cozero(g), so linearizing g and h as they are (and
+    the probe's |t| without a second bar) decides what the cozero sets
+    of |g| and |h| decide, with and without the region Ω.  Half of the
+    pairs are (a - b)^+, (b - a)^+, whose meet is zero."""
+    rng = random.Random(808)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        g, h = random_term(rng, n, 2), random_term(rng, n, 2)
+        if rng.random() < 0.5:
+            g, h = cevian_dev(g, h), cevian_dev(h, g)
+        for region in (None, omega_region(n)):
+            common = intersect(cozero_set(abs(g), n), cozero_set(abs(h), n))
+            if region is not None:
+                common = intersect(common, region.set)
+            expected = is_empty_set(common)
+            assert ideal_meet_is_zero(g, h, n, region) == expected
+            assert ideal_meet_is_zero(abs(g), h, n, region) == expected
+
+
 class TestPrincipalIdeal:
     def test_order_and_algebra(self):
         from latdev.vlterms import PrincipalIdeal
@@ -489,9 +509,23 @@ class TestPrincipalIdeal:
         assert a.leq(b.join(a.dev(b)))[0]
 
 
+def multiplier_cross_check(g, h, points, m_max=64):
+    """Falsification-only sanity check of the ideal order against the
+    bounded-multiplier characterization: the least m <= m_max with
+    |g|(z) <= m * |h|(z) at every sampled point, or None.  A false
+    `ideal_leq` verdict makes every multiplier fail at its witness; a
+    true verdict does not guarantee a bounded m, so absence of one is
+    never evidence by itself."""
+    ga, ha = abs(g), abs(h)
+    vals = [(evaluate(ga, p), evaluate(ha, p)) for p in points]
+    for m in range(1, m_max + 1):
+        if all(gv <= m * hv for gv, hv in vals):
+            return m
+    return None
+
+
 class TestMultiplierCrossCheck:
     def test_false_verdict_kills_all_multipliers(self, rng):
-        from latdev.vlterms import multiplier_cross_check
         ok, w = ideal_leq(ideal_join(g0, g1), abs(g0), 2)
         assert not ok
         pts = [random_point(rng, 2) for _ in range(10)] + [w]
@@ -499,12 +533,10 @@ class TestMultiplierCrossCheck:
                                       pts) is None
 
     def test_scaled_term_found_quickly(self, rng):
-        from latdev.vlterms import multiplier_cross_check
         pts = [random_point(rng, 1) for _ in range(20)]
         assert multiplier_cross_check(7 * g0, g0, pts) == 7
 
     def test_never_contradicts_decision(self, rng):
-        from latdev.vlterms import multiplier_cross_check
         for _ in range(15):
             n = rng.randint(1, 2)
             a = abs(random_term(rng, n, 2))
