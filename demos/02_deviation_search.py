@@ -2,8 +2,9 @@
 
 A deviation on a distributive 0-lattice is a binary map with
 x <= y ∨ d(x,y) and d(x,y) ∧ d(y,x) = 0.  One exists exactly on the
-completely normal lattices, and the backtracking search below finds the
-pointwise-least one first, which happens to be monotone and Cevian.
+completely normal lattices.  Search returns the pointwise-least one,
+d(x,y) = x∖y (the join of the join-irreducibles below x and not below
+y), which is monotone and Cevian; enumeration backtracks over the rest.
 """
 
 from latdev import (FinitePoset, check_deviation, deviation_properties,
@@ -20,7 +21,8 @@ for (x, y), v in sorted(d.items()):
 rep = deviation_properties(square, d)
 print("monotone:", rep.monotone, " cevian:", rep.cevian)
 
-# No deviation on the five-element non-example: the search exhausts.
+# No deviation on the five-element non-example: x∖y and y∖x meet above
+# 0 for some pair, and search returns None.
 five = lattice_from_downsets(
     FinitePoset(["c", "a", "b"], [("c", "a"), ("c", "b")]))
 print("five-element search:", search_deviation(five))

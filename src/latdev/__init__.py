@@ -28,8 +28,7 @@ from .lattices import (FiniteDistributiveLattice, chain_lattice,
                        prime_ideal_poset)
 from .deviations import (check_deviation, deviation_properties,
                          enumerate_deviations, search_deviation)
-from .adjustment import (PairOrderContext, finitary_bounds,
-                         monotone_adjustment, pair_leq)
+from .adjustment import PairOrderContext, monotone_adjustment, pair_leq
 from .semilinear import (Cell, Constraint, LinearForm, SemilinearSet,
                          complement, eliminate, includes, interpolant,
                          is_empty, lower_shadow_set, upper_shadow_set,

@@ -43,7 +43,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Sequence, Tuple
 
-from .errors import ContractError, InputError
+from .errors import InputError
 from .lattices import FiniteDistributiveLattice
 from .posets import ElementId, FinitePoset, bits, check_enumeration
 
@@ -170,44 +170,21 @@ def _set_bits(mask: int) -> list:
 
 def _shadow_bound_keys(shads: Sequence, m: int, a: int, b: int) -> tuple:
     """The pairs, as flat positions x*m + y in M × M, whose d' values
-    make up the coinitial and the cofinal set of the pair (a, b).
+    make up the coinitial and the cofinal set of the pair (a, b):
 
-    ``shads[x]`` is (U_x, V_x) as ascending positions; see
-    :func:`finitary_bounds`.
+        A' = { d'(x,b) : x ∈ U_a } ∪ { d'(a,y) : y ∈ V_b }
+        B' = { d'(x,b) : x ∈ V_a } ∪ { d'(a,y) : y ∈ U_b }
+
+    ``shads[x]`` is (U_x, V_x), the minimal upper/lower shadows of x on
+    its strict prefix, as ascending positions.  The meet of A' equals the
+    meet of the full meetand set and the join of B' the join of the full
+    joinand set, provided d' is already monotone on all strictly
+    ⊴-smaller pairs.
     """
     U_a, V_a = shads[a]
     U_b, V_b = shads[b]
     return ([x * m + b for x in U_a] + [a * m + y for y in V_b],
             [x * m + b for x in V_a] + [a * m + y for y in U_b])
-
-
-def finitary_bounds(M: FinitePoset, shadows: Mapping,
-                    d_prime_partial: Mapping, a: ElementId,
-                    b: ElementId) -> tuple:
-    """Finite coinitial/cofinal value sets replacing the full sweeps.
-
-    With U_x / V_x the minimal upper/lower shadows of x on its strict
-    prefix, returns
-
-        A' = { d'(x,b) : x ∈ U_a } ∪ { d'(a,y) : y ∈ V_b }
-        B' = { d'(x,b) : x ∈ V_a } ∪ { d'(a,y) : y ∈ U_b }
-
-    The meet of A' equals the meet of the full meetand set and the join
-    of B' equals the join of the full joinand set, provided d' is already
-    monotone on all strictly ⊴-smaller pairs.
-    """
-    m, els = len(M), M.elements
-    shads = {M.index(x): tuple(sorted(map(M.index, s)) for s in shadows[x])
-             for x in (a, b)}
-    meet_ks, join_ks = _shadow_bound_keys(shads, m, M.index(a), M.index(b))
-
-    def fetch(k):
-        pair = (els[k // m], els[k % m])
-        if pair not in d_prime_partial:
-            raise ContractError(f"pair {pair!r} not yet decided")
-        return d_prime_partial[pair]
-
-    return tuple(map(fetch, meet_ks)), tuple(map(fetch, join_ks))
 
 
 def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,

@@ -1,5 +1,5 @@
 """Deviations on finite distributive lattices: verification, property
-sweeps, and backtracking search.
+sweeps, the least deviation, and enumeration.
 
 A deviation is a total binary map d on the lattice with
 
@@ -9,12 +9,16 @@ A deviation is a total binary map d on the lattice with
 Deviations are represented as plain dicts mapping ordered id pairs to
 ids of the host lattice.
 
-Search relies on Birkhoff's representation: in a finite distributive
-lattice a join-irreducible p lies below y ∨ c iff it lies below y or
-below c.  So the values that axiom 1 allows at (x, y) are exactly the
-filter ↑(x∖y), where x∖y = ⋁{p join-irreducible : p <= x, p not<= y},
-and a mirrored pair (x, y), (y, x) has values meeting axiom 2 iff
-(x∖y) ∧ (y∖x) = 0.  Search therefore requires a distributive lattice.
+Search and enumeration rely on Birkhoff's representation: in a finite
+distributive lattice a join-irreducible p lies below y ∨ c iff it lies
+below y or below c.  So the values that axiom 1 allows at (x, y) are
+exactly the filter ↑(x∖y), where x∖y = ⋁{p join-irreducible : p <= x,
+p not<= y}, and a mirrored pair (x, y), (y, x) has values meeting
+axiom 2 iff (x∖y) ∧ (y∖x) = 0.  The x∖y table is therefore the
+pointwise least deviation whenever one exists, which is exactly when
+the lattice is completely normal; it is monotone and Cevian.  Search
+returns it, and enumeration backtracks over the filters.  Both require
+a distributive lattice.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from .posets import ElementId, bits
 
 DeviationMap = Dict[Tuple[ElementId, ElementId], ElementId]
 
-# Most values one search or enumeration places (search nodes) before it
-# stops with ResourceLimitError.  A search that never backtracks places
-# n² values: 4096 on B6, 33,489 on a 183-element lattice.
+# Most values one enumeration places (search nodes) before it stops
+# with ResourceLimitError.  Every placed value extends to a deviation, so
+# each deviation enumerated costs at most n² nodes: 4096 on B6, 33,489
+# on a 183-element lattice.  Search places none.
 MAX_SEARCH_NODES = 10 ** 6
 
 
@@ -200,77 +205,48 @@ def _confirm_clash(D: FiniteDistributiveLattice, dif: list, x: int,
                     "the filter of the difference")
 
 
-def _solutions(D: FiniteDistributiveLattice, require_monotone: bool,
-               require_cevian: bool) -> Iterator[list]:
-    """Every table passing the pruning, in search order, as flat position
-    tables.
-
-    D must be distributive (InputError otherwise).  Backtracks over
-    ordered pairs in canonical order with an explicit stack; candidates
-    for a pair (x, y) are the values c with x <= y ∨ c, which in a
-    distributive lattice are the filter ↑(x∖y), in canonical order.  A
-    mirrored pair with (x∖y) ∧ (y∖x) != 0 has no values meeting both
-    axioms and ends the search before its first node, once that verdict
-    is re-verified.  Placing more than ``MAX_SEARCH_NODES`` values raises
-    ResourceLimitError.
+def _floors(D: FiniteDistributiveLattice) -> Optional[list]:
+    """The x∖y table of D, or None when a mirrored pair has
+    (x∖y) ∧ (y∖x) != 0, so that no deviation exists (a verdict
+    re-verified first).  D must be distributive (InputError otherwise).
     """
     if not D.is_distributive:
         raise InputError("deviation search needs a distributive lattice")
     n = len(D)
-    up, down, jn, mt, bot = (D.poset._up, D.poset._down, D._join, D._meet,
-                             D._bot)
+    mt, bot = D._meet, D._bot
     dif = _differences(D)
     for x in range(n):
         for y in range(x + 1, n):
             if mt[dif[x * n + y]][dif[y * n + x]] != bot:
                 _confirm_clash(D, dif, x, y)
-                return
-    ups = [bits(m) for m in up]
-    downs = [bits(m) for m in down]
+                return None
+    return dif
+
+
+def _solutions(D: FiniteDistributiveLattice) -> Iterator[list]:
+    """Every deviation on D in search order, as flat position tables.
+
+    Backtracks over ordered pairs in canonical order with an explicit
+    stack; candidates for a pair (x, y) are the filter ↑(x∖y) in
+    canonical order.  A value is placed only if it meets the mirrored
+    pair's value, or while that is undecided its floor y∖x, in 0, so
+    every placed value extends to a deviation.  Placing more than
+    ``MAX_SEARCH_NODES`` values raises ResourceLimitError.
+    """
+    dif = _floors(D)
+    if dif is None:
+        return
+    n = len(D)
+    mt, bot = D._meet, D._bot
+    ups = [bits(m) for m in D.poset._up]
     cands = [ups[v] for v in dif]
     tab: list = [None] * (n * n)
 
     def consistent(x, y, c) -> bool:
         if x == y:                      # axiom 2 forces d(x,x) = c ∧ c = 0
-            if c != bot:
-                return False
-        else:
-            r = tab[y * n + x]
-            if r is not None and mt[c][r] != bot:
-                return False
-        if require_monotone:
-            # decided (p,q) with p <= x, y <= q need d(p,q) <= c, and
-            # with x <= p, q <= y need c <= d(p,q)
-            dc, uc = down[c], up[c]
-            for p in downs[x]:
-                for q in ups[y]:
-                    v = tab[p * n + q]
-                    if v is not None and not dc >> v & 1:
-                        return False
-            for p in ups[x]:
-                for q in downs[y]:
-                    v = tab[p * n + q]
-                    if v is not None and not uc >> v & 1:
-                        return False
-        if require_cevian:
-            # triples all of whose pairs are decided once (x,y) is set
-            uc = up[c]
-            for b in range(n):
-                u, w = tab[x * n + b], tab[b * n + y]
-                if u is not None and w is not None and \
-                        not uc >> jn[u][w] & 1:
-                    return False
-            for z in range(n):
-                u, w = tab[x * n + z], tab[y * n + z]
-                if u is not None and w is not None and \
-                        not up[u] >> jn[c][w] & 1:
-                    return False
-            for a in range(n):
-                u, w = tab[a * n + y], tab[a * n + x]
-                if u is not None and w is not None and \
-                        not up[u] >> jn[w][c] & 1:
-                    return False
-        return True
+            return c == bot
+        r = tab[y * n + x]
+        return mt[c][dif[y * n + x] if r is None else r] == bot
 
     size = n * n
     tried = [0] * (size + 1)    # next candidate position, per stack level
@@ -314,32 +290,35 @@ def _verify(D, t, require_monotone, require_cevian) -> bool:
 def search_deviation(D: FiniteDistributiveLattice,
                      require_monotone: bool = False,
                      require_cevian: bool = False) -> Optional[DeviationMap]:
-    """First deviation in search order satisfying the requested flags,
-    or None after exhaustion.
+    """The least deviation on D, d(x,y) = x∖y, or None when D is not
+    completely normal.
 
-    Backtracks over ordered pairs in canonical order; candidates for a
-    pair are tried in canonical order among values respecting axiom 1.
-    Partial assignments are pruned by axiom 2 on the mirrored pair and by
-    the requested properties restricted to decided pairs/triples.  The
-    returned table is re-verified by the requested sweeps before being
-    returned.  Raises InputError on a non-distributive lattice and
-    ResourceLimitError past ``MAX_SEARCH_NODES`` search nodes.
+    Every deviation lies pointwise above x∖y, and the x∖y table is
+    monotone and Cevian; it is a deviation iff no mirrored pair has
+    (x∖y) ∧ (y∖x) != 0, i.e. iff D is completely normal.  So no search
+    node is placed, and the flags do not change the result: they select
+    the sweeps that re-verify it before it is returned.  Raises
+    InputError on a non-distributive lattice.
     """
-    for t in _solutions(D, require_monotone, require_cevian):
-        if _verify(D, t, require_monotone, require_cevian):
-            return _to_map(D, t)
+    t = _floors(D)
+    if t is None:
+        return None
+    if not _verify(D, t, require_monotone, require_cevian):
         raise ContractError("search produced an inconsistent table")
-    return None
+    return _to_map(D, t)
 
 
 def enumerate_deviations(D: FiniteDistributiveLattice,
                          limit: int) -> list:
     """Up to ``limit`` (at least 1) distinct deviations in search order
-    (deterministic), with the errors of :func:`search_deviation`."""
+    (deterministic); the first is the one :func:`search_deviation`
+    returns when the element list puts each x∖y before every element
+    above it.  Raises InputError on a non-distributive lattice and
+    ResourceLimitError past ``MAX_SEARCH_NODES`` search nodes."""
     if limit < 1:
         raise InputError(f"limit must be at least 1, got {limit}")
     out = []
-    for t in _solutions(D, False, False):
+    for t in _solutions(D):
         if _violation(D, t) is not None:
             raise ContractError("search produced an inconsistent table")
         out.append(_to_map(D, t))

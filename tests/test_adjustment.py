@@ -12,8 +12,7 @@ import signal
 import pytest
 
 from latdev import lattices, posets
-from latdev.adjustment import (PairOrderContext, finitary_bounds,
-                               monotone_adjustment, pair_leq)
+from latdev.adjustment import PairOrderContext, monotone_adjustment, pair_leq
 from latdev.deviations import (check_deviation, deviation_properties,
                                search_deviation)
 from latdev.errors import ContractError, InputError
@@ -202,7 +201,7 @@ class TestFinitaryBounds:
         M = D.poset
         order = (0, 1, 2)
         shads = prefix_shadows(M, order)
-        coin, cof = finitary_bounds(M, shads, {}, 0, 0)
+        coin, cof = oracle.finitary_bounds(M, shads, {}, 0, 0)
         assert coin == () and cof == ()
 
     def test_undecided_pair_rejected(self):
@@ -211,7 +210,7 @@ class TestFinitaryBounds:
         order = (0, 1, 2)
         shads = prefix_shadows(M, order)
         with pytest.raises(ContractError):
-            finitary_bounds(M, shads, {}, 2, 1)
+            oracle.finitary_bounds(M, shads, {}, 2, 1)
 
     def test_bounds_reach_sweep_extremes(self):
         # meet of the primed set equals the meet of the full meetand set
@@ -237,7 +236,7 @@ class TestFinitaryBounds:
                     # forget the target pair and anything ⊴-above it
                     partial = {p: v for p, v in dp.items()
                                if key(*p) < kab}
-                    coin, cof = finitary_bounds(M, shads, partial, a, b)
+                    coin, cof = oracle.finitary_bounds(M, shads, partial, a, b)
                     full_meet = [dp[(x, y)] for x in M.elements
                                  for y in M.elements
                                  if key(x, y) < kab and M.leq(a, x)

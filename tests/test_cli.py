@@ -207,15 +207,20 @@ class TestDeviation:
         assert code == 2 and out == ""
 
     def test_search_past_node_budget_exits_3(self, capsys, monkeypatch):
-        """The tree fixture's lattice has 7 elements: a search places at
-        least 49 values, and an enumeration more."""
+        """Search places no value, so it answers with no node budget at
+        all.  The tree fixture's lattice has 7 elements: an enumeration
+        places at least 49 values."""
         tree = os.path.join(GOLDEN, "fixtures", "tree.json")
+        monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 0)
+        for flags in ((), ("--monotone",), ("--cevian",),
+                      ("--monotone", "--cevian")):
+            code, out = run_cli(capsys, "deviation", "search",
+                                "--lattice", tree, *flags)
+            assert code == 0 and json.loads(out)["found"]
         monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 48)
-        for argv in (("search",), ("search", "--monotone", "--cevian"),
-                     ("enumerate", "--limit", "20")):
-            code, out = run_cli(capsys, "deviation", *argv,
-                                "--lattice", tree)
-            assert code == 3 and out == ""
+        code, out = run_cli(capsys, "deviation", "enumerate",
+                            "--lattice", tree, "--limit", "20")
+        assert code == 3 and out == ""
 
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_enumerate_non_positive_limit_exits_2(self, capsys, chain4,

@@ -9,10 +9,11 @@ from latdev.deviations import (_differences, check_deviation,
                                deviation_properties, enumerate_deviations,
                                search_deviation)
 from latdev.errors import ContractError, InputError, ResourceLimitError
-from latdev.lattices import (chain_lattice, is_completely_normal,
-                             lattice_from_downsets)
+from latdev.lattices import (FiniteDistributiveLattice, chain_lattice,
+                             is_completely_normal, lattice_from_downsets)
 from latdev.posets import FinitePoset, bits
 
+import oracle_orders as oracle
 from conftest import downset_lattice_corpus
 
 from test_lattices import SQUARE, five_element_ncn, m3
@@ -156,15 +157,51 @@ class TestSearch:
         assert len(enumerate_deviations(SQUARE, 3)) == 3
 
     def test_node_budget(self, monkeypatch):
-        """B3 has 64 ordered pairs: a search places at least 64 values."""
+        """Search places no value; B3 has 64 ordered pairs, so an
+        enumeration places at least 64."""
         D = lattice_from_downsets(FinitePoset.antichain(range(3)))
-        monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 64)
-        assert search_deviation(D) is not None
+        monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 0)
+        for mono, cev in FLAGS:
+            assert search_deviation(D, mono, cev) is not None
         monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 63)
         with pytest.raises(ResourceLimitError):
-            search_deviation(D)
-        with pytest.raises(ResourceLimitError):
             enumerate_deviations(D, 1)
+
+    def test_least_deviation_on_shuffled_corpus(self):
+        """Declared in shuffled order, a corpus lattice carries a
+        deviation from search iff it is completely normal; the map passes
+        the id-based checks, is monotone and Cevian, and is the map that
+        search finds on the down-set original."""
+        rng = random.Random(59)
+        for D in downset_lattice_corpus(4):
+            S = shuffled(rng, D)
+            found = [search_deviation(S, mono, cev) for mono, cev in FLAGS]
+            assert found == [found[0]] * len(FLAGS)
+            d = found[0]
+            assert (d is not None) == is_completely_normal(S)[0]
+            if d is None:
+                continue
+            assert oracle.check_deviation(S, d) is None
+            rep = oracle.deviation_properties(S, d)
+            assert rep.monotone and rep.cevian
+            assert d == search_deviation(D)
+
+
+FLAGS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def shuffled(rng: random.Random, D):
+    """D with its elements declared in a shuffled order."""
+    els = list(D.elements)
+    rng.shuffle(els)
+    return FiniteDistributiveLattice(FinitePoset(
+        els, [(a, b) for a in els for b in els if D.poset.leq(a, b)]))
+
+
+def bottom_last_chain6():
+    """The 6-chain 0 < 1 < ... < 5 declared with its bottom last."""
+    return FiniteDistributiveLattice(FinitePoset.from_relation(
+        [1, 2, 3, 4, 5, 0], [(i, i + 1) for i in range(5)]))
 
 
 def upset_forest_lattice(rng: random.Random, size: int):
@@ -256,6 +293,16 @@ class TestEnumerate:
     def test_all_results_are_deviations(self):
         for d in enumerate_deviations(SQUARE, 12):
             assert check_deviation(SQUARE, d) is None
+
+    def test_out_of_order_declaration_does_not_thrash(self, monkeypatch):
+        """Every placed value extends to a deviation, so five deviations
+        of the bottom-last 6-chain cost at most 5 · 36 search nodes."""
+        D = bottom_last_chain6()
+        monkeypatch.setattr(deviations, "MAX_SEARCH_NODES", 5 * 36)
+        ds = enumerate_deviations(D, 5)
+        assert len(ds) == 5 and len({tuple(d.items()) for d in ds}) == 5
+        assert all(check_deviation(D, d) is None for d in ds)
+        assert search_deviation(D, True, True) == chain_deviation(D)
 
 
 def test_regression_non_monotone_deviation_exists_small():

@@ -199,3 +199,4 @@ if __name__ == "__main__":
                 json.dump(run_case(case["argv"]), fh, indent=1,
                           sort_keys=True)
                 fh.write("\n")
+                fh.write("\n")
