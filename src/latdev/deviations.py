@@ -116,44 +116,89 @@ class PropertyReport:
         return self.left_isotone and self.right_antitone
 
 
-def _isotone_failure(D: FiniteDistributiveLattice,
-                     t: list) -> Optional[tuple]:
-    """First (x, x', y) with x <= x' and d(x,y) not<= d(x',y), or None."""
+def _rows(D: FiniteDistributiveLattice, t: list) -> list:
+    """rows[x][k] = the mask of the y with d(x,y) <= m_k, over the
+    meet-irreducibles m_k of D (the elements with one upper cover).
+
+    In a finite lattice a <= b iff every meet-irreducible above b lies
+    above a, and the meet-irreducibles above a ∨ b are those above both a
+    and b; so the three sweeps compare these masks, O(n²) work per
+    meet-irreducible, and need no distributivity."""
     n = len(D)
     up = D.poset._up
-    return next(((x, x2, y) for x in range(n) for x2 in bits(up[x])
-                 for y in range(n)
-                 if not up[t[x * n + y]] >> t[x2 * n + y] & 1), None)
+    principal = set(up)
+    ms = [m for m, um in enumerate(up) if um & ~(1 << m) in principal]
+    above = [[k for k, m in enumerate(ms) if uv >> m & 1] for uv in up]
+    rows = []
+    for x in range(n):
+        by_value: dict = {}
+        for y, v in enumerate(t[x * n:(x + 1) * n]):
+            by_value[v] = by_value.get(v, 0) | 1 << y
+        row = [0] * len(ms)
+        for v, ys in by_value.items():
+            for k in above[v]:
+                row[k] |= ys
+        rows.append(row)
+    return rows
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _isotone_failure(D: FiniteDistributiveLattice,
+                     rows: list) -> Optional[tuple]:
+    """First (x, x', y) with x <= x' and d(x,y) not<= d(x',y), or None:
+    y fails iff some m_k lies above d(x',y) but not above d(x,y)."""
+    for x, rx in enumerate(rows):
+        for x2 in bits(D.poset._up[x]):
+            bad = 0
+            for a, b in zip(rows[x2], rx):
+                bad |= a & ~b
+            if bad:
+                return (x, x2, _lowest(bad))
+    return None
 
 
 def _antitone_failure(D: FiniteDistributiveLattice,
-                      t: list) -> Optional[tuple]:
-    """First (x, y, y') with y <= y' and d(x,y') not<= d(x,y), or None."""
-    n = len(D)
+                      rows: list) -> Optional[tuple]:
+    """First (x, y, y') with y <= y' and d(x,y') not<= d(x,y), or None:
+    y' fails iff some m_k lies above d(x,y) but not above d(x,y')."""
     up = D.poset._up
-    ups = [bits(m) for m in up]
-    return next(((x, y, y2) for x in range(n) for y in range(n)
-                 for y2 in ups[y]
-                 if not up[t[x * n + y2]] >> t[x * n + y] & 1), None)
+    for x, rx in enumerate(rows):
+        for y, uy in enumerate(up):
+            outside = 0
+            for a in rx:
+                if a >> y & 1:
+                    outside |= ~a
+            if uy & outside:
+                return (x, y, _lowest(uy & outside))
+    return None
 
 
 def _cevian_failure(D: FiniteDistributiveLattice,
-                    t: list) -> Optional[tuple]:
-    """First (x, y, z) with d(x,z) not<= d(x,y) ∨ d(y,z), or None."""
-    n = len(D)
-    up, jn = D.poset._up, D._join
-    N = range(n)
-    return next(((x, y, z) for x in N for y in N for z in N
-                 if not up[t[x * n + z]] >> jn[t[x * n + y]][t[y * n + z]] & 1),
-                None)
+                    rows: list) -> Optional[tuple]:
+    """First (x, y, z) with d(x,z) not<= d(x,y) ∨ d(y,z), or None: z
+    fails iff some m_k lies above d(x,y) and d(y,z) but not above
+    d(x,z)."""
+    for x, rx in enumerate(rows):
+        for y, ry in enumerate(rows):
+            bad = 0
+            for a, b in zip(rx, ry):
+                if a >> y & 1:
+                    bad |= b & ~a
+            if bad:
+                return (x, y, _lowest(bad))
+    return None
 
 
 def deviation_properties(D: FiniteDistributiveLattice,
                          d: DeviationMap) -> PropertyReport:
-    els, t = D.elements, _table(D, d)
+    els, rows = D.elements, _rows(D, _table(D, d))
     li, ra, cev = (None if ce is None else tuple(els[i] for i in ce)
-                   for ce in (_isotone_failure(D, t), _antitone_failure(D, t),
-                              _cevian_failure(D, t)))
+                   for ce in (_isotone_failure(D, rows),
+                              _antitone_failure(D, rows),
+                              _cevian_failure(D, rows)))
     return PropertyReport(li is None, ra is None, cev is None, li, ra, cev)
 
 
@@ -281,10 +326,13 @@ def _verify(D, t, require_monotone, require_cevian) -> bool:
     requested sweeps run."""
     if _violation(D, t) is not None:
         return False
-    if require_monotone and (_isotone_failure(D, t) is not None
-                             or _antitone_failure(D, t) is not None):
+    if not (require_monotone or require_cevian):
+        return True
+    rows = _rows(D, t)
+    if require_monotone and (_isotone_failure(D, rows) is not None
+                             or _antitone_failure(D, rows) is not None):
         return False
-    return not require_cevian or _cevian_failure(D, t) is None
+    return not require_cevian or _cevian_failure(D, rows) is None
 
 
 def search_deviation(D: FiniteDistributiveLattice,

@@ -9,10 +9,32 @@ piecewise-linear function on ℚⁿ (``one`` denotes the constant 1), and
 * ``linearize`` computes a covering piecewise form (cells split on the
   sign of differences, closed side on the kept branch),
 * ``cozero_set`` / ``zero_set`` are the semilinear sets where the term
-  is nonzero / zero,
+  is nonzero / zero (cached per node, dimension and ceiling),
 * ``ideal_leq`` decides the principal-ideal order: <g> <= <h> iff the
   zero set of h is contained in the zero set of g — optionally relative
   to a region, in which case only zeros inside the region count.
+
+A principal ideal is fixed by its zero set, and the representatives of
+ideal joins, meets and deviations are composite terms (|g| ∨ |h|,
+(g - h)^+).  So ``ideal_leq``, ``ideal_meet_is_zero`` and
+``check_cevian_triple`` decide on zero and cozero sets built by parts,
+never linearizing such a composite whole (``_parts``):
+
+* Z(c·u) = Z(u) for c != 0, and Z(0·u) is everything;
+* Z(|u|) = Z(u);
+* Z(u⁺) = {u <= 0} and coz(u⁺) = {u > 0}, read off the pieces of u;
+* for syntactically nonnegative a and b, Z(a ∨ b) = Z(a + b) =
+  Z(a) ∩ Z(b) and Z(a ∧ b) = Z(a) ∪ Z(b), and dually
+  coz(a ∨ b) = coz(a + b) = coz(a) ∪ coz(b), coz(a ∧ b) = coz(a) ∩ coz(b);
+* any other node takes the zero or cozero set of its whole piecewise
+  form.
+
+A true verdict comes from this decision alone.  A false ``ideal_leq``
+verdict takes its witness from the whole-term sets, as before, so
+reports do not change; a whole-term set that is empty where the parts
+meet is a ``ContractError``.  The piece ceiling applies to the pieces
+actually built, so a verdict may be reached where linearizing the
+composite whole would pass the ceiling.
 
 A term is a DAG: ``|t|`` holds ``t`` twice.  Nodes store their hash and
 largest generator index, and the functions that walk a term visit each
@@ -45,8 +67,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
-                         SemilinearSet, intersect, is_empty, is_empty_set,
-                         parse_rational, set_witness, unit_form)
+                         SemilinearSet, intersect, is_empty, parse_rational,
+                         set_witness, union, unit_form)
 
 UNIT_KEY = "one"   # sigma key for the unit when substitution may move it
 
@@ -58,8 +80,9 @@ DEFAULT_PIECE_CEILING = 10_000
 # m * n_coeff too.
 MAX_NOISO_K = 1024
 
-# Deepest term that ``parse_term`` accepts: the parser, ``str`` and
-# ``linearize`` (through its per-node cache) recurse once per level, and
+# Deepest term that ``parse_term`` accepts: the parser, ``str``,
+# ``linearize`` and the zero sets built by parts (through their per-node
+# caches) recurse once per level, and
 # this keeps them far below Python's recursion limit.  Nothing walks a
 # term path by path, so depth costs no more than size: hashes and maximal
 # generator indices are stored in the nodes, and equality, ``evaluate``,
@@ -333,9 +356,17 @@ def linearize(t: VLTerm, n: int,
     (difference >= 0), the other the open side.
     """
     limit = DEFAULT_PIECE_CEILING if ceiling is None else ceiling
-    if max_generator(t) >= n:
-        raise InputError("term uses a generator outside the declared dimension")
+    _check_dimension(n, None, t)
     return PiecewiseForm(n, _node_pieces(t, n, limit)[0])
+
+
+def _check_dimension(n: int, region: Optional["OmegaRegion"], *terms):
+    """InputError unless every term, and the region if given, lives in
+    dimension n."""
+    if region is not None and region.n != n:
+        raise InputError("region dimension mismatch")
+    if any(max_generator(t) >= n for t in terms):
+        raise InputError("term uses a generator outside the declared dimension")
 
 
 _WHOLE = Cell(())
@@ -407,9 +438,11 @@ def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
     return tuple(acc), tuple(_clash_rows(c) for c, _ in acc)
 
 
+@lru_cache(maxsize=1 << 12)
 def cozero_set(t: VLTerm, n: int,
                ceiling: Optional[int] = None) -> SemilinearSet:
-    """Points where the term is nonzero."""
+    """Points where the term is nonzero (cached per term node, dimension
+    and ceiling, like the pieces)."""
     pw = linearize(t, n, ceiling)
     cells = []
     for cell, f in pw.pieces:
@@ -420,10 +453,12 @@ def cozero_set(t: VLTerm, n: int,
     return SemilinearSet(n, tuple(cells))
 
 
+@lru_cache(maxsize=1 << 12)
 def zero_set(t: VLTerm, n: int,
              ceiling: Optional[int] = None) -> SemilinearSet:
     """Points where the term vanishes: the complement of the cozero set,
-    assembled directly from the (disjoint, covering) pieces."""
+    assembled directly from the (disjoint, covering) pieces (cached like
+    ``cozero_set``)."""
     pw = linearize(t, n, ceiling)
     cells = []
     for cell, f in pw.pieces:
@@ -434,6 +469,100 @@ def zero_set(t: VLTerm, n: int,
         if c is not None and not is_empty(c) and c not in cells:
             cells.append(c)
     return SemilinearSet(n, tuple(cells))
+
+
+# ---------------------------------------------------------------------------
+# Zero and cozero sets built by parts
+# ---------------------------------------------------------------------------
+
+def _abs_arg(t: VLTerm) -> Optional[VLTerm]:
+    """u when t is |u| = u ∨ (-1)·u, else None."""
+    if isinstance(t, Join) and isinstance(t.right, Scale) and \
+            t.right.coeff == -1 and t.right.arg == t.left:
+        return t.left
+    return None
+
+
+def _pos_arg(t: VLTerm) -> Optional[VLTerm]:
+    """u when t is u⁺ = u ∨ 0·one, else None."""
+    if isinstance(t, Join) and isinstance(t.right, Scale) and \
+            t.right.coeff == 0 and isinstance(t.right.arg, One):
+        return t.left
+    return None
+
+
+@lru_cache(maxsize=1 << 12)
+def _nonnegative(t: VLTerm) -> bool:
+    """Whether the term is syntactically nonnegative: ``one``, c·a with
+    c = 0 or c > 0 and a nonnegative, |u|, a ∨ b with one side
+    nonnegative (so u⁺), and a ∧ b or a + b with both sides nonnegative."""
+    if isinstance(t, One):
+        return True
+    if isinstance(t, Scale):
+        return t.coeff == 0 or (t.coeff > 0 and _nonnegative(t.arg))
+    if isinstance(t, Join):
+        return _abs_arg(t) is not None or _nonnegative(t.left) or \
+            _nonnegative(t.right)
+    if isinstance(t, (Meet, Add)):
+        return _nonnegative(t.left) and _nonnegative(t.right)
+    return False
+
+
+def _sign_set(u: VLTerm, n: int, ceiling: Optional[int],
+              positive: bool) -> SemilinearSet:
+    """{u > 0} when ``positive``, else {u <= 0}, read off the pieces of u:
+    the cozero and zero set of u⁺ (cached as such by ``_parts``)."""
+    cells = []
+    for cell, f in linearize(u, n, ceiling).pieces:
+        atom = Constraint(f, GT) if positive else Constraint(-f, GE)
+        c = Cell.of(cell.atoms + (atom,))
+        if not is_empty(c):
+            cells.append(c)
+    return SemilinearSet(n, tuple(cells))
+
+
+@lru_cache(maxsize=1 << 12)
+def _parts(t: VLTerm, n: int, ceiling: Optional[int],
+           cozero: bool) -> SemilinearSet:
+    """The cozero set of t when ``cozero``, else its zero set, built from
+    the parts of the term by the identities in the module docstring; any
+    other node takes ``zero_set`` / ``cozero_set`` of the whole node.
+    Cached per node, so a shared subterm is built once."""
+    if isinstance(t, Scale):
+        if t.coeff == 0:
+            return SemilinearSet.empty(n) if cozero else SemilinearSet.whole(n)
+        return _parts(t.arg, n, ceiling, cozero)
+    u = _abs_arg(t)
+    if u is not None:
+        return _parts(u, n, ceiling, cozero)
+    if isinstance(t, _Binary) and _nonnegative(t.left) and \
+            _nonnegative(t.right):
+        a = _parts(t.left, n, ceiling, cozero)
+        b = _parts(t.right, n, ceiling, cozero)
+        # the zero set of a meet, and the cozero set of a join or sum, is
+        # the union; the other three are the intersection
+        if isinstance(t, Meet) != cozero:
+            return union(a, b)
+        return intersect(a, b, ceiling)
+    u = _pos_arg(t)
+    if u is not None:
+        return _sign_set(u, n, ceiling, cozero)
+    return (cozero_set if cozero else zero_set)(t, n, ceiling)
+
+
+def _common_point(sets: Sequence[SemilinearSet]) -> bool:
+    """Whether the sets share a point: a depth-first walk over one cell
+    of each, pruning empty partial intersections, that stops at the first
+    nonempty one."""
+    def extend(atoms: tuple, k: int) -> bool:
+        if k == len(sets):
+            return True
+        for c in sets[k].cells:
+            cell = Cell.of(atoms + c.atoms)
+            if not is_empty(cell) and extend(cell.atoms, k + 1):
+                return True
+        return False
+    return extend((), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +627,30 @@ def omega_extend(u: Mapping[int, Fraction], n: int) -> tuple:
 def ideal_leq(g: VLTerm, h: VLTerm, n: int,
               region: Optional[OmegaRegion] = None,
               ceiling: Optional[int] = None) -> tuple:
-    """Decide <g> <= <h| in the principal-ideal order.
+    """Decide <g> <= <h> in the principal-ideal order.
 
     Absolute mode: true iff zero(h) ⊆ zero(g).  Relative mode: true iff
-    zero(h) ∩ region ⊆ zero(g).  On false, returns a verified witness z
-    with h(z) = 0 and g(z) != 0 (and z in the region)."""
-    if region is not None and region.n != n:
-        raise InputError("region dimension mismatch")
+    zero(h) ∩ region ⊆ zero(g).  The verdict is decided on the zero set
+    of h and the cozero set of g built by parts (``_parts``: Z(c·u) =
+    Z(u), Z(|u|) = Z(u), Z(u⁺) = {u <= 0}, Z(a ∨ b) = Z(a + b) =
+    Z(a) ∩ Z(b) and Z(a ∧ b) = Z(a) ∪ Z(b) for nonnegative a, b), so a
+    composite representative such as |a| ∨ |b| is never linearized whole
+    to answer true.  On false, the witness comes from the whole-term sets
+    ``zero_set(h)`` ∩ ``cozero_set(g)``: a verified point z with
+    h(z) = 0 and g(z) != 0 (and z in the region)."""
+    _check_dimension(n, region, g, h)
+    extra = () if region is None else (region.set,)
+    if not _common_point((_parts(h, n, ceiling, False),
+                          _parts(g, n, ceiling, True)) + extra):
+        return (True, None)
     bad = intersect(zero_set(h, n, ceiling), cozero_set(g, n, ceiling),
                     ceiling)
     if region is not None:
         bad = intersect(bad, region.set, ceiling)
     w = set_witness(bad)
     if w is None:
-        return (True, None)
+        raise ContractError("ideal order: the sets built by parts meet "
+                            "but the whole-term sets do not")
     if evaluate(h, w) != 0 or evaluate(g, w) == 0 or \
             (region is not None and not region.contains(w)):
         raise ContractError(f"ideal order witness {w} fails")
@@ -575,12 +714,12 @@ def ideal_meet_is_zero(g: VLTerm, h: VLTerm, n: int,
                        region: Optional[OmegaRegion] = None,
                        ceiling: Optional[int] = None) -> bool:
     """Whether <|g|> ∧ <|h|> is the zero ideal (no common cozero point,
-    within the region when given)."""
-    common = intersect(cozero_set(g, n, ceiling),
-                       cozero_set(h, n, ceiling), ceiling)
-    if region is not None:
-        common = intersect(common, region.set, ceiling)
-    return is_empty_set(common)
+    within the region when given), decided on the cozero sets built by
+    parts as in ``ideal_leq``."""
+    _check_dimension(n, region, g, h)
+    extra = () if region is None else (region.set,)
+    return not _common_point((_parts(g, n, ceiling, True),
+                              _parts(h, n, ceiling, True)) + extra)
 
 
 def check_cevian_triple(g: VLTerm, h: VLTerm, k: VLTerm, n: int,

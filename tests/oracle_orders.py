@@ -13,6 +13,11 @@ tests in ``test_order_kernel.py`` can compare the two:
 * the down-set lattice of a poset as the inclusion relation on all
   down-sets;
 * ``check_deviation``, ``deviation_properties`` and the recursive search;
+* the position-based property sweeps that the meet-irreducible row
+  masks of ``latdev.deviations`` replaced (``isotone_failure``,
+  ``antitone_failure``, ``cevian_failure``: scans over pairs and
+  triples of positions on a flat table, kept verbatim apart from their
+  names);
 * ``monotone_adjustment``: the naive sweep, and the shadow path with its
   id-based shadows, ⊴ block order and finitary bounds, folding values
   with ``join_all`` and ``meet_all``.
@@ -31,7 +36,7 @@ from latdev.adjustment import AdjustmentResult, TraceEntry
 from latdev.deviations import DeviationViolation, PropertyReport
 from latdev.errors import ContractError, InputError
 from latdev.lattices import PrimeIdealPoset
-from latdev.posets import FinitePoset, check_enumeration
+from latdev.posets import FinitePoset, bits, check_enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +246,35 @@ def deviation_properties(D, d) -> PropertyReport:
             break
     return PropertyReport(li_ce is None, ra_ce is None, cev_ce is None,
                           li_ce, ra_ce, cev_ce)
+
+
+def isotone_failure(D, t: list) -> Optional[tuple]:
+    """First (x, x', y) with x <= x' and d(x,y) not<= d(x',y), or None."""
+    n = len(D)
+    up = D.poset._up
+    return next(((x, x2, y) for x in range(n) for x2 in bits(up[x])
+                 for y in range(n)
+                 if not up[t[x * n + y]] >> t[x2 * n + y] & 1), None)
+
+
+def antitone_failure(D, t: list) -> Optional[tuple]:
+    """First (x, y, y') with y <= y' and d(x,y') not<= d(x,y), or None."""
+    n = len(D)
+    up = D.poset._up
+    ups = [bits(m) for m in up]
+    return next(((x, y, y2) for x in range(n) for y in range(n)
+                 for y2 in ups[y]
+                 if not up[t[x * n + y2]] >> t[x * n + y] & 1), None)
+
+
+def cevian_failure(D, t: list) -> Optional[tuple]:
+    """First (x, y, z) with d(x,z) not<= d(x,y) ∨ d(y,z), or None."""
+    n = len(D)
+    up, jn = D.poset._up, D._join
+    N = range(n)
+    return next(((x, y, z) for x in N for y in N for z in N
+                 if not up[t[x * n + z]] >> jn[t[x * n + y]][t[y * n + z]] & 1),
+                None)
 
 
 def _candidates(D, x, y) -> list:

@@ -1,0 +1,58 @@
+"""Whole-term principal-ideal decisions (test oracle).
+
+``latdev.vlterms`` decides the ideal order and the zero meet on zero and
+cozero sets built by parts (Z(|a| ∨ |b|) = Z(a) ∩ Z(b) and the like).
+These are the decisions it replaced, kept verbatim apart from their
+docstrings so that ``test_vlterms.py`` can compare the two: each
+linearizes the composite representative whole, and intersects its
+``zero_set`` / ``cozero_set``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from latdev.errors import ContractError, InputError
+from latdev.semilinear import intersect, is_empty_set, set_witness
+from latdev.vlterms import (OmegaRegion, VLTerm, cevian_dev, cozero_set,
+                            evaluate, ideal_join, zero_set)
+
+
+def ideal_leq(g: VLTerm, h: VLTerm, n: int,
+              region: Optional[OmegaRegion] = None,
+              ceiling: Optional[int] = None) -> tuple:
+    """<g> <= <h>: (True, None), or (False, z) with h(z) = 0 != g(z)."""
+    if region is not None and region.n != n:
+        raise InputError("region dimension mismatch")
+    bad = intersect(zero_set(h, n, ceiling), cozero_set(g, n, ceiling),
+                    ceiling)
+    if region is not None:
+        bad = intersect(bad, region.set, ceiling)
+    w = set_witness(bad)
+    if w is None:
+        return (True, None)
+    if evaluate(h, w) != 0 or evaluate(g, w) == 0 or \
+            (region is not None and not region.contains(w)):
+        raise ContractError(f"ideal order witness {w} fails")
+    return (False, w)
+
+
+def ideal_meet_is_zero(g: VLTerm, h: VLTerm, n: int,
+                       region: Optional[OmegaRegion] = None,
+                       ceiling: Optional[int] = None) -> bool:
+    """Whether the cozero sets of g and h (within the region) are
+    disjoint."""
+    common = intersect(cozero_set(g, n, ceiling),
+                       cozero_set(h, n, ceiling), ceiling)
+    if region is not None:
+        common = intersect(common, region.set, ceiling)
+    return is_empty_set(common)
+
+
+def check_cevian_triple(g: VLTerm, h: VLTerm, k: VLTerm, n: int,
+                        region: Optional[OmegaRegion] = None,
+                        ceiling: Optional[int] = None) -> bool:
+    """Whether <(g-k)^+> <= <(g-h)^+> ∨ <(h-k)^+>."""
+    lhs = cevian_dev(g, k)
+    rhs = ideal_join(cevian_dev(g, h), cevian_dev(h, k))
+    return ideal_leq(lhs, rhs, n, region, ceiling)[0]

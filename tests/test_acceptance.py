@@ -14,9 +14,9 @@ import pytest
 from latdev.adjustment import monotone_adjustment
 from latdev.deviations import (check_deviation, deviation_properties,
                                search_deviation)
-from latdev.lattices import (chain_lattice, is_completely_normal,
-                             is_root_system, lattice_from_downsets,
-                             prime_ideal_poset)
+from latdev.lattices import (FiniteDistributiveLattice, chain_lattice,
+                             is_completely_normal, is_root_system,
+                             lattice_from_downsets, prime_ideal_poset)
 from latdev.posets import (FinitePoset, StrongAmalgamSpec,
                            check_strong_amalgam, is_separability_witness,
                            witness_from_amalgam, witness_from_order)
@@ -377,3 +377,43 @@ def test_criterion_11_pseudocomplement_probe():
         assert rep.counterexamples == (), [
             str(e.term) for e in rep.counterexamples]
     report(11, "pseudocomplement probe", t0, " [100 terms x 3 scalars]")
+
+
+def test_criterion_12_monotone_cevian_deviation_iff_completely_normal(
+        downset_corpus):
+    """D is completely normal iff search's map d(x,y) = x∖y is a
+    monotone Cevian deviation: on the 243-lattice corpus, the down-set
+    lattices of chain(k)×chain(3) for k <= 12 (455 elements at k = 12)
+    and the products chain(k)×chain(3) themselves, B1-B7, and the
+    down-set lattices of binary trees, root on top (completely normal)
+    and root at the bottom (not)."""
+    t0 = time.time()
+    chains = [FinitePoset.from_relation(
+        [(i, j) for i in range(k) for j in range(3)],
+        [((i, j), (i2, j2)) for i in range(k) for j in range(3)
+         for i2 in range(k) for j2 in range(3) if i <= i2 and j <= j2])
+        for k in range(1, 13)]
+    trees = [FinitePoset.from_relation(
+        range(n), [(i, (i - 1) // 2) for i in range(1, n)])
+        for n in (4, 8, 12)]
+    lattices = (list(downset_corpus)
+                + [lattice_from_downsets(P) for P in chains]
+                + [FiniteDistributiveLattice(P) for P in chains]
+                + [lattice_from_downsets(FinitePoset.antichain(range(k)))
+                   for k in range(1, 8)]
+                + [lattice_from_downsets(P) for P in trees]
+                + [lattice_from_downsets(P.dual()) for P in trees])
+    found = 0
+    for D in lattices:
+        d = search_deviation(D, require_monotone=True, require_cevian=True)
+        assert (d is not None) == is_completely_normal(D)[0]
+        if d is None:
+            continue
+        rep = deviation_properties(D, d)
+        assert check_deviation(D, d) is None
+        assert rep.monotone and rep.cevian
+        found += 1
+    assert max(map(len, lattices)) == 455 and found > 100
+    assert time.time() - t0 < 60.0
+    report(12, "monotone Cevian deviation iff completely normal", t0,
+           f" [{len(lattices)} lattices, {found} completely normal]")

@@ -420,6 +420,63 @@ def test_adjust_fuzz_exit_codes_and_schema(inputs, use_shadows):
         assert out.getvalue() == "" and err.getvalue()
 
 
+def term_texts(n: int):
+    """Term texts over g0..g{n-1}, one and rational constants, with
+    nested bars, 0*(...), scaling, negation, ^+, sums, differences,
+    joins and meets."""
+    leaves = st.sampled_from([f"g{i}" for i in range(n)]
+                             + ["one", "0", "2", "1/2"])
+
+    def extend(inner):
+        unary = st.tuples(st.sampled_from(
+            ["|{}|", "0*({})", "3/2*({})", "-({})", "({})^+"]), inner).map(
+            lambda p: p[0].format(p[1]))
+        binary = st.tuples(inner, st.sampled_from(
+            [" + ", " - ", " \\/ ", " /\\ "]), inner).map(
+            lambda p: f"({p[0]}{p[1]}{p[2]})")
+        return unary | binary
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def vlat_argv(draw):
+    """``vlat leq`` or ``vlat cevian`` argv: term texts in dimension
+    1-3, with or without --omega, and --cell-ceiling from 1 up or absent;
+    one text in ten cut short, and one dimension in ten too small."""
+    sub = draw(st.sampled_from(["leq", "cevian"]))
+    names = ["--lhs", "--rhs"] if sub == "leq" else ["--g", "--h", "--k"]
+    n = draw(st.integers(1, 3))
+    argv = []
+    for name in names:
+        text = draw(term_texts(n))
+        if draw(st.integers(0, 9)) == 0:
+            text = text[:draw(st.integers(0, len(text)))]
+        argv.append(f"{name}={text}")
+    if draw(st.integers(0, 9)) == 0:
+        n = draw(st.integers(-1, n - 1))
+    argv += ["--n", str(n)]
+    if draw(st.booleans()):
+        argv.append("--omega")
+    ceiling = draw(st.one_of(st.none(), st.integers(1, 8)))
+    top = [] if ceiling is None else ["--cell-ceiling", str(ceiling)]
+    return top + ["vlat", sub] + argv
+
+
+@given(vlat_argv())
+@settings(max_examples=200, deadline=None)
+def test_vlat_fuzz_exit_codes_and_schema(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        sub = " ".join(a for a in argv if a in ("vlat", "leq", "cevian"))
+        jsonschema.validate(json.loads(out.getvalue()), SCHEMAS[sub])
+    else:
+        assert out.getvalue() == "" and err.getvalue()
+
+
 class TestPoset:
     def test_witness_and_order_roundtrip(self, capsys, tmp_path):
         p = write(tmp_path, "v.json", {

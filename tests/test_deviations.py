@@ -5,7 +5,7 @@ import random
 import pytest
 
 from latdev import deviations
-from latdev.deviations import (_differences, check_deviation,
+from latdev.deviations import (_differences, _floors, check_deviation,
                                deviation_properties, enumerate_deviations,
                                search_deviation)
 from latdev.errors import ContractError, InputError, ResourceLimitError
@@ -92,6 +92,54 @@ class TestProperties:
             D = chain_lattice(n)
             rep = deviation_properties(D, chain_deviation(D))
             assert rep.monotone and rep.cevian
+
+
+def sweep_tables(rng: random.Random, D) -> list:
+    """Flat tables on D: random ones (most fail early), and where D is
+    distributive and completely normal its least deviation (passes every
+    sweep) and copies of it with one to three entries raised to a random
+    element above (fail late, or not at all)."""
+    n = len(D)
+    tables = [[rng.randrange(n) for _ in range(n * n)] for _ in range(3)]
+    t = _floors(D) if D.is_distributive else None
+    if t is not None:
+        tables.append(t)
+        for _ in range(4):
+            u = list(t)
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(n * n)
+                u[k] = rng.choice(bits(D.poset._up[u[k]]))
+            tables.append(u)
+    return tables
+
+
+class TestSweepMasks:
+    """The sweeps on meet-irreducible row masks against the position
+    scans that they replaced (``oracle_orders``): the same first
+    counterexample, in canonical order, or None."""
+
+    def test_match_position_scans(self):
+        rng = random.Random(2026)
+        lattices = list(downset_lattice_corpus(4))
+        lattices += [shuffled(rng, D) for D in lattices[::2]]
+        lattices += [n5(), m3(), five_element_ncn(), chain_lattice(7),
+                     lattice_from_downsets(FinitePoset.antichain(range(5)))]
+        failing = [0, 0, 0]
+        count = 0
+        for D in lattices:
+            for t in sweep_tables(rng, D):
+                rows = deviations._rows(D, t)
+                got = (deviations._isotone_failure(D, rows),
+                       deviations._antitone_failure(D, rows),
+                       deviations._cevian_failure(D, rows))
+                want = (oracle.isotone_failure(D, t),
+                        oracle.antitone_failure(D, t),
+                        oracle.cevian_failure(D, t))
+                assert got == want, (D, t)
+                failing = [f + (w is not None) for f, w in zip(failing, want)]
+                count += 1
+        assert count >= 2000
+        assert all(count // 10 < f < count for f in failing)
 
 
 class TestSearch:

@@ -2,21 +2,24 @@
 the region probes."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
-from latdev.errors import InputError, ResourceLimitError
+import oracle_vlterms
+from latdev import vlterms
+from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
     intersect, is_empty, is_empty_set, same_set
-from latdev.vlterms import (MAX_TERM_DEPTH, Scale, UNIT_KEY, cevian_dev,
-                            check_cevian_triple, const, cozero_set, evaluate,
-                            gen, ideal_join, ideal_leq, ideal_meet,
-                            ideal_meet_is_zero, linearize, max_generator,
-                            noiso_probe, omega_extend, omega_region, one,
-                            parse_term, pseudocomplement_probe, random_term,
-                            substitute, term_depth, text_length, zero,
-                            zero_set)
+from latdev.vlterms import (MAX_TERM_DEPTH, Join, PrincipalIdeal, Scale,
+                            UNIT_KEY, cevian_dev, check_cevian_triple, const,
+                            cozero_set, evaluate, gen, ideal_join, ideal_leq,
+                            ideal_meet, ideal_meet_is_zero, linearize,
+                            max_generator, noiso_probe, omega_extend,
+                            omega_region, one, parse_term,
+                            pseudocomplement_probe, random_term, substitute,
+                            term_depth, text_length, zero, zero_set)
 
 from conftest import random_point
 
@@ -489,6 +492,124 @@ def test_ideal_meet_is_zero_matches_absolute_value_formulation():
             expected = is_empty_set(common)
             assert ideal_meet_is_zero(g, h, n, region) == expected
             assert ideal_meet_is_zero(abs(g), h, n, region) == expected
+
+
+def _term(rng, n, depth):
+    """A random term of operator depth at most ``depth`` with |t|, t^+
+    and 0*t among its operators (``random_term`` draws neither |t| nor
+    0*t above a leaf)."""
+    if depth <= 0:
+        return random_term(rng, n, 0)
+    op = rng.choice(["add", "join", "meet", "scale", "pos", "abs", "zero",
+                     "leaf"])
+    if op == "leaf":
+        return random_term(rng, n, 0)
+    if op in ("scale", "zero", "pos", "abs"):
+        t = _term(rng, n, depth - 1)
+        if op == "scale":
+            return F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 1, 2])) * t
+        return Scale(F(0), t) if op == "zero" else t.pos() if op == "pos" \
+            else abs(t)
+    a, b = _term(rng, n, depth - 1), _term(rng, n, depth - 1)
+    return a + b if op == "add" else a | b if op == "join" else a & b
+
+
+def _witness_text(w):
+    return None if w is None else [str(x) for x in w]
+
+
+class TestDecisionByParts:
+    """``ideal_leq``, ``ideal_meet_is_zero`` and ``check_cevian_triple``
+    decide on zero and cozero sets built by parts; the whole-term
+    decisions they replaced are the oracle (``oracle_vlterms``)."""
+
+    def test_matches_whole_term_oracle(self):
+        rng = random.Random(4410)
+        verdicts = {True: 0, False: 0}
+        for _ in range(150):
+            n, depth = rng.randint(1, 3), rng.randint(1, 3)
+            g, h, k = (_term(rng, n, depth) for _ in range(3))
+            region = omega_region(n) if rng.random() < 0.5 else None
+            for lhs, rhs in ((g, h), (g, ideal_join(h, k)),
+                             (ideal_meet(g, h), k),
+                             (cevian_dev(g, h),
+                              ideal_join(k, cevian_dev(h, g)))):
+                ok, w = ideal_leq(lhs, rhs, n, region)
+                want_ok, want_w = oracle_vlterms.ideal_leq(lhs, rhs, n,
+                                                           region)
+                assert ok == want_ok, (str(lhs), str(rhs), region)
+                assert _witness_text(w) == _witness_text(want_w)
+                verdicts[ok] += 1
+            for a, b in ((g, h), (cevian_dev(g, h), cevian_dev(h, g)),
+                         (ideal_join(g, h), k)):
+                assert ideal_meet_is_zero(a, b, n, region) == \
+                    oracle_vlterms.ideal_meet_is_zero(a, b, n, region)
+            assert check_cevian_triple(g, h, k, n, region) == \
+                oracle_vlterms.check_cevian_triple(g, h, k, n, region)
+        assert min(verdicts.values()) > 100
+
+    @pytest.mark.parametrize("shape", ["ideal-self-join", "g0-self-join"])
+    def test_shared_nodes_answer_within_a_second(self, shape):
+        """A term is a DAG; a walk that followed every path would take
+        2^40 steps on these."""
+        def stop(signum, frame):
+            raise TimeoutError(f"{shape} ran for 1 s")
+
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            if shape == "ideal-self-join":
+                i0, i1 = PrincipalIdeal.of(g0, 2), PrincipalIdeal.of(g1, 2)
+                j = i0
+                for _ in range(40):
+                    j = j.join(j)
+                assert j.same(i0)
+                assert j.join(i1).same(i0.join(i1))
+                ok, w = j.leq(i1)
+                assert not ok and evaluate(g0, w) != 0
+            else:
+                t = g0
+                for _ in range(40):
+                    t = Join(t, t)
+                assert ideal_leq(t, g0, 1) == (True, None)
+                assert ideal_leq(g0, t, 1) == (True, None)
+                assert check_cevian_triple(t, g1, t, 2)
+                assert not ideal_meet_is_zero(t, g0, 1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    def test_verdict_below_whole_term_ceiling(self):
+        """The rhs |(g0-g1)^+| ∨ |(g1-g2)^+| has 6 pieces whole, but the
+        decision builds only {g0-g2 > 0}, {g0-g1 <= 0} and
+        {g1-g2 <= 0}, one piece each."""
+        with pytest.raises(ResourceLimitError):
+            oracle_vlterms.check_cevian_triple(g0, g1, g2, 3, ceiling=2)
+        assert check_cevian_triple(g0, g1, g2, 3, ceiling=2)
+
+    def test_disagreeing_whole_term_path_is_a_contract_error(
+            self, monkeypatch):
+        monkeypatch.setattr(vlterms, "set_witness", lambda S: None)
+        assert ideal_leq(g0, abs(g0), 1) == (True, None)
+        with pytest.raises(ContractError):
+            ideal_leq(g0, g1, 2)
+
+    def test_dimension_checked_before_parts(self):
+        """0*g5 is never linearized by parts; g5 still needs n >= 6."""
+        g5 = gen(5)
+        with pytest.raises(InputError, match="outside the declared"):
+            ideal_leq(0 * g5, g0, 1)
+        with pytest.raises(InputError, match="outside the declared"):
+            ideal_meet_is_zero(g0, 0 * g5, 1)
+        with pytest.raises(InputError, match="outside the declared"):
+            check_cevian_triple(g0, g0, 0 * g5, 1)
+        with pytest.raises(InputError, match="region"):
+            ideal_meet_is_zero(g0, g0, 1, omega_region(2))
+
+    def test_zero_and_cozero_sets_are_cached(self):
+        t = cevian_dev(g0, g1)
+        assert zero_set(t, 2) is zero_set(t, 2)
+        assert cozero_set(t, 2, 50) is cozero_set(cevian_dev(g0, g1), 2, 50)
 
 
 class TestPrincipalIdeal:
