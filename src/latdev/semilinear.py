@@ -13,12 +13,16 @@ the primitive integer vector ``(c0, ..., c{n-1}, const)`` of its form
 (scaled by a positive rational, which keeps its meaning; computed once,
 when the atom is built), and a single
 projection loop, ``_project``, serves emptiness, witness points and
-projection.  Membership tests scale the point to integers over one
-common denominator and read the sign of each atom there, in integer
-arithmetic when the atom's coefficients are integers.  Fractions remain
-where rational values are the result: the coordinates of witness points
-(back-substituted from the integer rows), ``LinearForm.evaluate`` and
-the textual format.
+projection.  The atoms that complement and elimination derive carry only
+integer data, their key and row (negated, or copied from a projected
+row); their ``LinearForm`` is built on first read, which only the
+textual format, reports and callers that ask for ``form`` do.
+Membership tests scale the point to integers over one common
+denominator and read the sign of each atom's primitive row there, in
+integer arithmetic; a coordinate that is not a finite rational is an
+input error.  Fractions remain where rational values are the result:
+the coordinates of witness points (back-substituted from the integer
+rows), ``LinearForm.evaluate`` and the textual format.
 
 Cells are kept as written apart from duplicate-atom removal; empty cells
 are pruned by the operations that create new cells.  Projection reports
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter, mul, neg as _neg
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
@@ -69,6 +73,9 @@ class LinearForm:
                    self.const)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
+        if len(self.coeffs) != len(other.coeffs):
+            raise InputError(f"linear forms of dimensions {len(self.coeffs)} "
+                             f"and {len(other.coeffs)} do not combine")
         return LinearForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
                           self.const + other.const)
 
@@ -120,11 +127,16 @@ class Constraint:
     integral values stored as ints: atoms are equal, hashed and sorted by
     it (equal to comparing ``(rel, coeffs, const)``, with int-to-int
     comparisons).  ``row`` is the atom's integer row for elimination:
-    its relation and the primitive integer vector of its form."""
+    its relation and the primitive integer vector of its form.
+
+    Atoms derived by complement and elimination are built from a key and
+    a row alone (``_derived``); their ``form`` is built from the key on
+    first read."""
     form: LinearForm
     rel: str
     key: tuple = field(init=False, repr=False)
     row: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rel not in _RELS:
@@ -132,11 +144,23 @@ class Constraint:
         f = self.form
         vals = [v.numerator if v.denominator == 1 else v
                 for v in f.coeffs + (f.const,)]
-        object.__setattr__(self, "key", (self.rel, *vals))
+        key = (self.rel, *vals)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
         d = lcm(*[v.denominator for v in vals])
         if d > 1:
             vals = [v.numerator * (d // v.denominator) for v in vals]
         object.__setattr__(self, "row", (self.rel, _primitive(vals)))
+
+    def __getattr__(self, name):
+        # only reached while the ``form`` slot of a derived atom is unset
+        if name != "form":
+            raise AttributeError(
+                f"'Constraint' object has no attribute {name!r}")
+        key = self.key
+        f = LinearForm(tuple(map(Fraction, key[1:-1])), Fraction(key[-1]))
+        object.__setattr__(self, "form", f)
+        return f
 
     def __eq__(self, other):
         if other.__class__ is not Constraint:
@@ -144,21 +168,35 @@ class Constraint:
         return self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def satisfied_by(self, point) -> bool:
-        return _holds(self.key, *_scaled_point(point, self.form.dimension))
+        return _holds((self,), *_scaled_point(point, len(self.key) - 2))
 
     def negations(self) -> tuple:
-        """Atoms whose disjunction is the complement of this atom."""
-        if self.rel == GT:
-            return (Constraint(-self.form, GE),)
-        if self.rel == GE:
-            return (Constraint(-self.form, GT),)
-        return (Constraint(self.form, GT), Constraint(-self.form, GT))
+        """Atoms whose disjunction is the complement of this atom, built
+        from its key and row: ``-form`` has the negated key and row."""
+        (rel, vec), vals = self.row, self.key[1:]
+        neg_rel = GE if rel == GT else GT
+        neg = _derived((neg_rel, *map(_neg, vals)),
+                       (neg_rel, tuple(map(_neg, vec))))
+        if rel != EQ:
+            return (neg,)
+        return (_derived((GT, *vals), (GT, vec)), neg)
 
     def __str__(self) -> str:
         return f"{self.form} {self.rel} 0"
+
+
+def _derived(key: tuple, row: tuple) -> Constraint:
+    """The atom with this key and row (which must agree), built without
+    its form."""
+    a = object.__new__(Constraint)
+    object.__setattr__(a, "rel", key[0])
+    object.__setattr__(a, "key", key)
+    object.__setattr__(a, "row", row)
+    object.__setattr__(a, "_hash", hash(key))
+    return a
 
 
 _atom_key = attrgetter("key")
@@ -188,11 +226,21 @@ class Cell:
     def satisfied_by(self, point) -> bool:
         if not self.atoms:
             return True
-        scaled = _scaled_point(point, self.atoms[0].form.dimension)
-        return all(_holds(a.key, *scaled) for a in self.atoms)
+        return _holds(self.atoms,
+                      *_scaled_point(point, _cell_dimension(self)))
 
     def dimension_consistent(self, n: int) -> bool:
-        return all(a.form.dimension == n for a in self.atoms)
+        return all(len(a.key) == n + 2 for a in self.atoms)
+
+
+def _cell_dimension(cell: Cell) -> int:
+    """The dimension of a cell's atoms; atoms of two dimensions in one
+    cell are an input error.  Checked where a cell enters a decision, not
+    in ``Cell.of``."""
+    k = len(cell.atoms[0].key)
+    if any(len(a.key) != k for a in cell.atoms):
+        raise InputError("cell atoms disagree in dimension")
+    return k - 2
 
 
 @dataclass(frozen=True)
@@ -223,9 +271,11 @@ class SemilinearSet:
         return cls(n, tuple(seen))
 
     def contains(self, point) -> bool:
-        scaled = _scaled_point(point, self.dimension)
-        return any(all(_holds(a.key, *scaled) for a in c.atoms)
-                   for c in self.cells)
+        P, D = _scaled_point(point, self.dimension)
+        for c in self.cells:
+            if _holds(c.atoms, P, D):
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +284,37 @@ class SemilinearSet:
 
 def _scaled_point(point, n: int) -> tuple:
     """``(P, D)``: integers ``P`` and a positive common denominator ``D``
-    with ``point == P / D``."""
+    with ``point == P / D``.  A coordinate that is not a finite rational
+    is an input error."""
     if len(point) != n:
         raise InputError("point dimension mismatch")
-    ratios = [(p if isinstance(p, (int, Fraction)) else Fraction(p))
-              .as_integer_ratio() for p in point]
-    d = lcm(*[q for _, q in ratios])
-    return [p * (d // q) for p, q in ratios], d
+    nums, dens = [], []
+    for p in point:
+        if not isinstance(p, (int, Fraction)):
+            try:
+                p = Fraction(p)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise InputError(
+                    f"coordinate {p!r} is not a finite rational") from None
+        nums.append(p.numerator)
+        dens.append(p.denominator)
+    d = lcm(*dens)
+    if d == 1:
+        return nums, 1
+    return [a * (d // b) for a, b in zip(nums, dens)], d
 
 
-def _holds(key: tuple, P: list, D: int) -> bool:
-    """Whether the atom with this key holds at the point ``P / D``: the
-    sign of its form at ``P`` with the constant scaled by ``D``."""
-    rel = key[0]
-    v = sum(map(mul, P, key[1:]), key[-1] * D)
-    return v > 0 if rel == GT else v >= 0 if rel == GE else v == 0
+def _holds(atoms: Iterable[Constraint], P: list, D: int) -> bool:
+    """Whether every atom holds at the point ``P / D``: the sign of each
+    atom's primitive row at ``P`` with the constant scaled by ``D`` (the
+    row is the form scaled by a positive factor, so the sign is the
+    form's)."""
+    for a in atoms:
+        rel, vec = a.row
+        v = sum(map(mul, P, vec), vec[-1] * D)
+        if not (v > 0 if rel == GT else v >= 0 if rel == GE else v == 0):
+            return False
+    return True
 
 
 def _primitive(vec) -> tuple:
@@ -257,9 +323,8 @@ def _primitive(vec) -> tuple:
 
 
 def _from_row(row: tuple) -> Constraint:
-    rel, vec = row
-    return Constraint(LinearForm(tuple(map(Fraction, vec[:-1])),
-                                 Fraction(vec[-1])), rel)
+    """The atom of a primitive integer row."""
+    return _derived((row[0], *row[1]), row)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +419,8 @@ def is_empty(cell: Cell) -> bool:
     """Whether no rational point satisfies all atoms of the cell."""
     if not cell.atoms:
         return False
-    n = cell.atoms[0].form.dimension
-    rows = [a.row for a in cell.atoms]
-    return _project(rows, range(n)) is None
+    n = _cell_dimension(cell)
+    return _project([a.row for a in cell.atoms], range(n)) is None
 
 
 def witness_point(cell: Cell,
@@ -367,7 +431,7 @@ def witness_point(cell: Cell,
         if dimension is None:
             raise InputError("dimension required for the unconstrained cell")
         return tuple(Fraction(0) for _ in range(dimension))
-    n = cell.atoms[0].form.dimension
+    n = _cell_dimension(cell)
     if dimension is not None and dimension != n:
         raise InputError("dimension mismatch")
     projected = _project([a.row for a in cell.atoms], range(n))

@@ -426,8 +426,9 @@ def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
             # join keeps the larger branch on the closed side, meet the
             # smaller
             diff = f1 - f2 if is_join else f2 - f1
-            first = Cell.of(base + (Constraint(diff, GE),))
-            second = Cell.of(base + (Constraint(-diff, GT),))
+            closed = Constraint(diff, GE)
+            first = Cell.of(base + (closed,))
+            second = Cell.of(base + closed.negations())    # -diff > 0
             if not is_empty(first):
                 acc.append((first, f1))
             if not is_empty(second):
@@ -446,8 +447,8 @@ def cozero_set(t: VLTerm, n: int,
     pw = linearize(t, n, ceiling)
     cells = []
     for cell, f in pw.pieces:
-        for signed in (f, -f):
-            c = Cell.of(cell.atoms + (Constraint(signed, GT),))
+        for atom in Constraint(f, EQ).negations():          # f > 0, -f > 0
+            c = Cell.of(cell.atoms + (atom,))
             if not is_empty(c) and c not in cells:
                 cells.append(c)
     return SemilinearSet(n, tuple(cells))
@@ -514,8 +515,8 @@ def _sign_set(u: VLTerm, n: int, ceiling: Optional[int],
     the cozero and zero set of u⁺ (cached as such by ``_parts``)."""
     cells = []
     for cell, f in linearize(u, n, ceiling).pieces:
-        atom = Constraint(f, GT) if positive else Constraint(-f, GE)
-        c = Cell.of(cell.atoms + (atom,))
+        atom = Constraint(f, GT)
+        c = Cell.of(cell.atoms + ((atom,) if positive else atom.negations()))
         if not is_empty(c):
             cells.append(c)
     return SemilinearSet(n, tuple(cells))

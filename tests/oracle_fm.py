@@ -11,8 +11,12 @@ and ``includes`` built on them.
 Departures from the replaced text: ``is_empty`` is not cached, membership
 is decided by ``satisfied_by``/``contains`` below (the replaced
 ``Constraint.satisfied_by`` and ``SemilinearSet.contains``, evaluating
-each form in ``Fraction``), so that no check here runs the integer
-kernel.
+each form in ``Fraction``), and ``complement`` negates atoms with
+``negations`` below (the replaced ``Constraint.negations``, building
+each negated atom from its ``Fraction`` form), so that no check here
+runs the integer kernel.  ``from_row`` is the replaced ``_from_row``,
+which built the atom of an integer row through its ``Fraction`` form;
+``test_fm_kernel.py`` compares the row-built atoms with both.
 
 ``linearize_pieces`` is the piecewise-form computation of
 ``latdev.vlterms`` that the per-node cache replaced (``test_linearize.py``
@@ -48,6 +52,21 @@ def contains(S: SemilinearSet, point) -> bool:
         raise InputError("point dimension mismatch")
     pt = tuple(Fraction(p) for p in point)
     return any(cell_satisfied_by(c, pt) for c in S.cells)
+
+
+def negations(a: Constraint) -> tuple:
+    """Atoms whose disjunction is the complement of this atom."""
+    if a.rel == GT:
+        return (Constraint(-a.form, GE),)
+    if a.rel == GE:
+        return (Constraint(-a.form, GT),)
+    return (Constraint(a.form, GT), Constraint(-a.form, GT))
+
+
+def from_row(row: tuple) -> Constraint:
+    rel, vec = row
+    return Constraint(LinearForm(tuple(map(Fraction, vec[:-1])),
+                                 Fraction(vec[-1])), rel)
 
 
 def _atom_key(a: Constraint):
@@ -257,7 +276,7 @@ def complement(S: SemilinearSet,
     """De Morgan expansion of the pointwise complement."""
     acc = [Cell(())]
     for cell in S.cells:
-        options = [neg for atom in cell.atoms for neg in atom.negations()]
+        options = [neg for atom in cell.atoms for neg in negations(atom)]
         nxt: list = []
         for base in acc:
             for opt in options:

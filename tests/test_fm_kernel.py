@@ -7,6 +7,9 @@ several equalities per cell, these must be identical: ``is_empty``
 verdicts, ``witness_point`` points (equal, not merely valid),
 ``eliminate`` cells as their atoms' text in order, ``complement`` and
 ``includes`` results; ``contains`` must agree with Fraction evaluation.
+The atoms that complement and elimination derive from integer data
+(``negations``, ``_from_row``) must equal the ones the oracle builds
+through ``Fraction`` forms in every attribute.
 """
 
 import random
@@ -18,8 +21,8 @@ import pytest
 import oracle_fm as oracle
 from latdev.errors import InputError
 from latdev.semilinear import (EQ, GE, GT, Cell, Constraint, LinearForm,
-                               SemilinearSet, complement, eliminate,
-                               includes, is_empty, witness_point)
+                               SemilinearSet, _from_row, complement,
+                               eliminate, includes, is_empty, witness_point)
 
 from conftest import random_point
 
@@ -143,6 +146,69 @@ def test_contains_matches_fraction_evaluation():
                 assert c.satisfied_by(p) == oracle.cell_satisfied_by(c, p)
                 for a in c.atoms:
                     assert a.satisfied_by(p) == oracle.satisfied_by(a, p)
+
+
+def _same_atom(a: Constraint, b: Constraint) -> bool:
+    """Equal in every attribute (each form read fresh, then compared)."""
+    return (a.key, a.row, hash(a), a.form, str(a), a.rel) == \
+        (b.key, b.row, hash(b), b.form, str(b), b.rel)
+
+
+def test_row_built_atoms_match_fraction_built(corpus):
+    checked = 0
+    for _, S, _ in corpus[::2]:
+        for c in S.cells:
+            for a in c.atoms:
+                negs, old = a.negations(), oracle.negations(a)
+                assert len(negs) == len(old), a
+                assert all(map(_same_atom, negs, old)), a
+                for b in negs + (a,):
+                    assert _same_atom(_from_row(b.row),
+                                      oracle.from_row(b.row)), b
+                checked += 1
+    assert checked >= 20_000
+
+
+def test_complement_builds_no_forms():
+    """Derived atoms carry only their key and row until a form is read."""
+    unset = 0
+    for n, S, _ in _corpus():
+        if _de_morgan(S) > 4:
+            continue
+        for c in complement(S).cells:
+            for a in c.atoms:
+                with pytest.raises(AttributeError):
+                    Constraint.form.__get__(a, Constraint)
+                unset += 1
+    assert unset >= 1_000
+
+
+def _coordinates(rng: random.Random, n: int) -> list:
+    """One point of int, one of Fraction, one of both and one of
+    rational literals such as ``"1/2"``."""
+    ints = tuple(rng.randint(-4, 4) for _ in range(n))
+    fracs = random_point(rng, n)
+    mixed = tuple(rng.choice([i, f]) for i, f in zip(ints, fracs))
+    texts = tuple(str(p) for p in random_point(rng, n))
+    return [ints, fracs, mixed, texts]
+
+
+def test_contains_on_complements_matches_fraction_evaluation():
+    checked = 0
+    for n, S, rng in _corpus():
+        if _de_morgan(S) > 3:
+            continue
+        C = complement(S)
+        points = _coordinates(rng, n) + _coordinates(rng, n)
+        points += [w for c in C.cells
+                   if (w := oracle.witness_point(c, n)) is not None]
+        for p in points:
+            assert C.contains(p) == oracle.contains(C, p), (C, p)
+            assert C.contains(p) != S.contains(p), (S, p)
+            for c in C.cells:
+                assert c.satisfied_by(p) == oracle.cell_satisfied_by(c, p)
+        checked += 1
+    assert checked >= 2_000
 
 
 def test_atom_key_keeps_equality_and_order():

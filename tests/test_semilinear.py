@@ -316,3 +316,40 @@ class TestOpPredicates:
             up = upper_shadow_set(U, X)
             assert includes(up, U)[0]
             assert same_set(upper_shadow_set(up, X), up)
+
+
+class TestDimensionChecks:
+    def test_form_sum_keeps_every_variable(self):
+        with pytest.raises(InputError):
+            form([1, 2], 3) + form([1], 0)
+        with pytest.raises(InputError):
+            form([1], 0) - form([1, 2], 3)
+        assert form([1, 2], 3) - form([1, 0], 1) == form([0, 2], 2)
+
+    def test_cell_of_two_dimensions_is_input_error(self):
+        mixed = Cell.of([Constraint(form([1, 2], 3), GT),
+                         Constraint(form([1]), GE)])
+        for check in (is_empty, witness_point,
+                      lambda c: c.satisfied_by((1, 1)),
+                      lambda c: c.satisfied_by((1,))):
+            with pytest.raises(InputError):
+                check(mixed)
+        with pytest.raises(InputError):
+            SemilinearSet(2, (mixed,))
+
+    @pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf"),
+                                     "1/0", None, 1j])
+    def test_coordinate_not_a_finite_rational(self, bad):
+        half = S([["x0 > 0"]], 1)
+        with pytest.raises(InputError):
+            half.contains((bad,))
+        with pytest.raises(InputError):
+            half.cells[0].satisfied_by((bad,))
+        with pytest.raises(InputError):
+            half.cells[0].atoms[0].satisfied_by((bad,))
+
+    @pytest.mark.parametrize("point,inside", [
+        ((1,), True), ((Fraction(-1, 2),), False), (("1/2",), True),
+        (("-0.25",), False), ((0.5,), True), ((True,), True), ((0,), False)])
+    def test_rational_coordinates_of_any_type(self, point, inside):
+        assert S([["x0 > 0"]], 1).contains(point) is inside
