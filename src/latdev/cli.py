@@ -302,8 +302,11 @@ def _run_poset_amalgam(cfg: RunConfig):
               "violation": None if v is None else
               {"clause": v.clause, "data": _ids(v.data)}}
     if v is None and cfg.args["block_witnesses"]:
-        blocks = {p: witness_from_json(w)
-                  for p, w in load_json(cfg.args["block_witnesses"]).items()}
+        raw = load_json(cfg.args["block_witnesses"])
+        if not isinstance(raw, dict):
+            raise InputError("malformed block witnesses JSON: expected an "
+                             "object from index ids to witnesses")
+        blocks = {p: witness_from_json(w) for p, w in raw.items()}
         if nu is None:
             nu = {x: next(p for p in spec.index.elements
                           if x in spec.family[p])

@@ -32,7 +32,8 @@ inclusion), never syntactic.
 
 Operations that multiply cell counts (complement, intersection) enforce
 a configurable ceiling (default ``DEFAULT_CELL_CEILING``) and raise
-:class:`ResourceLimitError` beyond it.
+:class:`ResourceLimitError` beyond it; so does an elimination step that
+would build more than ``MAX_FM_ROWS`` rows.
 
 Variables are 0-indexed and written ``x0, x1, ...`` in the textual
 format, e.g. ``"2*x0 - 1/3*x1 + 1 > 0"``.
@@ -51,6 +52,10 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .errors import ContractError, InputError, ResourceLimitError
 
 DEFAULT_CELL_CEILING = 10_000
+# Most rows one Fourier-Motzkin step may build (kept rows plus lower x
+# upper combinations).  Steps grow doubly exponentially: a cell of 40
+# strict atoms in dimension 3 asks for 12,964,734 rows at its last step.
+MAX_FM_ROWS = 10 ** 6
 
 GT, GE, EQ = ">", ">=", "="
 _RELS = (GT, GE, EQ)
@@ -348,32 +353,22 @@ def _tidy(rows: Iterable[tuple]) -> Optional[list]:
     return out
 
 
-def _obviously_empty(rows: list) -> bool:
-    """Syntactic fast path: a row  f > 0  together with  f = 0  or any row
-    on the negated vector is contradictory.  Catches the sibling cells
-    produced by case-splitting without running a full elimination."""
-    strict = [vec for rel, vec in rows if rel == GT]
-    if not strict:
-        return False
-    vecs = {vec for _, vec in rows}
-    eqs = {vec for rel, vec in rows if rel == EQ}
-    return any(vec in eqs or tuple(-c for c in vec) in vecs
-               for vec in strict)
-
-
 def _project(rows: list, variables: Iterable[int]):
     """Eliminate ``variables`` in order from the rows.
 
     Returns ``(stages, rows)``, with one stage per variable for
     back-substitution: ``("skip", i)``, ``("eq", i, pivot)`` or
-    ``("ineq", i, involved)``; or None once a false constant row appears
-    or ``_obviously_empty`` holds.  An equality step substitutes the first
-    equality that mentions x_i into every other row in place, so the
-    order of the rows, and with it the next pivot, is kept; an inequality
-    step keeps the rows without x_i and appends each lower/upper
-    combination."""
+    ``("ineq", i, involved)``; or None once a false constant row appears.
+    That row is the only verdict of emptiness: elimination is exact, so
+    rows with no rational solution end in one, and no syntactic test runs
+    first.  An equality step substitutes the first equality that mentions
+    x_i into every other row in place, so the order of the rows, and with
+    it the next pivot, is kept; an inequality step keeps the rows without
+    x_i and appends each lower/upper combination, and raises
+    :class:`ResourceLimitError` before building them when that would make
+    more than ``MAX_FM_ROWS`` rows."""
     rows = _tidy(rows)
-    if rows is None or _obviously_empty(rows):
+    if rows is None:
         return None
     stages = []
     for i in variables:
@@ -400,6 +395,11 @@ def _project(rows: list, variables: Iterable[int]):
             new = [r for r in rows if not r[1][i]]
             lowers = [r for r in involved if r[1][i] > 0]
             uppers = [r for r in involved if r[1][i] < 0]
+            count = len(new) + len(lowers) * len(uppers)
+            if count > MAX_FM_ROWS:
+                raise ResourceLimitError(
+                    f"eliminating x{i} would build {count} rows, more "
+                    f"than {MAX_FM_ROWS}")
             for lo_rel, lo in lowers:
                 c1 = lo[i]
                 for up_rel, up in uppers:
@@ -409,7 +409,7 @@ def _project(rows: list, variables: Iterable[int]):
                         [c2 * a + c1 * b for a, b in zip(lo, up)])))
             stages.append(("ineq", i, involved))
         rows = _tidy(new)
-        if rows is None or _obviously_empty(rows):
+        if rows is None:
             return None
     return stages, rows
 

@@ -15,6 +15,10 @@ Formats (element ids are JSON strings):
 * amalgam:    {"carrier": <poset>, "index": <poset>,
                "family": {p: [ids]}, "nu": {x: p}?}
 * semilinear: {"dimension": n, "cells": [["2*x0 - 1 > 0", ...], ...]}
+              (0 <= n <= 10,000; a larger n exceeds a ceiling)
+
+A document of another shape (a value of the wrong JSON type, a missing
+key, a pair that is not two ids) is an :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -22,28 +26,62 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .lattices import FiniteDistributiveLattice, lattice_from_downsets
 from .posets import (FinitePoset, SeparabilityWitness, StrongAmalgamSpec)
 from .semilinear import SemilinearSet, parse_set
 
+# Largest dimension a semilinear document may declare: each atom is
+# parsed into a dense row of that many coefficients.
+_MAX_DIMENSION = 10_000
+
+
+def _field(obj, key: str, what: str):
+    """``obj[key]`` of a JSON object; InputError if ``obj`` is no object
+    or has no such key."""
+    if not isinstance(obj, dict):
+        raise InputError(f"malformed {what} JSON: expected an object")
+    if key not in obj:
+        raise InputError(f"malformed {what} JSON: missing {key!r}")
+    return obj[key]
+
+
+def _is_strings(value) -> bool:
+    """Whether ``value`` is a list of strings (ids or atom texts)."""
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _strings(value, what: str, name: str) -> list:
+    if not _is_strings(value):
+        raise InputError(
+            f"malformed {what} JSON: {name} must be a list of strings")
+    return value
+
+
+def _id_sets(value, what: str, name: str) -> dict:
+    """A JSON object from ids to lists of ids, as id -> frozenset."""
+    if not isinstance(value, dict):
+        raise InputError(
+            f"malformed {what} JSON: {name} must map ids to lists of ids")
+    return {x: frozenset(_strings(v, what, f"{name}[{x!r}]"))
+            for x, v in value.items()}
+
 
 def poset_from_json(obj) -> FinitePoset:
-    try:
-        elements = obj["elements"]
-        pairs = [tuple(p) for p in obj.get("leq", [])]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed poset JSON: {exc}") from None
-    return FinitePoset.from_relation(elements, pairs)
+    elements = _strings(_field(obj, "elements", "poset"), "poset",
+                        "'elements'")
+    pairs = obj.get("leq", [])
+    if not isinstance(pairs, list) or not all(
+            _is_strings(p) and len(p) == 2 for p in pairs):
+        raise InputError(
+            "malformed poset JSON: 'leq' must be a list of [id, id] pairs")
+    return FinitePoset.from_relation(elements, map(tuple, pairs))
 
 
 def witness_from_json(obj) -> SeparabilityWitness:
-    try:
-        A = {x: frozenset(v) for x, v in obj["A"].items()}
-        B = {x: frozenset(v) for x, v in obj["B"].items()}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InputError(f"malformed witness JSON: {exc}") from None
-    return SeparabilityWitness(A, B)
+    return SeparabilityWitness(
+        *(_id_sets(_field(obj, k, "witness"), "witness", repr(k))
+          for k in ("A", "B")))
 
 
 def witness_to_json(P: FinitePoset, W: SeparabilityWitness) -> dict:
@@ -52,10 +90,13 @@ def witness_to_json(P: FinitePoset, W: SeparabilityWitness) -> dict:
 
 
 def lattice_from_json(obj) -> FiniteDistributiveLattice:
-    if "downsets_of" in obj:
+    if isinstance(obj, dict) and "downsets_of" in obj:
         return lattice_from_downsets(poset_from_json(obj["downsets_of"]))
     P = poset_from_json(obj)
     check = obj.get("check_distributive", True)
+    if not isinstance(check, bool):
+        raise InputError("malformed lattice JSON: 'check_distributive' "
+                         "must be true or false")
     D = FiniteDistributiveLattice(P, check_distributive=check)
     if "bottom" in obj and obj["bottom"] != D.bottom:
         raise InputError(
@@ -152,24 +193,29 @@ def deviation_to_json(d: dict) -> dict:
 
 def amalgam_from_json(obj) -> tuple:
     """Returns (spec, nu or None)."""
-    try:
-        carrier = poset_from_json(obj["carrier"])
-        index = poset_from_json(obj["index"])
-        family = {p: frozenset(v) for p, v in obj["family"].items()}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InputError(f"malformed amalgam JSON: {exc}") from None
+    carrier = poset_from_json(_field(obj, "carrier", "amalgam"))
+    index = poset_from_json(_field(obj, "index", "amalgam"))
+    family = _id_sets(_field(obj, "family", "amalgam"), "amalgam",
+                      "'family'")
     nu = obj.get("nu")
-    if nu is not None:
-        nu = dict(nu)
+    if nu is not None and not (isinstance(nu, dict) and all(
+            isinstance(p, str) for p in nu.values())):
+        raise InputError("malformed amalgam JSON: 'nu' must map ids to ids")
     return StrongAmalgamSpec(carrier, index, family), nu
 
 
 def semilinear_from_json(obj) -> SemilinearSet:
-    try:
-        n = int(obj["dimension"])
-        cells = obj["cells"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed semilinear JSON: {exc}") from None
+    n = _field(obj, "dimension", "semilinear")
+    cells = _field(obj, "cells", "semilinear")
+    if type(n) is not int or n < 0:
+        raise InputError("malformed semilinear JSON: 'dimension' must be "
+                         "a non-negative integer")
+    if n > _MAX_DIMENSION:
+        raise ResourceLimitError(
+            f"dimension {n} exceeds ceiling {_MAX_DIMENSION}")
+    if not isinstance(cells, list) or not all(map(_is_strings, cells)):
+        raise InputError("malformed semilinear JSON: 'cells' must be a "
+                         "list of lists of atom texts")
     return parse_set(cells, n)
 
 

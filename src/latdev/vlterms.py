@@ -43,10 +43,12 @@ shared node once.  ``linearize`` caches the pieces of each node (one
 ceiling), so subterms shared between terms or within one are split once.
 A join, meet or sum pairs the pieces of its two sides and skips, before
 building any cell, each pair whose cells clash syntactically: a strict
-row ``f > 0`` in one cell and a row on ``-f``, or ``f = 0``, in the other
-(the test that elimination applies first).  Every cell built from such a
-pair is empty, so the pieces are those of building and testing all
-pairs.
+row ``f > 0`` in one cell and a row on ``-f``, or ``f = 0``, in the other.
+Every cell built from such a pair is empty, so the pieces are those of
+building and testing all pairs.  This is the library's only syntactic
+emptiness test (``semilinear`` decides emptiness by elimination alone);
+it is kept because linearizing a term cold would otherwise build the
+difference form, the atom and both cells of every such pair.
 
 The region of interest is ``omega_region(n)``: points u with
 0 <= u_i <= 1 for all i and u_j <= 2*u_k whenever 0 < j < k.
@@ -69,8 +71,6 @@ from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                          SemilinearSet, intersect, is_empty, parse_rational,
                          set_witness, union, unit_form)
-
-UNIT_KEY = "one"   # sigma key for the unit when substitution may move it
 
 DEFAULT_PIECE_CEILING = 10_000
 
@@ -374,9 +374,9 @@ _NO_ROWS = ((), ())
 
 
 def _clash_rows(cell: Cell) -> tuple:
-    """``(vectors, probes)`` of a piece's cell, for the syntactic test of
-    ``semilinear``'s elimination: a row ``f > 0`` contradicts a row on
-    ``-f`` (any relation) and ``f = 0``.  ``vectors`` holds the integer
+    """``(vectors, probes)`` of a piece's cell, for the library's only
+    syntactic emptiness test: a row ``f > 0`` contradicts a row on ``-f``
+    (any relation) and ``f = 0``.  ``vectors`` holds the integer
     vector of every row and the negated vector of every equality row,
     ``probes`` the negated vector of every strict row; two cells clash
     when the probes of one meet the vectors of the other."""
@@ -395,7 +395,10 @@ def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
     and ``_clash_rows`` of each piece's cell.  The cache is keyed on the
     node, so the subterms that several terms share, or one term holds
     twice, are split once.  A pair of pieces whose cells clash is skipped
-    before any cell is built: every cell built from it is empty."""
+    before any cell is built: every cell built from it is empty.  That
+    test is the library's only syntactic emptiness check; it stays
+    because it saves building the difference form, the atom and two cells
+    per clashing pair when a term is linearized cold."""
     if isinstance(t, Gen):
         coeffs = [Fraction(0)] * n
         coeffs[t.index] = Fraction(1)
@@ -449,7 +452,7 @@ def cozero_set(t: VLTerm, n: int,
     for cell, f in pw.pieces:
         for atom in Constraint(f, EQ).negations():          # f > 0, -f > 0
             c = Cell.of(cell.atoms + (atom,))
-            if not is_empty(c) and c not in cells:
+            if not is_empty(c):
                 cells.append(c)
     return SemilinearSet(n, tuple(cells))
 
@@ -467,7 +470,7 @@ def zero_set(t: VLTerm, n: int,
             c = cell if f.const == 0 else None
         else:
             c = Cell.of(cell.atoms + (Constraint(f, EQ),))
-        if c is not None and not is_empty(c) and c not in cells:
+        if c is not None and not is_empty(c):
             cells.append(c)
     return SemilinearSet(n, tuple(cells))
 
@@ -732,22 +735,18 @@ def check_cevian_triple(g: VLTerm, h: VLTerm, k: VLTerm, n: int,
     return ideal_leq(lhs, rhs, n, region, ceiling)[0]
 
 
-def substitute(t: VLTerm, sigma: Mapping, unit_fixed: bool = True) -> VLTerm:
+def substitute(t: VLTerm, sigma: Mapping) -> VLTerm:
     """Homomorphic substitution of generators.
 
     ``sigma`` maps generator indices to terms and must cover every
-    generator appearing in ``t``.  With ``unit_fixed`` the unit maps to
-    itself; otherwise ``sigma`` may carry an image for it under the key
-    ``UNIT_KEY``."""
+    generator appearing in ``t``; the unit maps to itself."""
     def image(s: VLTerm, kids: list) -> VLTerm:
         if isinstance(s, Gen):
             if s.index not in sigma:
                 raise InputError(f"sigma missing generator {s.index}")
             return sigma[s.index]
         if isinstance(s, One):
-            if unit_fixed or UNIT_KEY not in sigma:
-                return s
-            return sigma[UNIT_KEY]
+            return s
         if isinstance(s, Scale):
             return Scale(s.coeff, kids[0])
         return type(s)(*kids)

@@ -4,9 +4,10 @@ This is the exact-``Fraction`` elimination that the integer kernel in
 ``latdev.semilinear`` replaced, kept verbatim so that the differential
 tests in ``test_fm_kernel.py`` can compare the two: the atom helpers
 (normalization, combination, pivot substitution, tidying and the
-syntactic emptiness test), the three elimination loops of ``is_empty``,
-``witness_point`` and ``eliminate``, and the set-level ``complement``
-and ``includes`` built on them.
+syntactic emptiness test, which the integer kernel no longer has: it
+decides emptiness by elimination alone), the three elimination loops
+of ``is_empty``, ``witness_point`` and ``eliminate``, and the set-level
+``complement`` and ``includes`` built on them.
 
 Departures from the replaced text: ``is_empty`` is not cached, membership
 is decided by ``satisfied_by``/``contains`` below (the replaced

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import copy
 import os
+import random
 import re
 import shlex
 import signal
@@ -17,6 +19,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from latdev import deviations
 from latdev.cli import COMMANDS, SCHEMAS, _build_parser, config_from_args, main
+from latdev.semilinear import form
 from latdev.serialize import (deviation_from_json, deviation_to_json,
                               lattice_from_json, load_json, render_id)
 from latdev.vlterms import MAX_NOISO_K, evaluate, parse_term
@@ -35,6 +38,10 @@ def write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
     return str(p)
+
+
+def _fixture(name):
+    return os.path.join(GOLDEN, "fixtures", name)
 
 
 @pytest.fixture
@@ -477,6 +484,105 @@ def test_vlat_fuzz_exit_codes_and_schema(argv):
         assert out.getvalue() == "" and err.getvalue()
 
 
+# A fixture document per input format and the argv that reads it ("{}"
+# marks the document's file); the amalgam spec gets a nu for its blocks.
+_AMALGAM = {**load_json(_fixture("amalgam.json")),
+            "nu": {x: "r" for x in "abcde"}}
+DOCUMENT_RUNS = [
+    (name if isinstance(name, dict) else load_json(_fixture(name)),
+     [_fixture(a) if a.endswith(".json") else a for a in argv])
+    for name, argv in [
+        ("poset9.json", ["poset", "witness", "--poset", "{}"]),
+        ("poset9.json", ["poset", "order", "--poset", "{}",
+                         "--witness", "witness9.json"]),
+        ("witness9.json", ["poset", "order", "--poset", "poset9.json",
+                           "--witness", "{}"]),
+        ("chain4.json", ["lattice", "check", "{}"]),
+        ("chain4.json", ["deviation", "check", "--lattice", "{}",
+                         "--map", "chain4_bumped.json"]),
+        ("tree.json", ["deviation", "search", "--lattice", "{}"]),
+        ("chain4_bumped.json", ["deviation", "check", "--lattice",
+                                "chain4.json", "--map", "{}"]),
+        (_AMALGAM, ["poset", "amalgam", "--spec", "{}",
+                    "--block-witnesses", "amalgam_blocks.json"]),
+        ("amalgam_blocks.json", ["poset", "amalgam", "--spec",
+                                 "amalgam.json", "--block-witnesses", "{}"]),
+        ("sl_inner.json", ["semilinear", "includes", "--outer",
+                           "sl_outer.json", "--inner", "{}"]),
+        ("sl_outer.json", ["semilinear", "includes", "--outer", "{}",
+                           "--inner", "sl_inner.json"]),
+        ("sl_shadow.json", ["semilinear", "shadow", "--set", "{}",
+                            "--vars", "0,2"]),
+    ]]
+
+
+def _paths(doc, path=()):
+    """The path of the document and of every value nested in it."""
+    yield path
+    if isinstance(doc, (list, dict)):
+        for k in (range(len(doc)) if isinstance(doc, list) else doc):
+            yield from _paths(doc[k], path + (k,))
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+# Any JSON value: null, booleans, integers, finite floats, short texts
+# (ids and atoms of the fixtures among them), lists and objects.  At most
+# 6 leaves, so a replaced poset under "downsets_of" has at most 2^6
+# down-sets (that lattice grows exponentially and has no ceiling).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3) | st.sampled_from(["0", "1", "a", "r", "x0 > 0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2) | st.sampled_from(["0", "a"]),
+                      inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def hostile_documents(draw):
+    """A fixture run with the whole document, or one value at any depth
+    in it, replaced by an arbitrary JSON value or, one time in three, by
+    a text the document holds elsewhere (an id or an atom)."""
+    doc, argv = draw(st.sampled_from(DOCUMENT_RUNS))
+    paths = list(_paths(doc))
+    path = draw(st.sampled_from(paths))
+    values = [_at(doc, p) for p in paths]
+    texts = sorted({v for v in values if isinstance(v, str)})
+    value = draw(st.sampled_from(texts)) if draw(st.integers(0, 2)) == 0 \
+        else draw(JSON_VALUES)
+    if not path:
+        return value, argv
+    doc = copy.deepcopy(doc)
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc, argv
+
+
+@given(hostile_documents())
+@settings(max_examples=500, deadline=None)
+def test_document_fuzz_exit_codes_and_schema(run):
+    doc, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path if a == "{}" else a for a in argv])
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        jsonschema.validate(json.loads(out.getvalue()),
+                            SCHEMAS[" ".join(argv[:2])])
+    else:
+        assert out.getvalue() == "" and err.getvalue()
+
+
 class TestPoset:
     def test_witness_and_order_roundtrip(self, capsys, tmp_path):
         p = write(tmp_path, "v.json", {
@@ -592,6 +698,78 @@ class TestSemilinear:
                           "semilinear", "includes", "--outer", U,
                           "--inner", T)
         assert code == 3
+
+    def test_elimination_row_ceiling_exits_3(self, capsys, tmp_path):
+        """One cell of 40 strict atoms, 20 lower and 20 upper bounds on
+        x0: eliminating x2 would build 12,964,734 rows, so ``includes``
+        stops at MAX_FM_ROWS instead of running for minutes."""
+        rng = random.Random(1)
+        atoms = []
+        for _ in range(20):
+            for s in (1, -1):
+                a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+                c = rng.randint(1, 9)
+                atoms.append(f"{form([s, a, b], c)} > 0")
+        E = write(tmp_path, "empty.json", {"dimension": 3, "cells": []})
+        T = write(tmp_path, "cell.json", {"dimension": 3, "cells": [atoms]})
+        code, out, err, _ = timed(capsys, 10, "semilinear", "includes",
+                                  "--outer", E, "--inner", T)
+        assert code == 3 and out == ""
+        assert "eliminating x2 would build 12964734 rows" in err
+
+
+class TestHostileJson:
+    """A document of the wrong shape is an input error (exit 2), not a
+    traceback (exit 1, which means "false with a witness")."""
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["lattice", "check", "{}"], {"elements": 5}),
+        (["lattice", "check", "{}"], None),
+        (["lattice", "check", "{}"], {"elements": ["a", "b"],
+                                      "leq": [["a"]]}),
+        (["lattice", "check", "{}"], {"elements": ["a", "b"], "leq": "ab"}),
+        (["lattice", "check", "{}"], {"elements": ["a", "b"],
+                                      "leq": [["a", "b", "b"]]}),
+        (["lattice", "check", "{}"], {"downsets_of": [1]}),
+        (["lattice", "check", "{}"], {"elements": ["a"],
+                                      "check_distributive": "no"}),
+        (["poset", "witness", "--poset", "{}"], {"elements": [["a"]]}),
+        (["semilinear", "includes", "--outer", "{}", "--inner",
+          _fixture("sl_inner.json")], {"dimension": 1, "cells": [[3]]}),
+        (["semilinear", "includes", "--outer", "{}", "--inner",
+          _fixture("sl_inner.json")], {"dimension": 1, "cells": 3}),
+        (["semilinear", "shadow", "--set", "{}", "--vars", "0"],
+         {"dimension": 1, "cells": [[3]]}),
+        (["semilinear", "shadow", "--set", "{}", "--vars", "0"],
+         {"dimension": 1, "cells": 3}),
+        (["semilinear", "shadow", "--set", "{}", "--vars", "0"],
+         {"dimension": True, "cells": []}),
+        (["semilinear", "shadow", "--set", "{}", "--vars", "0"],
+         {"dimension": -1, "cells": []}),
+        (["poset", "amalgam", "--spec", "{}"],
+         {**load_json(_fixture("amalgam.json")), "nu": [1]}),
+        (["poset", "amalgam", "--spec", _fixture("amalgam.json"),
+          "--block-witnesses", "{}"], [1]),
+        (["poset", "order", "--poset", _fixture("poset9.json"),
+          "--witness", "{}"], {"A": {"0": "0"}, "B": {}}),
+    ], ids=["elements-int", "null", "leq-single", "leq-text", "leq-triple",
+            "downsets-of-list", "check-distributive-text", "id-list",
+            "includes-atom-int", "includes-cells-int", "shadow-atom-int",
+            "shadow-cells-int", "dimension-bool", "dimension-negative",
+            "nu-list", "block-witnesses-list", "witness-text"])
+    def test_malformed_document_exits_2(self, capsys, tmp_path, argv, doc):
+        path = write(tmp_path, "doc.json", doc)
+        code = main([path if a == "{}" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error")
+
+    def test_dimension_above_ceiling_exits_3(self, capsys, tmp_path):
+        path = write(tmp_path, "doc.json",
+                     {"dimension": 10 ** 12, "cells": [["x0 > 0"]]})
+        code = main(["semilinear", "shadow", "--set", path, "--vars", "0"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
 
 
 class TestVlat:

@@ -9,7 +9,10 @@ verdicts, ``witness_point`` points (equal, not merely valid),
 ``includes`` results; ``contains`` must agree with Fraction evaluation.
 The atoms that complement and elimination derive from integer data
 (``negations``, ``_from_row``) must equal the ones the oracle builds
-through ``Fraction`` forms in every attribute.
+through ``Fraction`` forms in every attribute.  Separately seeded sets
+whose cells hold a written contradiction (``f > 0`` against ``-f`` or
+``f = 0``), which the integer kernel decides by elimination alone, go
+through the same comparisons.
 """
 
 import random
@@ -238,3 +241,72 @@ def test_membership_checks_dimension(point):
         S.cells[0].atoms[0].satisfied_by(point)
     with pytest.raises(InputError):
         oracle.contains(S, point)
+
+
+CONTRADICTIONS = 1_500
+
+
+def _contradiction_sets():
+    """Seeded sets whose first cell holds a written contradiction: 0-4
+    random atoms plus ``f > 0`` with ``c*(-f) >= 0``, ``c*(-f) > 0`` or
+    ``f = 0`` for a random c > 0, where f mentions the first variable in
+    half of the cells and only the last variable in the others; a second,
+    random cell in half of the sets.  Built apart from the corpus, which
+    rarely holds such cells (the integer kernel has no shortcut for them;
+    the oracle's ``is_empty`` does)."""
+    rng = random.Random(20261019)
+    for k in range(CONTRADICTIONS):
+        n = 1 + k % 4
+        atoms: list = []
+        for _ in range(rng.randint(0, 4)):
+            atoms.append(_atom(rng, n, atoms))
+        if k // 4 % 2:
+            coeffs = [_coeff(rng) for _ in range(n)]
+            lead = 0
+        else:
+            coeffs = [Fraction(0)] * n
+            lead = n - 1
+        coeffs[lead] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                rng.choice([1, 2]))
+        f = LinearForm(tuple(coeffs), _coeff(rng))
+        c = Fraction(rng.randint(1, 4), rng.choice([1, 1, 2, 3]))
+        kind = rng.choice([GE, GT, EQ])
+        second = Constraint(f, EQ) if kind == EQ else \
+            Constraint((-f).scale(c), kind)
+        atoms += [Constraint(f, GT), second]
+        rng.shuffle(atoms)
+        cells = [Cell.of(atoms)]
+        if rng.random() < 0.5:
+            cells += random_fm_set(rng, n).cells[:1]
+        yield n, SemilinearSet.of(n, cells), rng, kind
+
+
+def test_written_contradictions_match_oracle():
+    """The cells whose emptiness the deleted syntactic test used to
+    decide: elimination alone reaches the oracle's verdicts, points and
+    projections, and (within the De Morgan bound) its complements and
+    inclusions."""
+    kinds = {GE: 0, GT: 0, EQ: 0}
+    compared = 0
+    for n, S, rng, kind in _contradiction_sets():
+        kinds[kind] += 1
+        cell = S.cells[0]
+        assert is_empty(cell) and oracle.is_empty(cell), cell
+        assert witness_point(cell, n) is None
+        assert oracle.witness_point(cell, n) is None
+        for c in S.cells[1:]:
+            assert is_empty(c) == oracle.is_empty(c), c
+            assert witness_point(c, n) == oracle.witness_point(c, n), c
+        for _ in range(2):
+            vs = [i for i in range(n) if rng.random() < 0.5]
+            assert _text(eliminate(S, vs)) == \
+                _text(oracle.eliminate(S, vs)), (S, vs)
+        T = random_fm_set(rng, n)
+        if _de_morgan(S) <= DE_MORGAN_BOUND:
+            assert complement(S) == oracle.complement(S), S
+            assert includes(S, T) == oracle.includes(S, T), (S, T)
+            compared += 1
+        if _de_morgan(T) <= DE_MORGAN_BOUND:
+            assert includes(T, S) == oracle.includes(T, S), (S, T)
+    assert min(kinds.values()) >= 400 and compared >= 800, \
+        (kinds, compared)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from latdev import semilinear
 from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                                SemilinearSet, complement, eliminate, form,
@@ -70,6 +71,20 @@ class TestEmptiness:
 
     def test_whole_cell_nonempty(self):
         assert not is_empty(Cell(()))
+
+    def test_row_ceiling_counts_kept_rows_and_combinations(self,
+                                                           monkeypatch):
+        """Two lower and two upper bounds on x0 and one row without x0:
+        eliminating x0 builds 1 + 2*2 = 5 rows, allowed up to
+        MAX_FM_ROWS = 5 and refused, before any is built, below it."""
+        cell = parse_cell(["x0 - x1 > 0", "x0 + x1 > 0", "1 - x0 > 0",
+                           "2 - x0 + x1 >= 0", "x1 + 3 > 0"], 2)
+        monkeypatch.setattr(semilinear, "MAX_FM_ROWS", 5)
+        assert witness_point(cell) is not None
+        monkeypatch.setattr(semilinear, "MAX_FM_ROWS", 4)
+        with pytest.raises(ResourceLimitError,
+                           match="eliminating x0 would build 5 rows"):
+            witness_point(cell)
 
 
 class TestWitness:

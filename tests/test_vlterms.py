@@ -13,7 +13,7 @@ from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
     intersect, is_empty, is_empty_set, same_set
 from latdev.vlterms import (MAX_TERM_DEPTH, Join, PrincipalIdeal, Scale,
-                            UNIT_KEY, cevian_dev, check_cevian_triple, const,
+                            cevian_dev, check_cevian_triple, const,
                             cozero_set, evaluate, gen, ideal_join, ideal_leq,
                             ideal_meet, ideal_meet_is_zero, linearize,
                             max_generator, noiso_probe, omega_extend,
@@ -365,12 +365,10 @@ class TestSubstitute:
         s = substitute(t, {0: zero(), 1: zero()})
         assert evaluate(s, (9, 9)) == evaluate(t, (0, 0))
 
-    def test_unit_motion_requires_flag(self):
+    def test_unit_is_fixed(self):
         t = one() + g0
-        s = substitute(t, {0: g0, UNIT_KEY: 2 * g0}, unit_fixed=False)
-        assert evaluate(s, (3,)) == 9
-        s2 = substitute(t, {0: g0, UNIT_KEY: 2 * g0})
-        assert evaluate(s2, (3,)) == 4
+        s = substitute(t, {0: g0, "one": 2 * g0})
+        assert evaluate(s, (3,)) == 4
 
     def test_missing_generator(self):
         with pytest.raises(InputError):
