@@ -235,7 +235,7 @@ def _by_pair(mapping: dict) -> list:
 def _run_adjust(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
     d = deviation_from_json(load_json(cfg.args["map"]), D)
-    order = elements_from_text(cfg.args["order"], D)
+    order = elements_from_text(cfg.args["order"], D.poset)
     res = adjustment.monotone_adjustment(
         D.poset, D, d, order, use_shadows=cfg.args["use_shadows"])
     trace, pairs = {}, 0
@@ -264,7 +264,7 @@ def _run_adjust(cfg: RunConfig):
          schema=_obj({"A": _OBJECT, "B": _OBJECT, "valid": _BOOL}))
 def _run_poset_witness(cfg: RunConfig):
     P = poset_from_json(load_json(cfg.args["poset"]))
-    order = cfg.args["order"].split(",") if cfg.args["order"] \
+    order = elements_from_text(cfg.args["order"], P) if cfg.args["order"] \
         else list(P.elements)
     W = posets.witness_from_order(P, order)
     report = witness_to_json(P, W)

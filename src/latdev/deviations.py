@@ -17,8 +17,10 @@ p not<= y}, and a mirrored pair (x, y), (y, x) has values meeting
 axiom 2 iff (x∖y) ∧ (y∖x) = 0.  The x∖y table is therefore the
 pointwise least deviation whenever one exists, which is exactly when
 the lattice is completely normal; it is monotone and Cevian.  Search
-returns it, and enumeration backtracks over the filters.  Both require
-a distributive lattice.
+checks the table once against both axioms and returns it; a pair that
+breaks axiom 2 is confirmed by the pair test of complete normality in
+``lattices``.  Enumeration backtracks over the filters.  Both require a
+distributive lattice.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
-from .lattices import FiniteDistributiveLattice
+from .lattices import FiniteDistributiveLattice, _normal_pair
 from .posets import ElementId, bits
 
 DeviationMap = Dict[Tuple[ElementId, ElementId], ElementId]
@@ -232,40 +234,23 @@ def _differences(D: FiniteDistributiveLattice) -> list:
     return dif
 
 
-def _confirm_clash(D: FiniteDistributiveLattice, dif: list, x: int,
-                   y: int) -> None:
-    """Re-verify that no values of the pairs (x, y) and (y, x) meet both
-    axioms, where (x∖y) ∧ (y∖x) != 0: every value that axiom 1 allows
-    must lie above the difference, so any two allowed values meet above
-    (x∖y) ∧ (y∖x)."""
-    n = len(D)
-    up, jn = D.poset._up, D._join
-    for a, b in ((x, y), (y, x)):
-        floor = up[dif[a * n + b]]
-        for c in range(n):
-            if up[a] >> jn[b][c] & 1 and not floor >> c & 1:
-                raise ContractError(
-                    f"value {D.elements[c]!r} meets axiom 1 at "
-                    f"{(D.elements[a], D.elements[b])!r} but lies outside "
-                    "the filter of the difference")
-
-
 def _floors(D: FiniteDistributiveLattice) -> Optional[list]:
-    """The x∖y table of D, or None when a mirrored pair has
-    (x∖y) ∧ (y∖x) != 0, so that no deviation exists (a verdict
-    re-verified first).  D must be distributive (InputError otherwise).
+    """The x∖y table of D, or None when it breaks axiom 2 at a pair
+    (x, y) that :func:`lattices._normal_pair` rejects (the values of a
+    deviation there, met with x∨y, would be a witness); ContractError on
+    any other violation.  D must be distributive (InputError otherwise).
     """
     if not D.is_distributive:
         raise InputError("deviation search needs a distributive lattice")
-    n = len(D)
-    mt, bot = D._meet, D._bot
     dif = _differences(D)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if mt[dif[x * n + y]][dif[y * n + x]] != bot:
-                _confirm_clash(D, dif, x, y)
-                return None
-    return dif
+    bad = _violation(D, dif)
+    if bad is None:
+        return dif
+    axiom, x, y = bad
+    if axiom == 2 and not _normal_pair(D, x, y):
+        return None
+    raise ContractError(f"the x∖y table breaks axiom {axiom} at "
+                        f"{(D.elements[x], D.elements[y])!r}")
 
 
 def _solutions(D: FiniteDistributiveLattice) -> Iterator[list]:
@@ -322,10 +307,8 @@ def _solutions(D: FiniteDistributiveLattice) -> Iterator[list]:
 
 
 def _verify(D, t, require_monotone, require_cevian) -> bool:
-    """Whether t is a deviation with the requested properties; only the
+    """Whether the deviation t has the requested properties; only the
     requested sweeps run."""
-    if _violation(D, t) is not None:
-        return False
     if not (require_monotone or require_cevian):
         return True
     rows = _rows(D, t)
@@ -342,11 +325,11 @@ def search_deviation(D: FiniteDistributiveLattice,
     completely normal.
 
     Every deviation lies pointwise above x∖y, and the x∖y table is
-    monotone and Cevian; it is a deviation iff no mirrored pair has
-    (x∖y) ∧ (y∖x) != 0, i.e. iff D is completely normal.  So no search
-    node is placed, and the flags do not change the result: they select
-    the sweeps that re-verify it before it is returned.  Raises
-    InputError on a non-distributive lattice.
+    monotone and Cevian; it is a deviation iff D is completely normal.
+    So no search node is placed: the table is checked against both
+    axioms once, and the flags do not change the result but select the
+    sweeps that re-verify it before it is returned.  Raises InputError
+    on a non-distributive lattice.
     """
     t = _floors(D)
     if t is None:

@@ -12,6 +12,8 @@ Distributivity is decided by Birkhoff's representation theorem: a finite
 lattice L is distributive iff it has as many elements as the lattice of
 down-sets of its join-irreducibles.  The same theorem gives the prime
 ideals: they are the principal ideals ↓m whose complement is a filter.
+Complete normality is decided pair by pair by ``_normal_pair``, which
+deviation search shares.
 The distributivity check can be switched off to admit non-distributive
 tables as negative fixtures for the zero-distributivity test; deviation
 search and the monotone adjustment reject such lattices.
@@ -22,9 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, ResourceLimitError
 from .posets import (ElementId, FinitePoset, bits, canonical_key,
                      down_set_masks)
+
+# Most elements ``lattice_from_downsets`` builds.  Tables are n×n and
+# masks n bits, so 4,096 elements take about 11 s and 540 MB on a 2-vCPU
+# host, and an antichain of k ids asks for 2^k.
+MAX_LATTICE_ELEMENTS = 4096
 
 
 class FiniteDistributiveLattice:
@@ -151,10 +158,16 @@ def lattice_from_downsets(J: FinitePoset) -> FiniteDistributiveLattice:
     """The distributive lattice of down-sets of J, ordered by inclusion.
 
     Element ids are tuples of member ids in J's canonical order, so the
-    bottom is the empty tuple.
+    bottom is the empty tuple.  Raises ResourceLimitError, before any
+    table is built, when J has more than ``MAX_LATTICE_ELEMENTS``
+    down-sets.
     """
-    downs = sorted(down_set_masks(
-        {i: d & ~(1 << i) for i, d in enumerate(J._down)}), key=canonical_key)
+    downs = down_set_masks({i: d & ~(1 << i) for i, d in enumerate(J._down)},
+                           limit=MAX_LATTICE_ELEMENTS)
+    if len(downs) > MAX_LATTICE_ELEMENTS:
+        raise ResourceLimitError(f"the down-set lattice has more than "
+                                 f"{MAX_LATTICE_ELEMENTS} elements")
+    downs = sorted(downs, key=canonical_key)
     # containing[j]: the down-sets that contain element j of J
     containing = [0] * len(J)
     for k, S in enumerate(downs):
@@ -222,30 +235,41 @@ def is_completely_normal(D: FiniteDistributiveLattice) -> tuple:
     a∨b = a∨y = x∨b and x∧y = 0.
 
     Returns (True, None) or (False, (a, b)) for the first pair with no
-    such x, y.  Comparable pairs always succeed (take x or y to be 0).
+    such x, y.  The condition is symmetric and comparable pairs always
+    succeed (take x or y to be 0), so only incomparable a < b are tried.
     """
-    n = len(D)
-    up = D.poset._up
-    jn, mt = D._join, D._meet
-    bot = D._bot
-    for i in range(n):
-        for j in range(n):
-            if up[i] >> j & 1 or up[j] >> i & 1:
-                continue
-            t = jn[i][j]
-            ok = False
-            for x in range(n):
-                if jn[x][j] != t:
-                    continue
-                for y in range(n):
-                    if jn[i][y] == t and mt[x][y] == bot:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
-                return (False, (D.elements[i], D.elements[j]))
+    n, up, down = len(D), D.poset._up, D.poset._down
+    for a in range(n):
+        for b in bits(~(up[a] | down[a]) & ((1 << n) - (2 << a))):
+            if not _normal_pair(D, a, b):
+                return (False, (D.elements[a], D.elements[b]))
     return (True, None)
+
+
+def _normal_pair(D: FiniteDistributiveLattice, a: int, b: int) -> bool:
+    """Whether some x, y satisfy a∨b = a∨y = x∨b and x∧y = 0 (positions).
+
+    On a distributive lattice x = a∖b and y = b∖a, the least candidates,
+    are tried first.  True needs a witness checked on the tables and
+    False an exhaustive scan, so the verdict is exact on any lattice.
+    """
+    jn, mt, bot = D._join, D._meet, D._bot
+    top = jn[a][b]
+    if D._distributive:
+        bk, x, y = D._birkhoff, 0, 0
+        u, v = bk[a] & ~bk[b], bk[b] & ~bk[a]
+        while u:                # x, y: the down-closures of u, v in J
+            x |= bk[u.bit_length() - 1]
+            u &= ~x
+        while v:
+            y |= bk[v.bit_length() - 1]
+            v &= ~y
+        x, y = D._from_birkhoff[x], D._from_birkhoff[y]
+        if jn[a][y] == top == jn[x][b] and mt[x][y] == bot:
+            return True
+    xs = [x for x, t in enumerate(jn[b]) if t == top]
+    ys = [y for y, t in enumerate(jn[a]) if t == top]
+    return any(mt[x][y] == bot for x in xs for y in ys)
 
 
 # ---------------------------------------------------------------------------

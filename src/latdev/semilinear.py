@@ -56,6 +56,9 @@ DEFAULT_CELL_CEILING = 10_000
 # upper combinations).  Steps grow doubly exponentially: a cell of 40
 # strict atoms in dimension 3 asks for 12,964,734 rows at its last step.
 MAX_FM_ROWS = 10 ** 6
+# Largest dimension of a semilinear document or of a term's space: every
+# atom and piece holds a dense row of that many coefficients.
+MAX_DIMENSION = 10_000
 
 GT, GE, EQ = ">", ">=", "="
 _RELS = (GT, GE, EQ)

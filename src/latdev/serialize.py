@@ -8,10 +8,12 @@ Formats (element ids are JSON strings):
 * lattice:    {"downsets_of": <poset>}  or
               {"elements": ..., "leq": ..., "bottom": id,
                "check_distributive": bool?}
+              (a poset with more than 4,096 down-sets exceeds a ceiling)
 * deviation:  {"d": {"x,y": value}}, or a ``deviation search`` report
               holding it under "deviation"; ids are written as str(id)
               or, for down-set lattices, as {a,b} (so are the ids of
-              ``adjust --order``)
+              ``adjust --order``; ``poset witness --order`` reads a
+              poset's ids the same way)
 * amalgam:    {"carrier": <poset>, "index": <poset>,
                "family": {p: [ids]}, "nu": {x: p}?}
 * semilinear: {"dimension": n, "cells": [["2*x0 - 1 > 0", ...], ...]}
@@ -29,11 +31,7 @@ from typing import Optional
 from .errors import InputError, ResourceLimitError
 from .lattices import FiniteDistributiveLattice, lattice_from_downsets
 from .posets import (FinitePoset, SeparabilityWitness, StrongAmalgamSpec)
-from .semilinear import SemilinearSet, parse_set
-
-# Largest dimension a semilinear document may declare: each atom is
-# parsed into a dense row of that many coefficients.
-_MAX_DIMENSION = 10_000
+from .semilinear import MAX_DIMENSION, SemilinearSet, parse_set
 
 
 def _field(obj, key: str, what: str):
@@ -125,21 +123,21 @@ def _pair(key: str, names: dict) -> tuple:
     return cuts[0]
 
 
-def _element_names(D: FiniteDistributiveLattice) -> dict:
-    """Each element of the lattice under both of its renderings."""
+def _element_names(P: FinitePoset) -> dict:
+    """Each element of the poset under both of its renderings."""
     names: dict = {}
-    for e in D.poset.elements:
+    for e in P.elements:
         names.setdefault(str(e), e)
         names.setdefault(render_id(e), e)
     return names
 
 
-def elements_from_text(text: str, D: FiniteDistributiveLattice) -> list:
-    """The elements of a comma-separated list of ids, rendered by
-    ``str`` or as ``{a,b}`` (so they may hold commas): the one way of
+def elements_from_text(text: str, P: FinitePoset) -> list:
+    """The elements of P named by a comma-separated list of ids, rendered
+    by ``str`` or as ``{a,b}`` (so they may hold commas): the one way of
     cutting the text at commas into segments that each name an element."""
-    names = _element_names(D)
-    width = 1 + max(name.count(",") for name in names)
+    names = _element_names(P)
+    width = 1 + max((name.count(",") for name in names), default=0)
     parts = text.split(",")
     # count[j]: the cuttings of parts[:j], counted up to two (ambiguous);
     # start[j]: where the last segment of one of them starts
@@ -151,10 +149,10 @@ def elements_from_text(text: str, D: FiniteDistributiveLattice) -> list:
                 count[j] = min(2, count[j] + count[i])
                 start[j] = i
     if count[-1] == 0:
-        raise InputError(f"{text!r} is not a list of lattice elements")
+        raise InputError(f"{text!r} is not a list of elements")
     if count[-1] > 1:
         raise InputError(f"{text!r} reads as more than one list of "
-                         f"lattice elements")
+                         f"elements")
     segments, j = [], len(parts)
     while j:
         segments.append(",".join(parts[start[j]:j]))
@@ -175,7 +173,7 @@ def deviation_from_json(obj, D: FiniteDistributiveLattice) -> dict:
         items = list(raw.items())
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed deviation JSON: {exc}") from None
-    names = _element_names(D)
+    names = _element_names(D.poset)
     d = {}
     for key, v in items:
         x, y = _pair(key, names)
@@ -210,9 +208,9 @@ def semilinear_from_json(obj) -> SemilinearSet:
     if type(n) is not int or n < 0:
         raise InputError("malformed semilinear JSON: 'dimension' must be "
                          "a non-negative integer")
-    if n > _MAX_DIMENSION:
+    if n > MAX_DIMENSION:
         raise ResourceLimitError(
-            f"dimension {n} exceeds ceiling {_MAX_DIMENSION}")
+            f"dimension {n} exceeds ceiling {MAX_DIMENSION}")
     if not isinstance(cells, list) or not all(map(_is_strings, cells)):
         raise InputError("malformed semilinear JSON: 'cells' must be a "
                          "list of lists of atom texts")

@@ -9,6 +9,9 @@ tests in ``test_order_kernel.py`` can compare the two:
 * the least-upper-bound / greatest-lower-bound scan that built the
   join/meet tables, and the triple scans for distributivity and
   zero-distributivity;
+* ``is_completely_normal`` as the search over all x, y for every
+  incomparable pair, on the position tables (kept verbatim), which the
+  pair test ``lattices._normal_pair`` replaced;
 * ``prime_ideal_poset`` by enumeration of all down-sets;
 * the down-set lattice of a poset as the inclusion relation on all
   down-sets;
@@ -131,6 +134,37 @@ def zero_distributivity_failure(elements, jn, mt, bot) -> Optional[tuple]:
                         and mt[jn[i][j]][k] != bot:
                     return (elements[i], elements[j], elements[k])
     return None
+
+
+def is_completely_normal(D) -> tuple:
+    """Whether every pair a, b admits x, y with
+    a∨b = a∨y = x∨b and x∧y = 0.
+
+    Returns (True, None) or (False, (a, b)) for the first pair with no
+    such x, y.  Comparable pairs always succeed (take x or y to be 0).
+    """
+    n = len(D)
+    up = D.poset._up
+    jn, mt = D._join, D._meet
+    bot = D._bot
+    for i in range(n):
+        for j in range(n):
+            if up[i] >> j & 1 or up[j] >> i & 1:
+                continue
+            t = jn[i][j]
+            ok = False
+            for x in range(n):
+                if jn[x][j] != t:
+                    continue
+                for y in range(n):
+                    if jn[i][y] == t and mt[x][y] == bot:
+                        ok = True
+                        break
+                if ok:
+                    break
+            if not ok:
+                return (False, (D.elements[i], D.elements[j]))
+    return (True, None)
 
 
 def all_down_sets(P: FinitePoset) -> list:

@@ -29,7 +29,7 @@ from latdev.semilinear import intersect, is_empty_set
 
 from conftest import (all_posets, random_point, random_poset,
                       random_semilinear)
-from oracle_orders import join_all
+from oracle_orders import is_completely_normal as oracle_normal, join_all
 
 
 def report(num, label, t0, extra=""):
@@ -386,7 +386,8 @@ def test_criterion_12_monotone_cevian_deviation_iff_completely_normal(
     lattices of chain(k)×chain(3) for k <= 12 (455 elements at k = 12)
     and the products chain(k)×chain(3) themselves, B1-B7, and the
     down-set lattices of binary trees, root on top (completely normal)
-    and root at the bottom (not)."""
+    and root at the bottom (not).  The verdict and the first failing
+    pair match the exhaustive pair search of ``oracle_orders``."""
     t0 = time.time()
     chains = [FinitePoset.from_relation(
         [(i, j) for i in range(k) for j in range(3)],
@@ -406,7 +407,9 @@ def test_criterion_12_monotone_cevian_deviation_iff_completely_normal(
     found = 0
     for D in lattices:
         d = search_deviation(D, require_monotone=True, require_cevian=True)
-        assert (d is not None) == is_completely_normal(D)[0]
+        cn = is_completely_normal(D)
+        assert cn == oracle_normal(D)
+        assert (d is not None) == cn[0]
         if d is None:
             continue
         rep = deviation_properties(D, d)

@@ -109,6 +109,27 @@ class TestLattice:
         rep = json.loads(out)
         assert rep["elements"] == 64 and rep["prime_ideal_count"] == 6
 
+    def test_check_b10_under_five_seconds(self, capsys, tmp_path):
+        """B10 has 1,024 elements and about 465,000 incomparable pairs,
+        each decided by the pair x∖y, y∖x of Birkhoff masks."""
+        b10 = write(tmp_path, "b10.json", {
+            "downsets_of": {"elements": list("abcdefghij"), "leq": []}})
+        code, out, _, _ = timed(capsys, 5, "lattice", "check", b10)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["elements"] == 1024 and rep["completely_normal"] is True
+
+    def test_downset_lattice_above_ceiling_exits_3(self, capsys, tmp_path):
+        """A 13-id antichain has 8,192 down-sets: more than
+        MAX_LATTICE_ELEMENTS, refused before any table is built."""
+        p = write(tmp_path, "b13.json", {
+            "downsets_of": {"elements": list("abcdefghijklm"), "leq": []}})
+        for argv in (("lattice", "check", p),
+                     ("deviation", "search", "--lattice", p)):
+            code, out, err, _ = timed(capsys, 1, *argv)
+            assert code == 3 and out == ""
+            assert "more than 4096 elements" in err
+
     def test_check_chain_exits_0(self, capsys, chain4):
         code, out = run_cli(capsys, "lattice", "check", chain4)
         assert code == 0
@@ -533,7 +554,8 @@ def _at(doc, path):
 # Any JSON value: null, booleans, integers, finite floats, short texts
 # (ids and atoms of the fixtures among them), lists and objects.  At most
 # 6 leaves, so a replaced poset under "downsets_of" has at most 2^6
-# down-sets (that lattice grows exponentially and has no ceiling).
+# down-sets (that lattice grows exponentially: its ceiling of 4,096
+# elements takes seconds to build).
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
@@ -598,6 +620,31 @@ class TestPoset:
                             "--witness", w)
         assert code == 0
         schema_check("poset order", out)
+
+    @pytest.mark.parametrize("order, A, B", [
+        ("a,b,c", {"a,b": ["a,b"], "c": ["c"]},
+         {"a,b": ["a,b"], "c": ["a,b", "c"]}),
+        ("c,a,b", {"a,b": ["a,b", "c"], "c": ["c"]},
+         {"a,b": ["a,b"], "c": ["c"]}),
+    ])
+    def test_witness_order_ids_with_commas(self, capsys, tmp_path, order,
+                                           A, B):
+        """--order cuts the text only where both sides name elements, as
+        adjust --order does."""
+        p = write(tmp_path, "comma.json", {
+            "elements": ["a,b", "c"], "leq": [["a,b", "c"]]})
+        code, out = run_cli(capsys, "poset", "witness", "--poset", p,
+                            "--order", order)
+        assert code == 0
+        assert json.loads(out) == {"A": A, "B": B, "valid": True}
+
+    @pytest.mark.parametrize("elements", [["a,b", "c"], []])
+    def test_witness_order_unknown_id_exits_2(self, capsys, tmp_path,
+                                              elements):
+        p = write(tmp_path, "p.json", {"elements": elements, "leq": []})
+        code, out = run_cli(capsys, "poset", "witness", "--poset", p,
+                            "--order", "a,b,z")
+        assert code == 2 and out == ""
 
     def test_order_invalid_witness_exits_2(self, capsys, tmp_path):
         p = write(tmp_path, "c2.json",
@@ -892,6 +939,17 @@ class TestVlat:
             code, out = run_cli(capsys, "vlat", "pscom-probe",
                                 "--probes", str(path))
             assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("leq", "--n", "10001", "--lhs", "g0", "--rhs", "g1"),
+        ("leq", "--omega", "--n", "101", "--lhs", "g0", "--rhs", "g1"),
+        ("pscom-probe", "--n", "101"),
+    ], ids=["leq", "leq-omega", "pscom-probe"])
+    def test_dimension_above_ceiling_exits_3(self, capsys, argv):
+        """Terms live in dimension at most semilinear.MAX_DIMENSION and
+        the region in at most vlterms.MAX_REGION_DIMENSION."""
+        code, out, err, _ = timed(capsys, 1, "vlat", *argv)
+        assert code == 3 and out == "" and "exceeds ceiling" in err
 
     def test_pscom_probe_seeded(self, capsys):
         code, out = run_cli(capsys, "--seed", "5", "vlat", "pscom-probe",

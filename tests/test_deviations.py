@@ -9,8 +9,9 @@ from latdev.deviations import (_differences, _floors, check_deviation,
                                deviation_properties, enumerate_deviations,
                                search_deviation)
 from latdev.errors import ContractError, InputError, ResourceLimitError
-from latdev.lattices import (FiniteDistributiveLattice, chain_lattice,
-                             is_completely_normal, lattice_from_downsets)
+from latdev.lattices import (FiniteDistributiveLattice, _normal_pair,
+                             chain_lattice, is_completely_normal,
+                             lattice_from_downsets)
 from latdev.posets import FinitePoset, bits
 
 import oracle_orders as oracle
@@ -219,14 +220,17 @@ class TestSearch:
         """Declared in shuffled order, a corpus lattice carries a
         deviation from search iff it is completely normal; the map passes
         the id-based checks, is monotone and Cevian, and is the map that
-        search finds on the down-set original."""
+        search finds on the down-set original.  Complete normality, with
+        its first failing pair, matches the exhaustive pair search."""
         rng = random.Random(59)
         for D in downset_lattice_corpus(4):
             S = shuffled(rng, D)
             found = [search_deviation(S, mono, cev) for mono, cev in FLAGS]
             assert found == [found[0]] * len(FLAGS)
             d = found[0]
-            assert (d is not None) == is_completely_normal(S)[0]
+            cn = is_completely_normal(S)
+            assert cn == oracle.is_completely_normal(S)
+            assert (d is not None) == cn[0]
             if d is None:
                 continue
             assert oracle.check_deviation(S, d) is None
@@ -295,6 +299,22 @@ class TestDifferences:
                 for y in range(n):
                     assert bits(up[dif[x * n + y]]) == \
                         [c for c in range(n) if up[x] >> jn[y][c] & 1]
+
+    def test_pair_test_agrees_with_the_table(self):
+        """x∖y has two computations, the incremental table and the
+        Birkhoff masks of ``lattices._normal_pair``: the pair test holds
+        exactly where the mirrored entries of the table meet in 0."""
+        verdicts = set()
+        for D in difference_lattices():
+            n, mt, bot = len(D), D._meet, D._bot
+            dif = _differences(D)
+            for x in range(n):
+                for y in range(n):
+                    normal = _normal_pair(D, x, y)
+                    assert normal == \
+                        (mt[dif[x * n + y]][dif[y * n + x]] == bot)
+                    verdicts.add(normal)
+        assert verdicts == {True, False}
 
     def test_corrupted_differences_caught(self, monkeypatch):
         """A difference table that claims a clash on a chain, where every

@@ -8,6 +8,7 @@ and so must the exception type and message on malformed orders.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -201,9 +202,11 @@ def random_bounded_poset(rng: random.Random) -> FinitePoset:
 def test_birkhoff_count_agrees_with_triple_scan():
     """Distributivity by Birkhoff's count and zero-distributivity by one
     join per element agree with the triple scans, the latter also on the
-    first failing triple."""
+    first failing triple; complete normality by the pair test agrees
+    with the exhaustive pair search, also on the first failing pair."""
     rng = random.Random(20261018)
     lattices = non_distributive = non_zero_distributive = 0
+    normal = Counter()          # (distributive, completely normal)
     while lattices < 10_000:
         P = random_bounded_poset(rng)
         err = raised(FiniteDistributiveLattice, P, check_distributive=False)
@@ -225,9 +228,13 @@ def test_birkhoff_count_agrees_with_triple_scan():
                                                 D._bot)
         assert is_zero_distributive(D) == (zd is None, zd)
         non_zero_distributive += zd is not None
-    # both kinds occur often enough for the agreement to mean something
+        cn = oracle.is_completely_normal(D)
+        assert is_completely_normal(D) == cn
+        normal[D.is_distributive, cn[0]] += 1
+    # each kind occurs often enough for the agreement to mean something
     assert 1_000 < non_distributive < 9_000
     assert 1_000 < non_zero_distributive < non_distributive
+    assert len(normal) == 4 and min(normal.values()) > 400
 
 
 # ---------------------------------------------------------------------------

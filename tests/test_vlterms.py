@@ -12,8 +12,8 @@ from latdev import vlterms
 from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
     intersect, is_empty, is_empty_set, same_set
-from latdev.vlterms import (MAX_TERM_DEPTH, Join, PrincipalIdeal, Scale,
-                            cevian_dev, check_cevian_triple, const,
+from latdev.vlterms import (MAX_REGION_DIMENSION, MAX_TERM_DEPTH, Join,
+                            PrincipalIdeal, Scale, cevian_dev, check_cevian_triple, const,
                             cozero_set, evaluate, gen, ideal_join, ideal_leq,
                             ideal_meet, ideal_meet_is_zero, linearize,
                             max_generator, noiso_probe, omega_extend,
@@ -379,6 +379,12 @@ class TestOmega:
     def test_region_nonempty_all_ones(self):
         for n in (1, 2, 4):
             assert omega_region(n).contains(tuple(F(1) for _ in range(n)))
+
+    def test_region_dimension_ceiling(self):
+        reg = omega_region(MAX_REGION_DIMENSION)
+        assert reg.contains(tuple(F(1) for _ in range(reg.n)))
+        with pytest.raises(ResourceLimitError):
+            omega_region(MAX_REGION_DIMENSION + 1)
 
     def test_extend_copies_next_above(self):
         assert omega_extend({2: F(1, 2)}, 3) == (F(1, 2), F(1, 2), F(1, 2))
