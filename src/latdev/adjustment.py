@@ -29,23 +29,24 @@ the meetands and the joinands of (a,b),
     p <= d'(a,b)  iff  (p <= d(a,b) and S ⊆ has[p]) or T ∩ has[p] ≠ ∅,
 
 which is O(|J(D)|) mask operations per pair.  The shadow path folds the
-masks of its few keys.  The trace is decoded on read: it keeps the
-O(m) row and column rank masks and each pair's block start (naive path)
-or each pair's key lists (shadow path), and rebuilds an entry's
-meetands and joinands when the entry is read.
+masks of its few operands in place.  The trace is decoded on read: it
+keeps the O(m) row and column rank masks and each pair's block start
+(naive path) or the prefix shadows (shadow path), and rebuilds an
+entry's meetands and joinands when the entry is read; the shadow path
+rebuilds them with ``_shadow_bound_keys``.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
 from typing import Sequence, Tuple
 
 from .errors import InputError
 from .lattices import FiniteDistributiveLattice
 from .posets import ElementId, FinitePoset, bits, check_enumeration
+
+_MISSING = object()
 
 
 class PairOrderContext:
@@ -200,17 +201,20 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
     order = check_enumeration(M, enumeration)
     m = len(M)
     lat = D.poset._idx
+    bk = D._birkhoff
     pairs = [(x, y) for x in M.elements for y in M.elements]
     at_pair = pairs.__getitem__
     vals = []                   # d, flat over M × M
+    dp = []                     # d, then d', as Birkhoff masks
     for pair in pairs:
-        if pair not in d:
+        v = d.get(pair, _MISSING)
+        if v is _MISSING:
             raise InputError(f"map not total: missing {pair!r}")
-        if d[pair] not in lat:
-            raise InputError(f"value {d[pair]!r} outside lattice")
-        vals.append(d[pair])
-    bk = D._birkhoff
-    dp = [bk[lat[v]] for v in vals]     # d, then d', as Birkhoff masks
+        i = lat.get(v)
+        if i is None:
+            raise InputError(f"value {v!r} outside lattice")
+        vals.append(v)
+        dp.append(bk[i])
     seq = [M.index(x) for x in order]
     # the ordered pairs in decision order: the blocks {a, b} with a ⊑ b in
     # ⊴-ascending order, (a, b) before (b, a); starts[r] is the rank of
@@ -229,20 +233,31 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
         shads = [None] * m
         for c, s in zip(seq, M._prefix_shadows(seq)):
             shads[c] = tuple(map(bits, s))
-
-        keys = []               # per rank, the flat keys of its operands
+        # per element c, the row offsets x*m of U_c and of V_c
+        offs = [([x * m for x in U], [x * m for x in V]) for U, V in shads]
 
         def entry(r):
-            meet_ks, join_ks = keys[r]
-            return TraceEntry(vals[ordered[r]], tuple(map(at_pair, meet_ks)),
+            ab = ordered[r]
+            meet_ks, join_ks = _shadow_bound_keys(shads, m, *divmod(ab, m))
+            return TraceEntry(vals[ab], tuple(map(at_pair, meet_ks)),
                               tuple(map(at_pair, join_ks)))
 
-        at = dp.__getitem__
+        # the operands of _shadow_bound_keys, folded in place
         for ab in ordered:
-            meet_ks, join_ks = _shadow_bound_keys(shads, m, *divmod(ab, m))
-            keys.append((meet_ks, join_ks))
-            dp[ab] = (reduce(and_, map(at, meet_ks), dp[ab])
-                      | reduce(or_, map(at, join_ks), 0))
+            a, b = divmod(ab, m)
+            am = ab - b
+            U_a, V_a = offs[a]
+            U_b, V_b = shads[b]
+            v = dp[ab]
+            for xm in U_a:
+                v &= dp[xm + b]
+            for y in V_b:
+                v &= dp[am + y]
+            for xm in V_a:
+                v |= dp[xm + b]
+            for y in U_b:
+                v |= dp[am + y]
+            dp[ab] = v
     else:
         # rows[x] / cols[y]: decision ranks of the pairs (x, _) / (_, y);
         # the meetands of (a, b) are the decided ranks S in the rows of ↑a
@@ -284,8 +299,13 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
         # p; p <= d'(a,b) iff p <= d(a,b) and S ⊆ has[i], or T meets has[i]
         irr = [1 << p for p in bits(D._irr)]
         has = [0] * len(irr)
+        done = 0
         for r, ab in enumerate(ordered):
-            S, T = rank_masks(r)
+            if starts[r] == r:
+                done = (1 << r) - 1     # ranks of the earlier blocks
+            a, b = divmod(ab, m)
+            S = rows_up[a] & cols_down[b] & done
+            T = rows_down[a] & cols_up[b] & done
             base, v, bit = dp[ab], 0, 1 << r
             for i, p in enumerate(irr):
                 h = has[i]

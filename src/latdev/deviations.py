@@ -29,10 +29,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
-from .lattices import FiniteDistributiveLattice, _normal_pair
+from .lattices import (FiniteDistributiveLattice, _meet_irreducibles,
+                       _normal_pair)
 from .posets import ElementId, bits
 
 DeviationMap = Dict[Tuple[ElementId, ElementId], ElementId]
+
+_MISSING = object()
 
 # Most values one enumeration places (search nodes) before it stops
 # with ResourceLimitError.  Every placed value extends to a deviation, so
@@ -54,12 +57,13 @@ def _table(D: FiniteDistributiveLattice, d: DeviationMap) -> list:
     t = []
     for x in D.elements:
         for y in D.elements:
-            if (x, y) not in d:
+            v = d.get((x, y), _MISSING)
+            if v is _MISSING:
                 raise InputError(f"map not total: missing pair {(x, y)!r}")
-            v = d[(x, y)]
-            if v not in idx:
+            i = idx.get(v)
+            if i is None:
                 raise InputError(f"value {v!r} at {(x, y)!r} outside carrier")
-            t.append(idx[v])
+            t.append(i)
     return t
 
 
@@ -128,8 +132,7 @@ def _rows(D: FiniteDistributiveLattice, t: list) -> list:
     meet-irreducible, and need no distributivity."""
     n = len(D)
     up = D.poset._up
-    principal = set(up)
-    ms = [m for m, um in enumerate(up) if um & ~(1 << m) in principal]
+    ms = _meet_irreducibles(D)
     above = [[k for k, m in enumerate(ms) if uv >> m & 1] for uv in up]
     rows = []
     for x in range(n):

@@ -11,7 +11,8 @@ of elements build in well under a second.
 Distributivity is decided by Birkhoff's representation theorem: a finite
 lattice L is distributive iff it has as many elements as the lattice of
 down-sets of its join-irreducibles.  The same theorem gives the prime
-ideals: they are the principal ideals ↓m whose complement is a filter.
+ideals: they are the principal ideals ↓m whose complement is a filter,
+and m is then meet-irreducible.
 Complete normality is decided pair by pair by ``_normal_pair``, which
 deviation search shares.
 The distributivity check can be switched off to admit non-distributive
@@ -287,18 +288,28 @@ class PrimeIdealPoset:
     poset: FinitePoset
 
 
+def _meet_irreducibles(D: FiniteDistributiveLattice) -> list:
+    """Positions of the meet-irreducibles of D, the elements m with one
+    upper cover: ↑m minus m is then a principal up-set."""
+    up = D.poset._up
+    principal = set(up)
+    return [m for m, um in enumerate(up) if um & ~(1 << m) in principal]
+
+
 def prime_ideal_poset(D: FiniteDistributiveLattice) -> PrimeIdealPoset:
     """All prime ideals of D: nonempty proper down-sets closed under join
     such that x∧y ∈ I implies x ∈ I or y ∈ I.
 
     In a finite lattice every ideal is principal, and ↓m is prime iff its
-    complement is closed under meets, i.e. contains its own meet.  This
-    holds in any finite lattice, distributive or not.  Ideals are listed
-    by (size, canonical members)."""
+    complement is closed under meets, i.e. contains its own meet.  Only a
+    meet-irreducible m (one upper cover) qualifies: m = a∧b with a, b > m
+    puts m below the meet of the complement.  This holds in any finite
+    lattice, distributive or not.  Ideals are listed by (size, canonical
+    members)."""
     down, mt = D.poset._down, D._meet
     full = (1 << len(D)) - 1
     primes = []
-    for m in range(len(D)):
+    for m in _meet_irreducibles(D):
         outside = full & ~down[m]
         acc = D._top
         for x in bits(outside):

@@ -8,6 +8,7 @@ independently of the sequential pair-loop in the implementation.
 import os
 import random
 import signal
+from functools import reduce
 
 import pytest
 
@@ -25,7 +26,7 @@ import oracle_orders as oracle
 from conftest import random_downset_lattice, random_poset
 
 from test_deviations import non_antitone_chain4
-from test_order_kernel import m3, n5
+from test_order_kernel import adjustment_cases, m3, n5
 
 TREE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                     "fixtures", "tree.json")
@@ -376,25 +377,28 @@ def test_trace_matches_oracle_beyond_corpus(use_shadows):
         assert not mine != theirs
 
 
-def test_naive_adjustment_scales_to_tree_lattice():
-    """Naive d′ on the 183-element tree lattice; the eager trace made
-    this take over a minute."""
+def test_both_adjustment_paths_scale_to_tree_lattice():
+    """Naive and shadow d′ on the 183-element tree lattice, each within
+    20 s; the eager trace made the naive path take over a minute."""
     D = binary_tree_lattice(12)
     assert len(D) == 183
     d = search_deviation(D)
     order = list(D.elements)[::-1]
 
     def stop(signum, frame):
-        raise TimeoutError("naive adjustment ran for 20 s")
+        raise TimeoutError("adjustment ran for 20 s")
 
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 20)
-    try:
-        naive = monotone_adjustment(D.poset, D, d, order)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-    shadow = monotone_adjustment(D.poset, D, d, order, use_shadows=True)
+    def guarded(use_shadows):
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 20)
+        try:
+            return monotone_adjustment(D.poset, D, d, order,
+                                       use_shadows=use_shadows)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    naive, shadow = guarded(False), guarded(True)
     assert naive.d_prime == shadow.d_prime
     assert list(naive.d_prime) == list(shadow.d_prime)
     # the last entries, whose rank masks run to ~33,000 bits, against the
@@ -410,3 +414,19 @@ def test_naive_adjustment_scales_to_tree_lattice():
                                         if leq(a, x) and leq(y, b)]
         assert list(entry.joinands) == [(x, y) for x, y in earlier
                                         if leq(x, a) and leq(b, y)]
+
+
+@pytest.mark.parametrize("use_shadows", [False, True],
+                         ids=["naive", "shadows"])
+def test_trace_entries_recompute_their_values(use_shadows):
+    """Every decoded entry gives back its pair's value,
+    d′(a,b) = (d(a,b) ∧ ⋀ d′(meetands)) ∨ ⋁ d′(joinands); on the shadow
+    path this ties the fold to the keys of ``_shadow_bound_keys``."""
+    for M, D, d, order in adjustment_cases() + trace_cases():
+        res = monotone_adjustment(M, D, d, order, use_shadows=use_shadows)
+        dp = res.d_prime
+        for pair, entry in res.trace.items():
+            assert entry.base_value == d[pair]
+            meet = reduce(D.meet, (dp[p] for p in entry.meetands), d[pair])
+            join = reduce(D.join, (dp[p] for p in entry.joinands), D.bottom)
+            assert D.join(meet, join) == dp[pair]

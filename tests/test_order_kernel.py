@@ -9,6 +9,7 @@ and so must the exception type and message on malformed orders.
 
 import random
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -203,7 +204,9 @@ def test_birkhoff_count_agrees_with_triple_scan():
     """Distributivity by Birkhoff's count and zero-distributivity by one
     join per element agree with the triple scans, the latter also on the
     first failing triple; complete normality by the pair test agrees
-    with the exhaustive pair search, also on the first failing pair."""
+    with the exhaustive pair search, also on the first failing pair; the
+    prime ideals, taken at meet-irreducibles, agree with the scan over
+    all down-sets."""
     rng = random.Random(20261018)
     lattices = non_distributive = non_zero_distributive = 0
     normal = Counter()          # (distributive, completely normal)
@@ -231,6 +234,9 @@ def test_birkhoff_count_agrees_with_triple_scan():
         cn = oracle.is_completely_normal(D)
         assert is_completely_normal(D) == cn
         normal[D.is_distributive, cn[0]] += 1
+        mine, theirs = prime_ideal_poset(D), oracle.prime_ideal_poset(D)
+        assert mine.ideals == theirs.ideals
+        assert mine.poset == theirs.poset
     # each kind occurs often enough for the agreement to mean something
     assert 1_000 < non_distributive < 9_000
     assert 1_000 < non_zero_distributive < non_distributive
@@ -335,11 +341,34 @@ def test_adjustment_matches_oracle(use_shadows):
 
 
 def test_adjustment_input_errors_match_oracle():
+    """A missing pair, a value outside the lattice, and both with the
+    outside value first in canonical order: the same first fault as the
+    oracle, also in the deviation checks; a read-only view of a map
+    adjusts as the map does."""
     D = CORPUS[10]
     M = D.poset
     d = random_map(random.Random(5), M, D)
-    del d[(M.elements[-1], M.elements[0])]
-    for order in (list(M.elements), list(M.elements)[:-1]):
-        err = raised(monotone_adjustment, M, D, d, order)
-        assert err == raised(oracle.monotone_adjustment, M, D, d, order)
-        assert err[0] is InputError
+    partial = dict(d)
+    del partial[(M.elements[-1], M.elements[0])]
+    outside = dict(d)
+    outside[(M.elements[0], M.elements[1])] = "nowhere"
+    both = dict(partial)
+    both[(M.elements[0], M.elements[1])] = "nowhere"
+    for bad in (partial, outside, both):
+        for order in (list(M.elements), list(M.elements)[:-1]):
+            err = raised(monotone_adjustment, M, D, bad, order)
+            assert err == raised(oracle.monotone_adjustment, M, D, bad, order)
+            assert err[0] is InputError
+    assert "outside" in raised(monotone_adjustment, M, D, both, M.elements)[1]
+    for bad in (outside, both):
+        err = raised(check_deviation, D, bad)
+        assert err == raised(oracle.check_deviation, D, bad)
+        assert err == raised(deviation_properties, D, bad)
+        assert err[0] is InputError and "outside" in err[1]
+    order = list(M.elements)[::-1]
+    for use_shadows in (False, True):
+        mine = monotone_adjustment(M, D, d, order, use_shadows=use_shadows)
+        view = monotone_adjustment(M, D, MappingProxyType(d), order,
+                                   use_shadows=use_shadows)
+        assert view.d_prime == mine.d_prime
+        assert list(view.trace.items()) == list(mine.trace.items())
