@@ -14,32 +14,29 @@ lattice bottom).  The result is monotone — isotone in the first and
 antitone in the second argument — and equals d iff d was already
 monotone.  It depends on the chosen enumeration.
 
-The default evaluation sweeps all ⊴-smaller pairs.  The shadow-based
-path replaces the index sets by finite coinitial/cofinal subsets built
-from the minimal shadows of a and b on their strict ⊑-prefixes; both
-paths produce identical maps.
+The definition's index sets run over all ⊴-smaller pairs.  As d' is
+monotone on those pairs, the sets may be replaced by finite
+coinitial/cofinal subsets built from the minimal shadows of a and b on
+their strict ⊑-prefixes (Freese–Nation finite separability): the keys
+of ``_shadow_bound_keys``.
 
 D must be distributive (InputError otherwise, as for deviation search):
 each value is computed as its Birkhoff mask, the set of join-irreducibles
-below it, so a meet is an AND and a join an OR.  The naive path never
-lists its meetands.  It keeps, per join-irreducible p, the mask has[p]
-of decision ranks whose d' lies above p; with S and T the rank masks of
-the meetands and the joinands of (a,b),
-
-    p <= d'(a,b)  iff  (p <= d(a,b) and S ⊆ has[p]) or T ∩ has[p] ≠ ∅,
-
-which is O(|J(D)|) mask operations per pair.  The shadow path folds the
-masks of its few operands in place.  The trace is decoded on read: it
-keeps the O(m) row and column rank masks and each pair's block start
-(naive path) or the prefix shadows (shadow path), and rebuilds an
-entry's meetands and joinands when the entry is read; the shadow path
-rebuilds them with ``_shadow_bound_keys``.
+below it, so a meet is an AND and a join an OR.  Both paths compute d'
+by one fold of these few operands into each pair's mask, in place;
+``use_shadows`` chooses only what the trace lists.  The trace is decoded
+on read.  On the shadow path an entry lists the fold's operands,
+rebuilt with ``_shadow_bound_keys``.  On the naive path it lists the
+definition's meetands and joinands, taken from the O(m) row and column
+rank masks, which the first read builds, and the rank of the pair's
+block start.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence, Tuple
 
 from .errors import InputError
@@ -194,7 +191,9 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
     """The monotone adjustment of d along the given enumeration of M.
 
     D must be distributive (InputError otherwise): values are computed
-    on their Birkhoff masks.  The trace is decoded on read.
+    on their Birkhoff masks by the shadow fold, on both paths.
+    ``use_shadows`` selects the trace: the fold's operands, or the
+    definition's meetands and joinands.  The trace is decoded on read.
     """
     if not D.is_distributive:
         raise InputError("monotone adjustment needs a distributive lattice")
@@ -217,71 +216,70 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
         dp.append(bk[i])
     seq = [M.index(x) for x in order]
     # the ordered pairs in decision order: the blocks {a, b} with a ⊑ b in
-    # ⊴-ascending order, (a, b) before (b, a); starts[r] is the rank of
-    # the first pair of rank r's block
-    ordered, starts, rank = [], [], [0] * (m * m)
+    # ⊴-ascending order, (a, b) before (b, a); rank is the inverse
+    ordered = []
     for a, b in PairOrderContext(seq).blocks_ascending():
-        starts.append(len(ordered))
-        rank[a * m + b] = len(ordered)
-        ordered.append(a * m + b)
-        if a != b:
-            starts.append(starts[-1])
-            rank[b * m + a] = len(ordered)
-            ordered.append(b * m + a)
+        ordered += (a * m + b, b * m + a) if a != b else (a * m + b,)
+    rank = [0] * (m * m)
+    for r, ab in enumerate(ordered):
+        rank[ab] = r
     decided = list(map(at_pair, ordered))
+    shads = [None] * m
+    for c, s in zip(seq, M._prefix_shadows(seq)):
+        shads[c] = tuple(map(bits, s))
+    # per element c, the row offsets x*m of U_c and of V_c
+    offs = [([x * m for x in U], [x * m for x in V]) for U, V in shads]
+    # the operands of _shadow_bound_keys, folded in place
+    for ab in ordered:
+        a, b = divmod(ab, m)
+        am = ab - b
+        U_a, V_a = offs[a]
+        U_b, V_b = shads[b]
+        v = dp[ab]
+        for xm in U_a:
+            v &= dp[xm + b]
+        for y in V_b:
+            v &= dp[am + y]
+        for xm in V_a:
+            v |= dp[xm + b]
+        for y in U_b:
+            v |= dp[am + y]
+        dp[ab] = v
     if use_shadows:
-        shads = [None] * m
-        for c, s in zip(seq, M._prefix_shadows(seq)):
-            shads[c] = tuple(map(bits, s))
-        # per element c, the row offsets x*m of U_c and of V_c
-        offs = [([x * m for x in U], [x * m for x in V]) for U, V in shads]
-
         def entry(r):
             ab = ordered[r]
             meet_ks, join_ks = _shadow_bound_keys(shads, m, *divmod(ab, m))
             return TraceEntry(vals[ab], tuple(map(at_pair, meet_ks)),
                               tuple(map(at_pair, join_ks)))
-
-        # the operands of _shadow_bound_keys, folded in place
-        for ab in ordered:
-            a, b = divmod(ab, m)
-            am = ab - b
-            U_a, V_a = offs[a]
-            U_b, V_b = shads[b]
-            v = dp[ab]
-            for xm in U_a:
-                v &= dp[xm + b]
-            for y in V_b:
-                v &= dp[am + y]
-            for xm in V_a:
-                v |= dp[xm + b]
-            for y in U_b:
-                v |= dp[am + y]
-            dp[ab] = v
     else:
-        # rows[x] / cols[y]: decision ranks of the pairs (x, _) / (_, y);
-        # the meetands of (a, b) are the decided ranks S in the rows of ↑a
-        # and the columns of ↓b, the joinands T those of ↓a and ↑b
-        rows, cols = [0] * m, [0] * m
-        for r, k in enumerate(ordered):
-            rows[k // m] |= 1 << r
-            cols[k % m] |= 1 << r
+        @cache
+        def lines():
+            """rows[x] / cols[y], the decision ranks of the pairs (x, _) /
+            (_, y), spread over ↑x and ↓x: the meetands of (a, b) are the
+            earlier ranks in the rows of ↑a and the columns of ↓b, the
+            joinands those in the rows of ↓a and the columns of ↑b."""
+            rows, cols = [0] * m, [0] * m
+            for r, k in enumerate(ordered):
+                rows[k // m] |= 1 << r
+                cols[k % m] |= 1 << r
 
-        def spread(lines, sets):
-            out = []
-            for s in sets:
-                acc = 0
-                for x in bits(s):
-                    acc |= lines[x]
-                out.append(acc)
-            return out
+            def spread(line, cones):
+                out = []
+                for cone in cones:
+                    acc = 0
+                    for x in bits(cone):
+                        acc |= line[x]
+                    out.append(acc)
+                return out
 
-        rows_up, rows_down = spread(rows, M._up), spread(rows, M._down)
-        cols_up, cols_down = spread(cols, M._up), spread(cols, M._down)
+            return (spread(rows, M._up), spread(rows, M._down),
+                    spread(cols, M._up), spread(cols, M._down))
 
         def rank_masks(r):
+            rows_up, rows_down, cols_up, cols_down = lines()
             a, b = divmod(ordered[r], m)
-            done = (1 << starts[r]) - 1     # ranks of the earlier blocks
+            # the ranks of the earlier blocks: those below both orientations
+            done = (1 << min(r, rank[b * m + a])) - 1
             return (rows_up[a] & cols_down[b] & done,
                     rows_down[a] & cols_up[b] & done)
 
@@ -295,24 +293,6 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
             return TraceEntry(vals[ordered[r]], ranked_pairs(S),
                               ranked_pairs(T))
 
-        # has[i]: the ranks whose d' lies above the i-th join-irreducible
-        # p; p <= d'(a,b) iff p <= d(a,b) and S ⊆ has[i], or T meets has[i]
-        irr = [1 << p for p in bits(D._irr)]
-        has = [0] * len(irr)
-        done = 0
-        for r, ab in enumerate(ordered):
-            if starts[r] == r:
-                done = (1 << r) - 1     # ranks of the earlier blocks
-            a, b = divmod(ab, m)
-            S = rows_up[a] & cols_down[b] & done
-            T = rows_down[a] & cols_up[b] & done
-            base, v, bit = dp[ab], 0, 1 << r
-            for i, p in enumerate(irr):
-                h = has[i]
-                if T & h or (base & p and S & h == S):
-                    v |= p
-                    has[i] = h | bit
-            dp[ab] = v
     els, pos = D.elements, D._from_birkhoff
     d_prime = {pair: els[pos[dp[ab]]] for pair, ab in zip(decided, ordered)}
     return AdjustmentResult(d_prime, AdjustmentTrace(M, decided, rank, entry))

@@ -26,6 +26,7 @@ distributive lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
@@ -128,8 +129,13 @@ def _rows(D: FiniteDistributiveLattice, t: list) -> list:
 
     In a finite lattice a <= b iff every meet-irreducible above b lies
     above a, and the meet-irreducibles above a ∨ b are those above both a
-    and b; so the three sweeps compare these masks, O(n²) work per
-    meet-irreducible, and need no distributivity."""
+    and b.  So each property is a statement about these row sets, and
+    needs no distributivity: isotone iff rows[x′][k] ⊆ rows[x][k] for
+    every cover x ⋖ x′, antitone iff every row set is an up-set, Cevian
+    iff every relation d(x,y) <= m_k is transitive.  The tests look at
+    each distinct row set once; the scans that name a first
+    counterexample compare the rows of every pair, O(n²) masks per
+    meet-irreducible."""
     n = len(D)
     up = D.poset._up
     ms = _meet_irreducibles(D)
@@ -145,6 +151,48 @@ def _rows(D: FiniteDistributiveLattice, t: list) -> list:
                 row[k] |= ys
         rows.append(row)
     return rows
+
+
+def _isotone(D: FiniteDistributiveLattice, rows: list) -> bool:
+    """Whether d is isotone in its first argument: rows[x′][k] ⊆
+    rows[x][k] for every upper cover x′ of x, which gives every x <= x′
+    by transitivity."""
+    P = D.poset
+    for x, rx in enumerate(rows):
+        for x2 in bits(P._min(P._up[x] & ~(1 << x))):
+            for a, b in zip(rows[x2], rx):
+                if a & ~b:
+                    return False
+    return True
+
+
+def _antitone(D: FiniteDistributiveLattice, rows: list) -> bool:
+    """Whether d is antitone in its second argument: every row set
+    rows[x][k] is an up-set, each distinct one tested once."""
+    up = D.poset._up
+    for S in set(chain.from_iterable(rows)):
+        rest = S
+        while rest:
+            low = rest & -rest
+            if up[low.bit_length() - 1] & ~S:
+                return False
+            rest ^= low
+    return True
+
+
+def _cevian(rows: list) -> bool:
+    """Whether d is Cevian: for every k the relation d(x,y) <= m_k is
+    transitive, i.e. each distinct row set S among rows[·][k] holds
+    rows[y][k] for every y in S."""
+    for col in zip(*rows):
+        for S in set(col):
+            rest = S
+            while rest:
+                low = rest & -rest
+                if col[low.bit_length() - 1] & ~S:
+                    return False
+                rest ^= low
+    return True
 
 
 def _lowest(mask: int) -> int:
@@ -199,11 +247,17 @@ def _cevian_failure(D: FiniteDistributiveLattice,
 
 def deviation_properties(D: FiniteDistributiveLattice,
                          d: DeviationMap) -> PropertyReport:
+    """The properties of any total map d on D, with first
+    counterexamples in canonical order.
+
+    Each property is decided by its test on the row sets of
+    :func:`_rows`; only a failed test runs its scan, which names the
+    first counterexample."""
     els, rows = D.elements, _rows(D, _table(D, d))
-    li, ra, cev = (None if ce is None else tuple(els[i] for i in ce)
-                   for ce in (_isotone_failure(D, rows),
-                              _antitone_failure(D, rows),
-                              _cevian_failure(D, rows)))
+    li, ra, cev = (None if ok else tuple(els[i] for i in scan(D, rows))
+                   for ok, scan in ((_isotone(D, rows), _isotone_failure),
+                                    (_antitone(D, rows), _antitone_failure),
+                                    (_cevian(rows), _cevian_failure)))
     return PropertyReport(li is None, ra is None, cev is None, li, ra, cev)
 
 
@@ -315,10 +369,9 @@ def _verify(D, t, require_monotone, require_cevian) -> bool:
     if not (require_monotone or require_cevian):
         return True
     rows = _rows(D, t)
-    if require_monotone and (_isotone_failure(D, rows) is not None
-                             or _antitone_failure(D, rows) is not None):
+    if require_monotone and not (_isotone(D, rows) and _antitone(D, rows)):
         return False
-    return not require_cevian or _cevian_failure(D, rows) is None
+    return not require_cevian or _cevian(rows)
 
 
 def search_deviation(D: FiniteDistributiveLattice,

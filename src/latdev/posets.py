@@ -36,6 +36,19 @@ def bits(mask: int) -> list:
     return out
 
 
+def _extremes(cone: Sequence[int], mask: int) -> int:
+    """The members i of ``mask`` whose ``cone[i]`` meets ``mask`` in i
+    alone: the maximal ones for up-sets, the minimal ones for down-sets.
+    Walks the low bits in place, without listing them."""
+    out, rest = 0, mask
+    while rest:
+        low = rest & -rest
+        if cone[low.bit_length() - 1] & mask == low:
+            out |= low
+        rest ^= low
+    return out
+
+
 def down_set_masks(below: Mapping[int, int],
                    limit: Optional[int] = None) -> set:
     """All down-sets, as bitmasks, of the order on the keys of ``below``
@@ -175,12 +188,11 @@ class FinitePoset:
 
     def _max(self, mask: int) -> int:
         """The maximal elements of a mask."""
-        up = self._up
-        return sum(1 << i for i in bits(mask) if up[i] & mask == 1 << i)
+        return _extremes(self._up, mask)
 
     def _min(self, mask: int) -> int:
-        down = self._down
-        return sum(1 << i for i in bits(mask) if down[i] & mask == 1 << i)
+        """The minimal elements of a mask."""
+        return _extremes(self._down, mask)
 
     def _prefix_shadows(self, seq: Sequence[int]) -> list:
         """Per position of an enumeration (given as element positions), the

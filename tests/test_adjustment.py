@@ -420,8 +420,10 @@ def test_both_adjustment_paths_scale_to_tree_lattice():
                          ids=["naive", "shadows"])
 def test_trace_entries_recompute_their_values(use_shadows):
     """Every decoded entry gives back its pair's value,
-    d′(a,b) = (d(a,b) ∧ ⋀ d′(meetands)) ∨ ⋁ d′(joinands); on the shadow
-    path this ties the fold to the keys of ``_shadow_bound_keys``."""
+    d′(a,b) = (d(a,b) ∧ ⋀ d′(meetands)) ∨ ⋁ d′(joinands).  Both paths
+    take d′ from the shadow fold: on the shadow path this ties the fold
+    to the keys of ``_shadow_bound_keys``, on the naive path to the
+    definition's meetands and joinands."""
     for M, D, d, order in adjustment_cases() + trace_cases():
         res = monotone_adjustment(M, D, d, order, use_shadows=use_shadows)
         dp = res.d_prime
@@ -430,3 +432,20 @@ def test_trace_entries_recompute_their_values(use_shadows):
             meet = reduce(D.meet, (dp[p] for p in entry.meetands), d[pair])
             join = reduce(D.join, (dp[p] for p in entry.joinands), D.bottom)
             assert D.join(meet, join) == dp[pair]
+
+
+def test_naive_trace_reads_in_any_order():
+    """The naive trace builds its rank masks on the first read: entries
+    read out of decision order, twice, after membership tests made
+    before any read, equal the oracle's."""
+    rng = random.Random(50)
+    for M, D, d, order in adjustment_cases() + trace_cases():
+        trace = monotone_adjustment(M, D, d, order).trace
+        theirs = oracle.monotone_adjustment(M, D, d, order).trace
+        pairs = list(theirs)
+        assert all(pair in trace for pair in pairs)
+        assert ("nowhere", M.elements[0]) not in trace
+        rng.shuffle(pairs)
+        for _ in range(2):
+            for pair in pairs:
+                assert trace[pair] == theirs[pair]

@@ -1,6 +1,7 @@
 """Deviation axioms, property sweeps, search and enumeration."""
 
 import random
+import signal
 
 import pytest
 
@@ -117,7 +118,8 @@ def sweep_tables(rng: random.Random, D) -> list:
 class TestSweepMasks:
     """The sweeps on meet-irreducible row masks against the position
     scans that they replaced (``oracle_orders``): the same first
-    counterexample, in canonical order, or None."""
+    counterexample, in canonical order, or None; and the tests on
+    distinct row sets give the same verdicts."""
 
     def test_match_position_scans(self):
         rng = random.Random(2026)
@@ -137,10 +139,38 @@ class TestSweepMasks:
                         oracle.antitone_failure(D, t),
                         oracle.cevian_failure(D, t))
                 assert got == want, (D, t)
+                # the row-set tests decide what the scans find
+                assert (deviations._isotone(D, rows),
+                        deviations._antitone(D, rows),
+                        deviations._cevian(rows)) == \
+                    tuple(w is None for w in want), (D, t)
                 failing = [f + (w is not None) for f, w in zip(failing, want)]
                 count += 1
         assert count >= 2000
         assert all(count // 10 < f < count for f in failing)
+
+
+def test_sweeps_scale_to_b10():
+    """The property report and the monotone Cevian search on B10 (1,024
+    elements) within 6 s together: each property test looks at every
+    distinct row set once.  Deciding by the scans over all pairs of
+    rows took about 15 s."""
+    D = lattice_from_downsets(FinitePoset.antichain(list("abcdefghij")))
+    d = search_deviation(D)
+
+    def stop(signum, frame):
+        raise TimeoutError("the B10 sweeps ran for 6 s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 6)
+    try:
+        rep = deviation_properties(D, d)
+        found = search_deviation(D, True, True)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert rep.monotone and rep.cevian
+    assert found == d
 
 
 class TestSearch:

@@ -252,17 +252,97 @@ def random_map(rng, M, D):
             for x in M.elements for y in M.elements}
 
 
-def test_deviation_verdicts_match_oracle():
+def random_deviation(rng, D):
+    """A deviation drawn pair by pair: for each x and each earlier y a
+    random pair of values above x∖y and y∖x that meet in 0 (D must be
+    completely normal)."""
+    least, els = search_deviation(D), D.elements
+    d = {(x, x): D.bottom for x in els}
+    for i, x in enumerate(els):
+        for y in els[:i]:
+            d[(x, y)], d[(y, x)] = rng.choice([
+                (u, v) for u in els if D.leq(least[(x, y)], u)
+                for v in els if D.leq(least[(y, x)], v)
+                if D.meet(u, v) == D.bottom])
+    return d
+
+
+def perturbed(rng, D, d):
+    """d with one entry replaced by another element."""
+    out = dict(d)
+    pair = rng.choice(list(d))
+    out[pair] = rng.choice([v for v in D.elements if v != d[pair]])
+    return out
+
+
+def non_distributive_lattices(count: int) -> list:
+    """N5, M3 and seeded random bounded lattices that are not
+    distributive."""
+    rng = random.Random(20261019)
+    out = [n5(), m3()]
+    while len(out) < count:
+        P = random_bounded_poset(rng)
+        try:
+            D = FiniteDistributiveLattice(P, check_distributive=False)
+        except InputError:          # not a lattice
+            continue
+        if not D.is_distributive:
+            out.append(D)
+    return out
+
+
+def property_cases():
+    """(D, d, kind): total maps on which the property sweeps name every
+    kind of first counterexample.  On the corpus: random maps, the first
+    enumerated deviations, monotone adjustments of random deviations
+    along random orders (the shape the ``adjust`` benchmark item checks:
+    isotone and antitone, mostly not Cevian), and single-entry
+    perturbations of both; random maps on non-distributive lattices."""
     rng = random.Random(31)
     for D in CORPUS:
-        maps = [random_map(rng, D.poset, D) for _ in range(3)]
-        maps += enumerate_deviations(D, 3) if is_completely_normal(D)[0] \
-            else []
-        for d in maps:
-            assert check_deviation(D, d) == oracle.check_deviation(D, d)
-            # the property sweeps apply to any total map
-            assert deviation_properties(D, d) == \
-                oracle.deviation_properties(D, d)
+        for _ in range(3):
+            yield D, random_map(rng, D.poset, D), "random"
+        if not is_completely_normal(D)[0]:
+            continue
+        for d in enumerate_deviations(D, 3):
+            yield D, d, "enumerated"
+            for _ in range(3 if len(D) > 1 else 0):
+                yield D, perturbed(rng, D, d), "perturbed"
+        for _ in range(2):
+            order = list(D.elements)
+            rng.shuffle(order)
+            d = monotone_adjustment(D.poset, D, random_deviation(rng, D),
+                                    order).d_prime
+            yield D, d, "adjusted"
+            if len(D) > 1:
+                yield D, perturbed(rng, D, d), "perturbed"
+    for D in non_distributive_lattices(40):
+        for _ in range(3):
+            yield D, random_map(rng, D.poset, D), "non-distributive"
+
+
+def test_deviation_verdicts_match_oracle():
+    """Verdicts and whole property reports, first counterexamples
+    included, against the oracle's triple scans."""
+    seen = Counter()            # maps per kind, and per kind and failure
+    for D, d, kind in property_cases():
+        assert check_deviation(D, d) == oracle.check_deviation(D, d)
+        # the property sweeps apply to any total map
+        rep = deviation_properties(D, d)
+        assert rep == oracle.deviation_properties(D, d)
+        seen[kind] += 1
+        for prop in ("left_isotone", "right_antitone", "cevian"):
+            seen[kind, prop] += not getattr(rep, prop)
+    # every fallback scan names counterexamples on perturbed deviations
+    # and on random maps of both kinds of lattice; adjusted maps are
+    # monotone, and most are not Cevian
+    for kind in ("random", "perturbed", "non-distributive"):
+        for prop in ("left_isotone", "right_antitone", "cevian"):
+            assert seen[kind, prop] > seen[kind] // 10, (kind, prop)
+    assert seen["adjusted", "left_isotone"] == 0
+    assert seen["adjusted", "right_antitone"] == 0
+    assert seen["adjusted", "cevian"] > seen["adjusted"] // 2
+    assert seen["enumerated", "cevian"] < seen["enumerated"]
 
 
 def test_deviation_input_errors_match_oracle():
@@ -302,10 +382,9 @@ def test_search_order_matches_oracle():
         assert mine == theirs
         # insertion order of the returned maps is the pair order too
         assert [list(d) for d in mine] == [list(d) for d in theirs]
-        if len(D) <= 10:
-            for mono, cev in ((True, False), (True, True)):
-                assert search_deviation(D, mono, cev) == \
-                    oracle_search(D, mono, cev)
+        for mono, cev in ((True, False), (False, True), (True, True)):
+            assert search_deviation(D, mono, cev) == \
+                oracle_search(D, mono, cev)
 
 
 def adjustment_cases():
