@@ -27,16 +27,15 @@ by one fold of these few operands into each pair's mask, in place;
 ``use_shadows`` chooses only what the trace lists.  The trace is decoded
 on read.  On the shadow path an entry lists the fold's operands,
 rebuilt with ``_shadow_bound_keys``.  On the naive path it lists the
-definition's meetands and joinands, taken from the O(m) row and column
-rank masks, which the first read builds, and the rank of the pair's
-block start.
+definition's meetands and joinands straight from the index sets above:
+the pairs of ↑a × ↓b and of ↓a × ↑b ranked before the block {a, b},
+sorted by rank.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence, Tuple
 
 from .errors import InputError
@@ -154,18 +153,6 @@ class AdjustmentResult:
     trace: Mapping[Tuple[ElementId, ElementId], TraceEntry]
 
 
-def _set_bits(mask: int) -> list:
-    """``bits(mask)`` by scanning the binary text: a rank mask has up to
-    m² bits, and ``bits`` costs a pass over the whole mask per set bit."""
-    text = bin(mask)[:1:-1]
-    out = []
-    i = text.find("1")
-    while i >= 0:
-        out.append(i)
-        i = text.find("1", i + 1)
-    return out
-
-
 def _shadow_bound_keys(shads: Sequence, m: int, a: int, b: int) -> tuple:
     """The pairs, as flat positions x*m + y in M × M, whose d' values
     make up the coinitial and the cofinal set of the pair (a, b):
@@ -252,46 +239,22 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
             return TraceEntry(vals[ab], tuple(map(at_pair, meet_ks)),
                               tuple(map(at_pair, join_ks)))
     else:
-        @cache
-        def lines():
-            """rows[x] / cols[y], the decision ranks of the pairs (x, _) /
-            (_, y), spread over ↑x and ↓x: the meetands of (a, b) are the
-            earlier ranks in the rows of ↑a and the columns of ↓b, the
-            joinands those in the rows of ↓a and the columns of ↑b."""
-            rows, cols = [0] * m, [0] * m
-            for r, k in enumerate(ordered):
-                rows[k // m] |= 1 << r
-                cols[k % m] |= 1 << r
-
-            def spread(line, cones):
-                out = []
-                for cone in cones:
-                    acc = 0
-                    for x in bits(cone):
-                        acc |= line[x]
-                    out.append(acc)
-                return out
-
-            return (spread(rows, M._up), spread(rows, M._down),
-                    spread(cols, M._up), spread(cols, M._down))
-
-        def rank_masks(r):
-            rows_up, rows_down, cols_up, cols_down = lines()
-            a, b = divmod(ordered[r], m)
-            # the ranks of the earlier blocks: those below both orientations
-            done = (1 << min(r, rank[b * m + a])) - 1
-            return (rows_up[a] & cols_down[b] & done,
-                    rows_down[a] & cols_up[b] & done)
-
         at_rank = decided.__getitem__
 
-        def ranked_pairs(R):
-            return tuple(map(at_rank, _set_bits(R)))
+        def earlier(xs, ys, done):
+            """The pairs of xs × ys (masks) decided before rank done, in
+            decision order."""
+            ys = bits(ys)
+            ranks = (rank[x * m + y] for x in bits(xs) for y in ys)
+            return tuple(map(at_rank, sorted(q for q in ranks if q < done)))
 
         def entry(r):
-            S, T = rank_masks(r)
-            return TraceEntry(vals[ordered[r]], ranked_pairs(S),
-                              ranked_pairs(T))
+            ab = ordered[r]
+            a, b = divmod(ab, m)
+            # the ranks of the earlier blocks: those below both orientations
+            done = min(r, rank[b * m + a])
+            return TraceEntry(vals[ab], earlier(M._up[a], M._down[b], done),
+                              earlier(M._down[a], M._up[b], done))
 
     els, pos = D.elements, D._from_birkhoff
     d_prime = {pair: els[pos[dp[ab]]] for pair, ab in zip(decided, ordered)}

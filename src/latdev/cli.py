@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from . import adjustment, deviations, lattices, posets, semilinear, vlterms
 from .errors import InputError, ResourceLimitError
-from .serialize import (amalgam_from_json, deviation_from_json,
+from .serialize import (_by_pair, amalgam_from_json, deviation_from_json,
                         deviation_to_json, dot_lattice, dot_poset,
                         elements_from_text, lattice_from_json, load_json,
                         poset_from_json, read_text, render_id,
@@ -218,11 +218,6 @@ def _run_deviation_enumerate(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
     ds = deviations.enumerate_deviations(D, cfg.args["limit"])
     return 0, {"count": len(ds), "deviations": [deviation_to_json(d) for d in ds]}
-
-
-def _by_pair(mapping: dict) -> list:
-    return sorted(mapping.items(),
-                  key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
 
 
 @command("adjust",

@@ -26,7 +26,6 @@ distributive lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
@@ -133,9 +132,10 @@ def _rows(D: FiniteDistributiveLattice, t: list) -> list:
     needs no distributivity: isotone iff rows[x′][k] ⊆ rows[x][k] for
     every cover x ⋖ x′, antitone iff every row set is an up-set, Cevian
     iff every relation d(x,y) <= m_k is transitive.  The tests look at
-    each distinct row set once; the scans that name a first
-    counterexample compare the rows of every pair, O(n²) masks per
-    meet-irreducible."""
+    each distinct row set once.  To name a first counterexample, the
+    isotone scan compares the rows of every comparable pair; the
+    antitone and Cevian scans look only at the x that
+    :func:`_first_open` names."""
     n = len(D)
     up = D.poset._up
     ms = _meet_irreducibles(D)
@@ -166,33 +166,30 @@ def _isotone(D: FiniteDistributiveLattice, rows: list) -> bool:
     return True
 
 
-def _antitone(D: FiniteDistributiveLattice, rows: list) -> bool:
-    """Whether d is antitone in its second argument: every row set
-    rows[x][k] is an up-set, each distinct one tested once."""
-    up = D.poset._up
-    for S in set(chain.from_iterable(rows)):
-        rest = S
-        while rest:
-            low = rest & -rest
-            if up[low.bit_length() - 1] & ~S:
-                return False
-            rest ^= low
-    return True
+def _first_open(rows: list, cones: list) -> Optional[int]:
+    """The first x with a row set rows[x][k] that is not closed under
+    ``cones[k]`` (some y in it has cones[k][y] outside it), or None; each
+    distinct (k, S) is tested where it first occurs.
 
-
-def _cevian(rows: list) -> bool:
-    """Whether d is Cevian: for every k the relation d(x,y) <= m_k is
-    transitive, i.e. each distinct row set S among rows[·][k] holds
-    rows[y][k] for every y in S."""
-    for col in zip(*rows):
-        for S in set(col):
+    With ``up`` as every cone, a closed row set is an up-set, so d is
+    antitone in its second argument iff None comes back.  With column k
+    of the rows as cone k, closure says that d(x,y) <= m_k and
+    d(y,z) <= m_k give d(x,z) <= m_k, so d is Cevian iff None comes
+    back.  Either way the x returned is that of the first
+    counterexample."""
+    seen = [set() for _ in cones]
+    for x, row in enumerate(rows):
+        for S, cone, tested in zip(row, cones, seen):
+            if S in tested:
+                continue
+            tested.add(S)
             rest = S
             while rest:
                 low = rest & -rest
-                if col[low.bit_length() - 1] & ~S:
-                    return False
+                if cone[low.bit_length() - 1] & ~S:
+                    return x
                 rest ^= low
-    return True
+    return None
 
 
 def _lowest(mask: int) -> int:
@@ -213,36 +210,37 @@ def _isotone_failure(D: FiniteDistributiveLattice,
     return None
 
 
-def _antitone_failure(D: FiniteDistributiveLattice,
-                      rows: list) -> Optional[tuple]:
-    """First (x, y, y') with y <= y' and d(x,y') not<= d(x,y), or None:
-    y' fails iff some m_k lies above d(x,y) but not above d(x,y')."""
-    up = D.poset._up
-    for x, rx in enumerate(rows):
-        for y, uy in enumerate(up):
-            outside = 0
-            for a in rx:
-                if a >> y & 1:
-                    outside |= ~a
-            if uy & outside:
-                return (x, y, _lowest(uy & outside))
-    return None
+def _antitone_failure(D: FiniteDistributiveLattice, rows: list,
+                      x: int) -> tuple:
+    """First (x, y, y') with y <= y' and d(x,y') not<= d(x,y), at the x
+    that :func:`_first_open` names with ``up`` as cones: y' fails iff
+    some m_k lies above d(x,y) but not above d(x,y')."""
+    rx = rows[x]
+    for y, uy in enumerate(D.poset._up):
+        outside = 0
+        for a in rx:
+            if a >> y & 1:
+                outside |= ~a
+        if uy & outside:
+            return (x, y, _lowest(uy & outside))
+    raise ContractError(f"a row set of x = {x} is no up-set, but no "
+                        f"(x, y, y') fails antitonicity")
 
 
-def _cevian_failure(D: FiniteDistributiveLattice,
-                    rows: list) -> Optional[tuple]:
-    """First (x, y, z) with d(x,z) not<= d(x,y) ∨ d(y,z), or None: z
-    fails iff some m_k lies above d(x,y) and d(y,z) but not above
-    d(x,z)."""
-    for x, rx in enumerate(rows):
-        for y, ry in enumerate(rows):
-            bad = 0
-            for a, b in zip(rx, ry):
-                if a >> y & 1:
-                    bad |= b & ~a
-            if bad:
-                return (x, y, _lowest(bad))
-    return None
+def _cevian_failure(rows: list, x: int) -> tuple:
+    """First (x, y, z) with d(x,z) not<= d(x,y) ∨ d(y,z), at the x that
+    :func:`_first_open` names with the columns as cones: z fails iff
+    some m_k lies above d(x,y) and d(y,z) but not above d(x,z)."""
+    rx = rows[x]
+    for y, ry in enumerate(rows):
+        bad = 0
+        for a, b in zip(rx, ry):
+            if a >> y & 1:
+                bad |= b & ~a
+        if bad:
+            return (x, y, _lowest(bad))
+    raise ContractError(f"a row set of x = {x} is open under the columns, "
+                        f"but no (x, y, z) fails the Cevian inequality")
 
 
 def deviation_properties(D: FiniteDistributiveLattice,
@@ -252,12 +250,17 @@ def deviation_properties(D: FiniteDistributiveLattice,
 
     Each property is decided by its test on the row sets of
     :func:`_rows`; only a failed test runs its scan, which names the
-    first counterexample."""
+    first counterexample.  Antitone and Cevian are one test,
+    :func:`_first_open`, on different cones, and their scans start at
+    the x it returns."""
     els, rows = D.elements, _rows(D, _table(D, d))
-    li, ra, cev = (None if ok else tuple(els[i] for i in scan(D, rows))
-                   for ok, scan in ((_isotone(D, rows), _isotone_failure),
-                                    (_antitone(D, rows), _antitone_failure),
-                                    (_cevian(rows), _cevian_failure)))
+    li = None if _isotone(D, rows) else _isotone_failure(D, rows)
+    x = _first_open(rows, [D.poset._up] * len(rows[0]))
+    ra = None if x is None else _antitone_failure(D, rows, x)
+    x = _first_open(rows, list(zip(*rows)))
+    cev = None if x is None else _cevian_failure(rows, x)
+    li, ra, cev = (None if ce is None else tuple(els[i] for i in ce)
+                   for ce in (li, ra, cev))
     return PropertyReport(li is None, ra is None, cev is None, li, ra, cev)
 
 
@@ -369,9 +372,11 @@ def _verify(D, t, require_monotone, require_cevian) -> bool:
     if not (require_monotone or require_cevian):
         return True
     rows = _rows(D, t)
-    if require_monotone and not (_isotone(D, rows) and _antitone(D, rows)):
+    if require_monotone and not (
+            _isotone(D, rows)
+            and _first_open(rows, [D.poset._up] * len(rows[0])) is None):
         return False
-    return not require_cevian or _cevian(rows)
+    return not require_cevian or _first_open(rows, list(zip(*rows))) is None
 
 
 def search_deviation(D: FiniteDistributiveLattice,

@@ -184,9 +184,15 @@ def deviation_from_json(obj, D: FiniteDistributiveLattice) -> dict:
     return d
 
 
+def _by_pair(mapping) -> list:
+    """The items of a map keyed by id pairs (x, y), in the order that
+    reports list them: by (str(x), str(y))."""
+    return sorted(mapping.items(),
+                  key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
+
+
 def deviation_to_json(d: dict) -> dict:
-    return {"d": {f"{x},{y}": str(v) for (x, y), v in sorted(
-        d.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))}}
+    return {"d": {f"{x},{y}": str(v) for (x, y), v in _by_pair(d)}}
 
 
 def amalgam_from_json(obj) -> tuple:

@@ -679,7 +679,9 @@ class PrincipalIdeal:
     """The ideal generated by a term, stored via its absolute value,
     optionally relative to a region.  Comparison is zero-set containment
     (`ideal_leq`); equality is mutual comparison, no canonical
-    representative is computed."""
+    representative is computed.  There is no ideal-level deviation:
+    ``cevian_dev`` of two representatives depends on the terms chosen
+    (<g0> = <2·g0>, yet their deviations from <g0> differ)."""
     representative: VLTerm
     n: int
     region: Optional["OmegaRegion"] = None
@@ -705,10 +707,6 @@ class PrincipalIdeal:
 
     def meet(self, other: "PrincipalIdeal") -> "PrincipalIdeal":
         return self._lift(ideal_meet(self.representative,
-                                     other.representative))
-
-    def dev(self, other: "PrincipalIdeal") -> "PrincipalIdeal":
-        return self._lift(cevian_dev(self.representative,
                                      other.representative))
 
 

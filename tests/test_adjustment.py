@@ -401,7 +401,7 @@ def test_both_adjustment_paths_scale_to_tree_lattice():
     naive, shadow = guarded(False), guarded(True)
     assert naive.d_prime == shadow.d_prime
     assert list(naive.d_prime) == list(shadow.d_prime)
-    # the last entries, whose rank masks run to ~33,000 bits, against the
+    # the last entries, decided after ~33,000 pairs, against the
     # definition: the pairs of the earlier blocks above/below (a, b)
     decided = list(naive.trace)
     leq = D.poset.leq
@@ -435,9 +435,9 @@ def test_trace_entries_recompute_their_values(use_shadows):
 
 
 def test_naive_trace_reads_in_any_order():
-    """The naive trace builds its rank masks on the first read: entries
-    read out of decision order, twice, after membership tests made
-    before any read, equal the oracle's."""
+    """The naive trace decodes each entry when it is read: entries read
+    out of decision order, twice, after membership tests made before any
+    read, equal the oracle's."""
     rng = random.Random(50)
     for M, D, d, order in adjustment_cases() + trace_cases():
         trace = monotone_adjustment(M, D, d, order).trace

@@ -132,18 +132,23 @@ class TestSweepMasks:
         for D in lattices:
             for t in sweep_tables(rng, D):
                 rows = deviations._rows(D, t)
-                got = (deviations._isotone_failure(D, rows),
-                       deviations._antitone_failure(D, rows),
-                       deviations._cevian_failure(D, rows))
                 want = (oracle.isotone_failure(D, t),
                         oracle.antitone_failure(D, t),
                         oracle.cevian_failure(D, t))
+                # the row-set tests decide what the scans find, and the
+                # antitone and Cevian tests name the first x
+                assert deviations._isotone(D, rows) == (want[0] is None)
+                starts = (deviations._first_open(
+                              rows, [D.poset._up] * len(rows[0])),
+                          deviations._first_open(rows, list(zip(*rows))))
+                assert starts == tuple(None if w is None else w[0]
+                                       for w in want[1:]), (D, t)
+                got = (deviations._isotone_failure(D, rows),
+                       None if starts[0] is None else
+                       deviations._antitone_failure(D, rows, starts[0]),
+                       None if starts[1] is None else
+                       deviations._cevian_failure(rows, starts[1]))
                 assert got == want, (D, t)
-                # the row-set tests decide what the scans find
-                assert (deviations._isotone(D, rows),
-                        deviations._antitone(D, rows),
-                        deviations._cevian(rows)) == \
-                    tuple(w is None for w in want), (D, t)
                 failing = [f + (w is not None) for f, w in zip(failing, want)]
                 count += 1
         assert count >= 2000
@@ -171,6 +176,36 @@ def test_sweeps_scale_to_b10():
         signal.signal(signal.SIGALRM, old)
     assert rep.monotone and rep.cevian
     assert found == d
+
+
+def test_failing_sweeps_start_at_the_failing_row_on_b10():
+    """B10's least deviation with d(x, y) raised to the top at one pair
+    late in canonical order: every property fails there, and the report
+    takes under 3 s because the antitone and Cevian scans start at the x
+    that their test names.  Scanning from x = 0 took about 5 s.  Each
+    counterexample is a genuine violation."""
+    D = lattice_from_downsets(FinitePoset.antichain(list("abcdefghij")))
+    d = search_deviation(D)
+    x, y = D.elements[-2], D.elements[3]
+    d[(x, y)] = D.top
+
+    def stop(signum, frame):
+        raise TimeoutError("the failing B10 sweeps ran for 3 s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 3)
+    try:
+        rep = deviation_properties(D, d)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert not (rep.left_isotone or rep.right_antitone or rep.cevian)
+    a, a2, b = rep.left_isotone_ce
+    assert D.leq(a, a2) and not D.leq(d[(a, b)], d[(a2, b)])
+    a, b, b2 = rep.right_antitone_ce
+    assert D.leq(b, b2) and not D.leq(d[(a, b2)], d[(a, b)])
+    a, b, c = rep.cevian_ce
+    assert not D.leq(d[(a, c)], D.join(d[(a, b)], d[(b, c)]))
 
 
 class TestSearch:
@@ -227,10 +262,10 @@ class TestSearch:
             enumerate_deviations(SQUARE, 2)
 
     def test_plain_search_runs_no_property_sweep(self, monkeypatch):
-        def sweep(D, t):
+        def sweep(*args):
             raise RuntimeError("property sweep in a plain search")
-        for name in ("_isotone_failure", "_antitone_failure",
-                     "_cevian_failure"):
+        for name in ("_isotone", "_first_open", "_isotone_failure",
+                     "_antitone_failure", "_cevian_failure"):
             monkeypatch.setattr(deviations, name, sweep)
         assert search_deviation(SQUARE) is not None
         assert len(enumerate_deviations(SQUARE, 3)) == 3

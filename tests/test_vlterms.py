@@ -627,12 +627,6 @@ class TestPrincipalIdeal:
         assert a.meet(b).leq(a)[0]
         assert a.same(PrincipalIdeal.of(3 * g0, 2))
 
-    def test_dev_axioms_at_ideal_level(self):
-        from latdev.vlterms import PrincipalIdeal
-        a = PrincipalIdeal.of(g0, 2)
-        b = PrincipalIdeal.of(g1, 2)
-        assert a.leq(b.join(a.dev(b)))[0]
-
 
 def multiplier_cross_check(g, h, points, m_max=64):
     """Falsification-only sanity check of the ideal order against the
