@@ -41,6 +41,16 @@ MAX_PROBE_DEPTH = 16
 # with the square of the pair count, not with d′ (32,828,250 pairs on
 # the 183-element down-set lattice of a 12-node binary tree).
 MAX_TRACE_PAIRS = 10 ** 6
+# Most (x, y) pairs a ``deviation search`` or ``deviation enumerate``
+# report writes: n² per deviation, so B10's 1,048,576 pairs (a 95 MB
+# report) pass, and a 4,096-element lattice would ask for ~1.5 GB.
+MAX_REPORT_PAIRS = 2 ** 20
+
+
+def _report_ceiling(pairs: int) -> None:
+    if pairs > MAX_REPORT_PAIRS:
+        raise ResourceLimitError(f"the report would hold {pairs} pairs, "
+                                 f"more than {MAX_REPORT_PAIRS}")
 
 
 @dataclass
@@ -201,6 +211,7 @@ def _run_deviation_check(cfg: RunConfig):
                       "deviation": _type("object", "null")}))
 def _run_deviation_search(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
+    _report_ceiling(len(D) ** 2)
     monotone, cevian = cfg.args["monotone"], cfg.args["cevian"]
     d = deviations.search_deviation(D, require_monotone=monotone,
                                     require_cevian=cevian)
@@ -216,7 +227,10 @@ def _run_deviation_search(cfg: RunConfig):
          schema=_obj({"count": _INT, "deviations": _ARRAY}))
 def _run_deviation_enumerate(cfg: RunConfig):
     D = lattice_from_json(load_json(cfg.args["lattice"]))
-    ds = deviations.enumerate_deviations(D, cfg.args["limit"])
+    # one deviation past the ceiling is enough to know it is passed
+    limit = min(cfg.args["limit"], MAX_REPORT_PAIRS // len(D) ** 2 + 1)
+    ds = deviations.enumerate_deviations(D, limit)
+    _report_ceiling(len(ds) * len(D) ** 2)
     return 0, {"count": len(ds), "deviations": [deviation_to_json(d) for d in ds]}
 
 

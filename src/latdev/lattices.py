@@ -318,11 +318,10 @@ def prime_ideal_poset(D: FiniteDistributiveLattice) -> PrimeIdealPoset:
             primes.append(down[m])
     primes.sort(key=canonical_key)
     members = [D.poset._members(S) for S in primes]
-    ids = [tuple(ms) for ms in members]
-    rel = [(ids[a], ids[b]) for a, Sa in enumerate(primes)
-           for b, Sb in enumerate(primes) if not Sa & ~Sb]
+    up = [sum(1 << b for b, Sb in enumerate(primes) if not Sa & ~Sb)
+          for Sa in primes]
     return PrimeIdealPoset(tuple(map(frozenset, members)),
-                           FinitePoset(ids, rel))
+                           FinitePoset._from_up(map(tuple, members), up))
 
 
 def is_root_system(p) -> tuple:

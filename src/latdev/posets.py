@@ -11,6 +11,9 @@ Conventions used throughout:
   with ``A ∩ ↓x = A ∩ ↓U``; upper shadows are defined dually.  On a
   finite poset the inclusion-smallest lower shadow is
   ``Max(A ∩ ↓x)`` and the smallest upper shadow is ``Min(A ∩ ↑x)``.
+* An order is checked once, where it enters the library:
+  ``FinitePoset(...)``, ``from_relation`` and ``antichain``.  Orders the
+  library builds itself are stored from their masks by ``_from_up``.
 * A *separability witness* is a pair of maps ``(A, B)`` assigning to each
   element a finite set of upper bounds (``A``) and lower bounds (``B``)
   such that ``x <= y`` implies ``A(x) ∩ B(y) != ∅``.
@@ -109,20 +112,22 @@ class FinitePoset:
     @classmethod
     def _from_up(cls, elements: Sequence[ElementId],
                  up: Sequence[int]) -> "FinitePoset":
-        """The poset whose element i has up-set mask ``up[i]``."""
+        """The poset whose element i has up-set mask ``up[i]``, stored
+        unchecked: the ids must be distinct and ``up`` an order that the
+        library built itself.  Outside input goes through ``_init``."""
         P = cls.__new__(cls)
-        P._init(elements, (), up=list(up))
+        P._store(tuple(elements), tuple(up))
         return P
 
-    def _init(self, elements, relation, close: bool = False,
-              up: Optional[list] = None) -> None:
+    def _init(self, elements, relation, close: bool = False) -> None:
+        """Check outside input: distinct ids, and a relation on them that
+        is antisymmetric and (unless ``close`` closes it) transitive."""
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise InputError("duplicate element ids")
         idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        if up is None:
-            up = [1 << i for i in range(n)]
+        up = [1 << i for i in range(n)]
         for a, b in relation:
             if a not in idx or b not in idx:
                 raise InputError(f"relation mentions unknown element: {(a, b)!r}")
@@ -133,16 +138,11 @@ class FinitePoset:
                 for i in range(n):
                     if up[i] & bit:
                         up[i] |= uk
-        down = [0] * n
         for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        for i in range(n):
-            both = up[i] & down[i] & ~(1 << i)
-            if both:
-                j = bits(both)[0]
-                raise InputError(
-                    f"antisymmetry fails at {elements[i]!r}, {elements[j]!r}")
+            for j in bits(up[i] & ~(1 << i)):
+                if up[j] >> i & 1:
+                    raise InputError(f"antisymmetry fails at "
+                                     f"{elements[i]!r}, {elements[j]!r}")
         for i in range(n):
             ui = up[i]
             for j in bits(ui):
@@ -152,9 +152,15 @@ class FinitePoset:
                     raise InputError(
                         "relation is not transitive: "
                         f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
-        self.elements = elements
-        self._idx = idx
-        self._up = tuple(up)
+        self._store(elements, tuple(up))
+
+    def _store(self, elements: tuple, up: tuple) -> None:
+        self.elements, self._up = elements, up
+        self._idx = {e: i for i, e in enumerate(elements)}
+        down = [0] * len(up)
+        for i, u in enumerate(up):
+            for j in bits(u):
+                down[j] |= 1 << i
         self._down = tuple(down)
 
     @classmethod
@@ -263,12 +269,6 @@ class FinitePoset:
                     out.append((els[i], els[j]))
         return out
 
-    def _relation(self) -> list:
-        """All pairs (a, b) with a <= b."""
-        els = self.elements
-        return [(els[i], els[j]) for i, ui in enumerate(self._up)
-                for j in bits(ui)]
-
     # -- constructions -----------------------------------------------------
 
     def dual(self) -> "FinitePoset":
@@ -285,23 +285,23 @@ class FinitePoset:
     def with_top(self, top: ElementId) -> "FinitePoset":
         if top in self._idx:
             raise InputError(f"id {top!r} already present")
-        rel = self._relation() + [(x, top) for x in self.elements] + [(top, top)]
-        return FinitePoset(self.elements + (top,), rel)
+        t = 1 << len(self)
+        return FinitePoset._from_up(self.elements + (top,),
+                                    [u | t for u in self._up] + [t])
 
     def with_bottom(self, bottom: ElementId) -> "FinitePoset":
         if bottom in self._idx:
             raise InputError(f"id {bottom!r} already present")
-        rel = self._relation() + [(bottom, x) for x in self.elements]
-        rel.append((bottom, bottom))
-        return FinitePoset((bottom,) + self.elements, rel)
+        return FinitePoset._from_up((bottom,) + self.elements,
+                                    [(2 << len(self)) - 1]
+                                    + [u << 1 for u in self._up])
 
     def restrict(self, subset: Iterable[ElementId]) -> "FinitePoset":
         """Induced subposet, keeping the canonical element order."""
         sub = self._mask(set(subset))
-        return FinitePoset(self._members(sub),
-                           [(a, b) for (a, b) in self._relation()
-                            if sub >> self._idx[a] & 1
-                            and sub >> self._idx[b] & 1])
+        bit = {i: 1 << k for k, i in enumerate(bits(sub))}   # new positions
+        return FinitePoset._from_up(self._members(sub), [
+            sum(bit[j] for j in bits(self._up[i] & sub)) for i in bit])
 
     def is_order_convex(self, subset: Iterable[ElementId]) -> bool:
         sub = self._mask(set(subset))

@@ -455,14 +455,8 @@ def cozero_set(t: VLTerm, n: int,
                ceiling: Optional[int] = None) -> SemilinearSet:
     """Points where the term is nonzero (cached per term node, dimension
     and ceiling, like the pieces)."""
-    pw = linearize(t, n, ceiling)
-    cells = []
-    for cell, f in pw.pieces:
-        for atom in Constraint(f, EQ).negations():          # f > 0, -f > 0
-            c = Cell.of(cell.atoms + (atom,))
-            if not is_empty(c):
-                cells.append(c)
-    return SemilinearSet(n, tuple(cells))
+    return _piece_set(t, n, ceiling, lambda f: [            # f > 0, -f > 0
+        (atom,) for atom in Constraint(f, EQ).negations()])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -470,16 +464,23 @@ def zero_set(t: VLTerm, n: int,
              ceiling: Optional[int] = None) -> SemilinearSet:
     """Points where the term vanishes: the complement of the cozero set,
     assembled directly from the (disjoint, covering) pieces (cached like
-    ``cozero_set``)."""
-    pw = linearize(t, n, ceiling)
+    ``cozero_set``).  A constant piece is kept whole when it is 0."""
+    return _piece_set(t, n, ceiling, lambda f: (
+        [(Constraint(f, EQ),)] if not f.is_constant()
+        else [()] if f.const == 0 else []))
+
+
+def _piece_set(t: VLTerm, n: int, ceiling: Optional[int],
+               extras) -> SemilinearSet:
+    """The nonempty cells ``cell ∧ atoms`` over the pieces (cell, f) of
+    t and the atom tuples in ``extras(f)``, in piece order; empty atoms
+    keep the piece cell itself."""
     cells = []
-    for cell, f in pw.pieces:
-        if f.is_constant():
-            c = cell if f.const == 0 else None
-        else:
-            c = Cell.of(cell.atoms + (Constraint(f, EQ),))
-        if c is not None and not is_empty(c):
-            cells.append(c)
+    for cell, f in linearize(t, n, ceiling).pieces:
+        for atoms in extras(f):
+            c = Cell.of(cell.atoms + atoms) if atoms else cell
+            if not is_empty(c):
+                cells.append(c)
     return SemilinearSet(n, tuple(cells))
 
 
@@ -524,13 +525,8 @@ def _sign_set(u: VLTerm, n: int, ceiling: Optional[int],
               positive: bool) -> SemilinearSet:
     """{u > 0} when ``positive``, else {u <= 0}, read off the pieces of u:
     the cozero and zero set of u⁺ (cached as such by ``_parts``)."""
-    cells = []
-    for cell, f in linearize(u, n, ceiling).pieces:
-        atom = Constraint(f, GT)
-        c = Cell.of(cell.atoms + ((atom,) if positive else atom.negations()))
-        if not is_empty(c):
-            cells.append(c)
-    return SemilinearSet(n, tuple(cells))
+    return _piece_set(u, n, ceiling, lambda f: [
+        (Constraint(f, GT),) if positive else Constraint(f, GT).negations()])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -979,7 +975,7 @@ def parse_term(text: str) -> VLTerm:
         nesting -= 1
         return t
 
-    def peek(kind=None):
+    def peek():
         if pos >= len(toks):
             return None
         m = toks[pos]

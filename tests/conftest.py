@@ -1,6 +1,9 @@
-"""Shared corpus generators used across the test suite."""
+"""Shared corpus generators and the alarm helper used across the test
+suite."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +13,35 @@ from latdev.posets import FinitePoset
 from latdev.lattices import FiniteDistributiveLattice, lattice_from_downsets
 from latdev.semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                                SemilinearSet)
+
+
+class _Overrun(BaseException):
+    """Raised by the alarm of :func:`time_limit`; a BaseException, so no
+    ``except Exception`` in the code under test swallows it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float, what: str):
+    """Run the block under an alarm: past ``seconds`` it is interrupted
+    and the test fails with "<what> ran for <seconds> s".
+
+    The failure carries no traceback, and it drops the interrupted one:
+    ``from None``, because the exit of a ``with`` block still handles the
+    interrupt, and pytest would format its frames as the context (they
+    can end the session with an INTERNALERROR)."""
+    def stop(signum, frame):
+        raise _Overrun
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Overrun:
+        raise pytest.fail.Exception(f"{what} ran for {seconds} s",
+                                    pytrace=False) from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def random_poset(rng: random.Random, n: int, p: float = 0.3) -> FinitePoset:

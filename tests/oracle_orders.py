@@ -6,6 +6,11 @@ tests in ``test_order_kernel.py`` can compare the two:
 
 * the relation validation of ``FinitePoset`` (antisymmetry, then
   transitivity, with the same error messages);
+* the constructions that built their posets from a relation list
+  through the checked constructor (``chain``, ``dual``, ``product``,
+  ``with_top``, ``with_bottom``, ``restrict``, and the inclusion order
+  of the prime ideals), which ``FinitePoset._from_up`` replaced with
+  unchecked up-set masks;
 * the least-upper-bound / greatest-lower-bound scan that built the
   join/meet tables, and the triple scans for distributivity and
   zero-distributivity;
@@ -76,6 +81,51 @@ def validate_relation(elements, relation) -> list:
                         "relation is not transitive: "
                         f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
     return le
+
+
+def relation(P: FinitePoset) -> list:
+    """All pairs (a, b) with a <= b, in canonical order."""
+    return [(a, b) for a in P.elements for b in P.elements if P.leq(a, b)]
+
+
+def chain(n: int) -> FinitePoset:
+    return FinitePoset(range(n), [(i, j) for i in range(n)
+                                  for j in range(i, n)])
+
+
+def dual(P: FinitePoset) -> FinitePoset:
+    return FinitePoset(P.elements, [(b, a) for a, b in relation(P)])
+
+
+def product(P: FinitePoset, Q: FinitePoset) -> FinitePoset:
+    return FinitePoset([(a, b) for a in P.elements for b in Q.elements],
+                       [((a, b), (c, d)) for a, c in relation(P)
+                        for b, d in relation(Q)])
+
+
+def with_top(P: FinitePoset, top) -> FinitePoset:
+    rel = relation(P) + [(x, top) for x in P.elements] + [(top, top)]
+    return FinitePoset(P.elements + (top,), rel)
+
+
+def with_bottom(P: FinitePoset, bottom) -> FinitePoset:
+    rel = relation(P) + [(bottom, x) for x in P.elements]
+    rel.append((bottom, bottom))
+    return FinitePoset((bottom,) + P.elements, rel)
+
+
+def restrict(P: FinitePoset, subset) -> FinitePoset:
+    sub = set(subset)
+    return FinitePoset([x for x in P.elements if x in sub],
+                       [(a, b) for a, b in relation(P)
+                        if a in sub and b in sub])
+
+
+def inclusion_poset(ids, sets) -> FinitePoset:
+    """The sets ordered by inclusion, ``ids[i]`` naming ``sets[i]``."""
+    rel = [(a, b) for a, Sa in zip(ids, sets) for b, Sb in zip(ids, sets)
+           if Sa <= Sb]
+    return FinitePoset(ids, rel)
 
 
 def lattice_tables(poset: FinitePoset, check_distributive: bool = True):
@@ -215,9 +265,7 @@ def prime_ideal_poset(D) -> PrimeIdealPoset:
         primes.append(S)
     key = {e: i for i, e in enumerate(els)}
     ids = [tuple(sorted(S, key=key.get)) for S in primes]
-    sets = dict(zip(ids, primes))
-    rel = [(a, b) for a in ids for b in ids if sets[a] <= sets[b]]
-    return PrimeIdealPoset(tuple(primes), FinitePoset(ids, rel))
+    return PrimeIdealPoset(tuple(primes), inclusion_poset(ids, primes))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ independently of the sequential pair-loop in the implementation.
 
 import os
 import random
-import signal
 from functools import reduce
 
 import pytest
@@ -23,7 +22,7 @@ from latdev.posets import FinitePoset, prefix_shadows
 from latdev.serialize import lattice_from_json, load_json
 
 import oracle_orders as oracle
-from conftest import random_downset_lattice, random_poset
+from conftest import random_downset_lattice, random_poset, time_limit
 
 from test_deviations import non_antitone_chain4
 from test_order_kernel import adjustment_cases, m3, n5
@@ -385,18 +384,10 @@ def test_both_adjustment_paths_scale_to_tree_lattice():
     d = search_deviation(D)
     order = list(D.elements)[::-1]
 
-    def stop(signum, frame):
-        raise TimeoutError("adjustment ran for 20 s")
-
     def guarded(use_shadows):
-        old = signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, 20)
-        try:
+        with time_limit(20, "adjustment"):
             return monotone_adjustment(D.poset, D, d, order,
                                        use_shadows=use_shadows)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
 
     naive, shadow = guarded(False), guarded(True)
     assert naive.d_prime == shadow.d_prime

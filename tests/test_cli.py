@@ -8,7 +8,6 @@ import os
 import random
 import re
 import shlex
-import signal
 import tempfile
 import time
 from fractions import Fraction
@@ -17,12 +16,14 @@ import jsonschema
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from latdev import deviations
+from latdev import cli, deviations
 from latdev.cli import COMMANDS, SCHEMAS, _build_parser, config_from_args, main
 from latdev.semilinear import form
 from latdev.serialize import (deviation_from_json, deviation_to_json,
                               lattice_from_json, load_json, render_id)
 from latdev.vlterms import MAX_NOISO_K, evaluate, parse_term
+
+from conftest import time_limit
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -76,17 +77,10 @@ def schema_check(sub, out):
 def timed(capsys, limit, *argv):
     """Run the CLI, failing after ``limit`` seconds instead of hanging;
     returns the exit code, stdout, stderr and the wall time."""
-    def stop(signum, frame):
-        raise TimeoutError(f"latdev ran for {limit} s")
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, limit)
-    try:
+    with time_limit(limit, "latdev"):
         t0 = time.perf_counter()
         code = main(list(argv))
         wall = time.perf_counter() - t0
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
     captured = capsys.readouterr()
     return code, captured.out, captured.err, wall
 
@@ -256,6 +250,37 @@ class TestDeviation:
         code, out = run_cli(capsys, "deviation", "enumerate",
                             "--lattice", chain4, "--limit", limit)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("ceiling, code", [(15, 3), (16, 0)])
+    def test_search_report_ceiling(self, capsys, monkeypatch, chain4,
+                                   ceiling, code):
+        """chain4's report holds 4² = 16 pairs."""
+        monkeypatch.setattr(cli, "MAX_REPORT_PAIRS", ceiling)
+        got, out = run_cli(capsys, "deviation", "search",
+                           "--lattice", chain4)
+        assert got == code and (out == "") == (code == 3)
+
+    @pytest.mark.parametrize("ceiling, limit, code", [
+        (15, 1, 3), (16, 1, 0), (16, 20, 3), (191, 20, 3), (192, 20, 0)])
+    def test_enumerate_report_ceiling(self, capsys, monkeypatch, chain4,
+                                      ceiling, limit, code):
+        """chain4 has 12 deviations of 16 pairs each.  The enumeration
+        stops one deviation past the ceiling, and a --limit above the
+        count does not count against it."""
+        monkeypatch.setattr(cli, "MAX_REPORT_PAIRS", ceiling)
+        asked = []
+        enumerate_deviations = deviations.enumerate_deviations
+        monkeypatch.setattr(deviations, "enumerate_deviations",
+                            lambda D, k: asked.append(k)
+                            or enumerate_deviations(D, k))
+        got, out = run_cli(capsys, "deviation", "enumerate",
+                           "--lattice", chain4, "--limit", str(limit))
+        assert asked == [min(limit, ceiling // 16 + 1)]
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["count"] == min(limit, 12)
+        else:
+            assert out == ""
 
 
 class TestAdjust:

@@ -1,7 +1,6 @@
 """Deviation axioms, property sweeps, search and enumeration."""
 
 import random
-import signal
 
 import pytest
 
@@ -16,7 +15,7 @@ from latdev.lattices import (FiniteDistributiveLattice, _normal_pair,
 from latdev.posets import FinitePoset, bits
 
 import oracle_orders as oracle
-from conftest import downset_lattice_corpus
+from conftest import downset_lattice_corpus, time_limit
 
 from test_lattices import SQUARE, five_element_ncn, m3
 from test_order_kernel import chain_product, n5
@@ -162,18 +161,9 @@ def test_sweeps_scale_to_b10():
     rows took about 15 s."""
     D = lattice_from_downsets(FinitePoset.antichain(list("abcdefghij")))
     d = search_deviation(D)
-
-    def stop(signum, frame):
-        raise TimeoutError("the B10 sweeps ran for 6 s")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 6)
-    try:
+    with time_limit(6, "the B10 sweeps"):
         rep = deviation_properties(D, d)
         found = search_deviation(D, True, True)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
     assert rep.monotone and rep.cevian
     assert found == d
 
@@ -188,17 +178,8 @@ def test_failing_sweeps_start_at_the_failing_row_on_b10():
     d = search_deviation(D)
     x, y = D.elements[-2], D.elements[3]
     d[(x, y)] = D.top
-
-    def stop(signum, frame):
-        raise TimeoutError("the failing B10 sweeps ran for 3 s")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 3)
-    try:
+    with time_limit(3, "the failing B10 sweeps"):
         rep = deviation_properties(D, d)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
     assert not (rep.left_isotone or rep.right_antitone or rep.cevian)
     a, a2, b = rep.left_isotone_ce
     assert D.leq(a, a2) and not D.leq(d[(a, b)], d[(a2, b)])

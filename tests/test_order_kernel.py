@@ -101,6 +101,42 @@ def test_downset_lattices_match_oracle():
         assert_downsets_match_oracle(J)
 
 
+def assert_same_poset(P: FinitePoset, Q: FinitePoset):
+    assert (P.elements, P._idx, P._up, P._down) == \
+        (Q.elements, Q._idx, Q._up, Q._down)
+
+
+def test_mask_built_posets_match_checked_oracle():
+    """Each poset the library stores from its own masks, unchecked, is
+    the poset that the checked constructor builds from the relation list
+    of ``oracle_orders``: the checks it skips would all have passed."""
+    rng = random.Random(29)
+    posets = list(all_posets(4))
+    posets += [random_poset(rng, rng.randint(0, 7)) for _ in range(60)]
+    for n in range(9):
+        assert_same_poset(FinitePoset.chain(n), oracle.chain(n))
+    for P in posets:
+        assert_same_poset(P.dual(), oracle.dual(P))
+        Q = rng.choice(posets[:40])
+        assert_same_poset(P.product(Q), oracle.product(P, Q))
+        assert_same_poset(P.with_top("t"), oracle.with_top(P, "t"))
+        assert_same_poset(P.with_bottom("b"), oracle.with_bottom(P, "b"))
+        for _ in range(3):
+            sub = [x for x in P.elements if rng.random() < 0.5]
+            assert_same_poset(P.restrict(sub), oracle.restrict(P, sub))
+        D = lattice_from_downsets(P)
+        assert_same_poset(
+            D.poset, FinitePoset(*oracle.downset_lattice_relation(P)))
+        pip = prime_ideal_poset(D)
+        ids = [tuple(x for x in D.elements if x in I) for I in pip.ideals]
+        assert_same_poset(pip.poset, oracle.inclusion_poset(ids, pip.ideals))
+    P = FinitePoset.chain(3)
+    for bad in (lambda: P.with_top(0), lambda: P.with_bottom(2),
+                lambda: P.restrict([0, "nowhere"])):
+        with pytest.raises(InputError):
+            bad()
+
+
 def assert_matches_oracle(D: FiniteDistributiveLattice):
     join, meet, bot, top = oracle.lattice_tables(D.poset,
                                                  check_distributive=False)

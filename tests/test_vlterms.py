@@ -2,7 +2,6 @@
 the region probes."""
 
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from latdev.vlterms import (MAX_REGION_DIMENSION, MAX_TERM_DEPTH, Join,
                             pseudocomplement_probe, random_term, substitute,
                             term_depth, text_length, zero, zero_set)
 
-from conftest import random_point
+from conftest import random_point, time_limit
 
 F = Fraction
 g0, g1, g2 = gen(0), gen(1), gen(2)
@@ -556,12 +555,7 @@ class TestDecisionByParts:
     def test_shared_nodes_answer_within_a_second(self, shape):
         """A term is a DAG; a walk that followed every path would take
         2^40 steps on these."""
-        def stop(signum, frame):
-            raise TimeoutError(f"{shape} ran for 1 s")
-
-        old = signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, 1)
-        try:
+        with time_limit(1, shape):
             if shape == "ideal-self-join":
                 i0, i1 = PrincipalIdeal.of(g0, 2), PrincipalIdeal.of(g1, 2)
                 j = i0
@@ -579,9 +573,6 @@ class TestDecisionByParts:
                 assert ideal_leq(g0, t, 1) == (True, None)
                 assert check_cevian_triple(t, g1, t, 2)
                 assert not ideal_meet_is_zero(t, g0, 1)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
 
     def test_verdict_below_whole_term_ceiling(self):
         """The rhs |(g0-g1)^+| ∨ |(g1-g2)^+| has 6 pieces whole, but the
