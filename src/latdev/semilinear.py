@@ -35,6 +35,19 @@ a configurable ceiling (default ``DEFAULT_CELL_CEILING``) and raise
 :class:`ResourceLimitError` beyond it; so does an elimination step that
 would build more than ``MAX_FM_ROWS`` rows.
 
+Two results are cached, each by a module-level ``functools`` cache:
+``is_empty`` on the cell (its atoms in order), and ``complement`` on the
+set (its dimension and its cells in order) and the ceiling, where no
+ceiling means ``DEFAULT_CELL_CEILING``.  A raised error is never cached,
+so a complement within one ceiling still fails a lower one.  ``includes``
+tests each pair of a cell of T and a cell of the complement of S with
+``is_empty`` and back-substitutes only the first nonempty pair;
+``witness_point`` is not cached and reads ``MAX_FM_ROWS`` at each call.
+The sets that complement, intersection and elimination build from the
+atoms of checked sets are stored without re-checking the dimension of
+every atom (``SemilinearSet._built``); the constructor checks outside
+input.
+
 Variables are 0-indexed and written ``x0, x1, ...`` in the textual
 format, e.g. ``"2*x0 - 1/3*x1 + 1 > 0"``.
 """
@@ -261,6 +274,17 @@ class SemilinearSet:
         for c in self.cells:
             if not c.dimension_consistent(self.dimension):
                 raise InputError("cell atoms disagree with declared dimension")
+
+    @classmethod
+    def _built(cls, n: int, cells: tuple) -> "SemilinearSet":
+        """The set of these cells, stored unchecked: every atom must have
+        dimension n, as the atoms of checked sets and the atoms derived
+        from them have.  Outside input goes through the constructor's
+        check."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "dimension", n)
+        object.__setattr__(S, "cells", cells)
+        return S
 
     @classmethod
     def whole(cls, n: int) -> "SemilinearSet":
@@ -538,12 +562,22 @@ def intersect(S: SemilinearSet, T: SemilinearSet,
     for a in S.cells:
         for b in T.cells:
             _accumulate(out, Cell.of(a.atoms + b.atoms), ceiling)
-    return SemilinearSet(S.dimension, tuple(c for c, _ in out))
+    return SemilinearSet._built(S.dimension, tuple(c for c, _ in out))
 
 
 def complement(S: SemilinearSet,
                ceiling: Optional[int] = None) -> SemilinearSet:
-    """De Morgan expansion of the pointwise complement."""
+    """De Morgan expansion of the pointwise complement (cached, see
+    ``_complement``)."""
+    return _complement(S, DEFAULT_CELL_CEILING if ceiling is None
+                       else ceiling)
+
+
+@lru_cache(maxsize=1 << 12)
+def _complement(S: SemilinearSet, ceiling: int) -> SemilinearSet:
+    """The complement, cached on the set (its dimension and its cells in
+    order) and the ceiling: a result within one ceiling may exceed a
+    lower one, and a raised error is never cached."""
     acc = [Cell(())]
     for cell in S.cells:
         options = [neg for atom in cell.atoms for neg in atom.negations()]
@@ -554,7 +588,7 @@ def complement(S: SemilinearSet,
         acc = [c for c, _ in nxt]
         if not acc:
             break
-    return SemilinearSet(S.dimension, tuple(acc))
+    return SemilinearSet._built(S.dimension, tuple(acc))
 
 
 def _variables(S: SemilinearSet, variables: Iterable[int]) -> set:
@@ -589,23 +623,28 @@ def eliminate(S: SemilinearSet, variables: Iterable[int],
         if not is_empty(c) and c not in out:
             out.append(c)
         _guard(len(out), ceiling)
-    return SemilinearSet(S.dimension, tuple(out))
+    return SemilinearSet._built(S.dimension, tuple(out))
 
 
 def includes(S: SemilinearSet, T: SemilinearSet,
              ceiling: Optional[int] = None) -> tuple:
     """Whether T ⊆ S.  Returns (True, None) or (False, witness) with a
-    verified witness point in T \\ S."""
+    verified witness point in T \\ S: the witness of the first
+    nonempty cell t ∧ c, over the cells t of T and c of the complement
+    of S in order.  Each pair is tested with the cached ``is_empty``, and
+    only that one cell is back-substituted."""
     if S.dimension != T.dimension:
         raise InputError("dimension mismatch")
     comp = complement(S, ceiling)
     for t in T.cells:
         for c in comp.cells:
-            w = witness_point(Cell.of(t.atoms + c.atoms), S.dimension)
-            if w is not None:
-                if not T.contains(w) or S.contains(w):
-                    raise ContractError(f"inclusion witness {w} fails")
-                return (False, w)
+            cell = Cell.of(t.atoms + c.atoms)
+            if is_empty(cell):
+                continue
+            w = witness_point(cell, S.dimension)
+            if w is None or not T.contains(w) or S.contains(w):
+                raise ContractError(f"inclusion witness {w} fails")
+            return (False, w)
     return (True, None)
 
 

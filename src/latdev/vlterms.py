@@ -51,7 +51,10 @@ it is kept because linearizing a term cold would otherwise build the
 difference form, the atom and both cells of every such pair.
 
 The region of interest is ``omega_region(n)``: points u with
-0 <= u_i <= 1 for all i and u_j <= 2*u_k whenever 0 < j < k.
+0 <= u_i <= 1 for all i and u_j <= 2*u_k whenever 0 < j < k.  It is
+built once per n and shared: a ``functools`` cache keyed on n keeps
+the four most recently used regions, since the region in dimension n
+holds n(n-1)/2 + 2n dense atoms.
 
 The deviation at ideal level sends (<g>, <h>) to <(g-h)^+>; it is Cevian
 (``check_cevian_triple``), and ``pseudocomplement_probe`` /
@@ -481,7 +484,7 @@ def _piece_set(t: VLTerm, n: int, ceiling: Optional[int],
             c = Cell.of(cell.atoms + atoms) if atoms else cell
             if not is_empty(c):
                 cells.append(c)
-    return SemilinearSet(n, tuple(cells))
+    return SemilinearSet._built(n, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +590,11 @@ class OmegaRegion:
         return self.set.contains(point)
 
 
+@lru_cache(maxsize=4, typed=True)
 def omega_region(n: int) -> OmegaRegion:
     """The region of interest in dimension 1 <= n <=
-    ``MAX_REGION_DIMENSION`` (ResourceLimitError above it)."""
+    ``MAX_REGION_DIMENSION`` (ResourceLimitError above it), built once
+    per n (cached; an error is not)."""
     if n < 1:
         raise InputError("region dimension must be >= 1")
     if n > MAX_REGION_DIMENSION:

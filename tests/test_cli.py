@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, schema validation, determinism."""
 
 import contextlib
+import inspect
 import io
 import json
 import copy
@@ -16,6 +17,7 @@ import jsonschema
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import latdev
 from latdev import cli, deviations
 from latdev.cli import COMMANDS, SCHEMAS, _build_parser, config_from_args, main
 from latdev.semilinear import form
@@ -528,6 +530,70 @@ def test_vlat_fuzz_exit_codes_and_schema(argv):
         jsonschema.validate(json.loads(out.getvalue()), SCHEMAS[sub])
     else:
         assert out.getvalue() == "" and err.getvalue()
+
+
+_SETS = sorted(name for name in os.listdir(os.path.join(GOLDEN, "fixtures"))
+               if name.startswith("sl_") and name.endswith(".json"))
+
+
+@st.composite
+def semilinear_argv(draw):
+    """``semilinear includes`` or ``semilinear shadow`` argv on the
+    ``sl_*`` fixtures (dimensions 2-4, so some pairs disagree), with
+    --cell-ceiling from 1 to 8 or absent.  Shadow --vars texts are
+    index lists in range, out of range or negative, or malformed."""
+    sub = draw(st.sampled_from(["includes", "shadow"]))
+    sets = st.sampled_from(_SETS).map(_fixture)
+    if sub == "includes":
+        argv = ["--outer", draw(sets), "--inner", draw(sets)]
+    else:
+        indices = st.lists(st.integers(-1, 4), max_size=4).map(
+            lambda vs: ",".join(map(str, vs)))
+        malformed = st.sampled_from(["x", "0,,1", "1;2", " ", "0,", "1.5"])
+        argv = ["--set", draw(sets),
+                "--vars=" + draw(st.one_of(indices, malformed))]
+        kind = draw(st.sampled_from([None, "upper", "lower"]))
+        if kind is not None:
+            argv += ["--kind", kind]
+    ceiling = draw(st.one_of(st.none(), st.integers(1, 8)))
+    top = [] if ceiling is None else ["--cell-ceiling", str(ceiling)]
+    return top, ["semilinear", sub] + argv
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _clear_caches():
+    """Empty every ``functools`` cache in the modules of ``latdev``."""
+    for module in vars(latdev).values():
+        if inspect.ismodule(module):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@given(semilinear_argv())
+@settings(max_examples=200, deadline=None)
+def test_semilinear_fuzz_exit_codes_schema_and_warm_caches(drawn):
+    """Exit codes and schemas as for ``vlat``.  The argv then runs
+    again after a run without --cell-ceiling has cached its results at
+    the default ceiling: same exit code, same bytes, so a result cached
+    at one ceiling never answers for another."""
+    top, cmd = drawn
+    _clear_caches()
+    code, out, err = _main_output(top + cmd)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        jsonschema.validate(json.loads(out), SCHEMAS[" ".join(cmd[:2])])
+    else:
+        assert out == "" and err
+    _main_output(cmd)
+    assert _main_output(top + cmd) == (code, out, err)
 
 
 # A fixture document per input format and the argv that reads it ("{}"

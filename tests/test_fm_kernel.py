@@ -24,8 +24,9 @@ import pytest
 import oracle_fm as oracle
 from latdev.errors import InputError
 from latdev.semilinear import (EQ, GE, GT, Cell, Constraint, LinearForm,
-                               SemilinearSet, _from_row, complement,
-                               eliminate, includes, is_empty, witness_point)
+                               SemilinearSet, _complement, _from_row,
+                               complement, eliminate, includes, is_empty,
+                               witness_point)
 
 from conftest import random_point
 
@@ -174,6 +175,7 @@ def test_row_built_atoms_match_fraction_built(corpus):
 
 def test_complement_builds_no_forms():
     """Derived atoms carry only their key and row until a form is read."""
+    _complement.cache_clear()
     unset = 0
     for n, S, _ in _corpus():
         if _de_morgan(S) > 4:

@@ -15,6 +15,7 @@ from latdev.semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                                parse_constraint, parse_set, same_set, union,
                                unit_form, upper_shadow_set, witness_point)
 
+import oracle_fm
 from conftest import random_point, random_semilinear
 
 
@@ -191,6 +192,22 @@ class TestComplement:
         with pytest.raises(ResourceLimitError):
             complement(S(cells, 5), ceiling=16)
 
+    def test_cached_per_set_and_ceiling(self):
+        """No ceiling means the default one: the three calls, and a call
+        on an equal set parsed again, return one cached object."""
+        text = [["x0 > 0", "x1 >= 1"], ["x0 = x1"]]
+        got = complement(S(text, 2))
+        assert complement(S(text, 2), None) is got
+        assert complement(S(text, 2), semilinear.DEFAULT_CELL_CEILING) is got
+
+    def test_cached_success_still_fails_a_lower_ceiling(self):
+        U = S([[f"x{i} = 0"] for i in range(5)], 5)
+        assert len(complement(U).cells) == 32
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                complement(U, ceiling=16)
+        assert complement(U, 32).cells == complement(U).cells
+
 
 class TestIncludes:
     def test_empty_always_included(self):
@@ -207,6 +224,24 @@ class TestIncludes:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             includes(WHOLE2, SemilinearSet.whole(3))
+
+    def test_witness_of_first_nonempty_pair(self):
+        """Pairs t ∧ c are tested with ``is_empty`` and only the first
+        nonempty one is back-substituted: here three empty pairs come
+        before it and two nonempty ones after it.  Verdict and witness
+        are the oracle's, which back-substitutes every pair.
+        ``witness_point`` stays uncached (a row ceiling set between two
+        calls applies to the second)."""
+        outer = S([["x0 > 0", "x1 > 0"]], 2)
+        inner = S([["x0 > 1", "x1 > 1"], ["x1 > 1", "x0 < 3"],
+                   ["x0 < -1"]], 2)
+        comp = complement(outer)
+        assert [is_empty(Cell.of(t.atoms + c.atoms)) for t in inner.cells
+                for c in comp.cells] == [True, True, True, False, False,
+                                         False]
+        got = includes(outer, inner)
+        assert not got[0] and got == oracle_fm.includes(outer, inner)
+        assert not hasattr(witness_point, "cache_info")
 
     def test_never_contradicts_sampling(self, rng):
         for _ in range(30):

@@ -385,6 +385,17 @@ class TestOmega:
         with pytest.raises(ResourceLimitError):
             omega_region(MAX_REGION_DIMENSION + 1)
 
+    def test_region_built_once_per_dimension(self):
+        """The region is cached per n; errors are raised on every call,
+        and a bool is not taken for the int it equals."""
+        assert omega_region(3) is omega_region(3)
+        assert omega_region(True) is not omega_region(1)
+        for n, error in ((0, InputError),
+                         (MAX_REGION_DIMENSION + 1, ResourceLimitError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    omega_region(n)
+
     def test_extend_copies_next_above(self):
         assert omega_extend({2: F(1, 2)}, 3) == (F(1, 2), F(1, 2), F(1, 2))
 
