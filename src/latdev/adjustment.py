@@ -38,11 +38,10 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from .deviations import _table
 from .errors import InputError
 from .lattices import FiniteDistributiveLattice
 from .posets import ElementId, FinitePoset, bits, check_enumeration
-
-_MISSING = object()
 
 
 class PairOrderContext:
@@ -185,22 +184,12 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
     if not D.is_distributive:
         raise InputError("monotone adjustment needs a distributive lattice")
     order = check_enumeration(M, enumeration)
+    els, bk = D.elements, D._birkhoff
+    t = _table(M, D.poset, d)   # d, flat over M × M, as positions
+    dp = [bk[i] for i in t]     # d, then d', as Birkhoff masks
     m = len(M)
-    lat = D.poset._idx
-    bk = D._birkhoff
     pairs = [(x, y) for x in M.elements for y in M.elements]
     at_pair = pairs.__getitem__
-    vals = []                   # d, flat over M × M
-    dp = []                     # d, then d', as Birkhoff masks
-    for pair in pairs:
-        v = d.get(pair, _MISSING)
-        if v is _MISSING:
-            raise InputError(f"map not total: missing {pair!r}")
-        i = lat.get(v)
-        if i is None:
-            raise InputError(f"value {v!r} outside lattice")
-        vals.append(v)
-        dp.append(bk[i])
     seq = [M.index(x) for x in order]
     # the ordered pairs in decision order: the blocks {a, b} with a ⊑ b in
     # ⊴-ascending order, (a, b) before (b, a); rank is the inverse
@@ -236,7 +225,7 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
         def entry(r):
             ab = ordered[r]
             meet_ks, join_ks = _shadow_bound_keys(shads, m, *divmod(ab, m))
-            return TraceEntry(vals[ab], tuple(map(at_pair, meet_ks)),
+            return TraceEntry(els[t[ab]], tuple(map(at_pair, meet_ks)),
                               tuple(map(at_pair, join_ks)))
     else:
         at_rank = decided.__getitem__
@@ -253,9 +242,9 @@ def monotone_adjustment(M: FinitePoset, D: FiniteDistributiveLattice,
             a, b = divmod(ab, m)
             # the ranks of the earlier blocks: those below both orientations
             done = min(r, rank[b * m + a])
-            return TraceEntry(vals[ab], earlier(M._up[a], M._down[b], done),
+            return TraceEntry(els[t[ab]], earlier(M._up[a], M._down[b], done),
                               earlier(M._down[a], M._up[b], done))
 
-    els, pos = D.elements, D._from_birkhoff
+    pos = D._from_birkhoff
     d_prime = {pair: els[pos[dp[ab]]] for pair, ab in zip(decided, ordered)}
     return AdjustmentResult(d_prime, AdjustmentTrace(M, decided, rank, entry))

@@ -522,6 +522,8 @@ def run(cfg: RunConfig) -> tuple:
         cfg, args={**c.defaults, **cfg.args}))
     if isinstance(report, str):          # already rendered (dot)
         return code, report
+    if cfg.fmt == "dot":
+        raise InputError(f"{cfg.subcommand} has no --format dot rendering")
     if cfg.fmt == "text":
         lines = [f"{k}: {json.dumps(report[k], sort_keys=True)}"
                  for k in sorted(report)]

@@ -7,7 +7,11 @@ A deviation is a total binary map d on the lattice with
     axiom 2:  d(x,y) ∧ d(y,x) = 0      for all x, y
 
 Deviations are represented as plain dicts mapping ordered id pairs to
-ids of the host lattice.
+ids of the host lattice.  ``_table`` is the one place such a map is
+checked and turned into a flat table of positions (``adjustment`` uses
+it too), and ``_counterexamples`` the one property pass on that table:
+the property report maps its positions to ids, and search runs it to
+re-verify the table when a property is asked for.
 
 Search and enumeration rely on Birkhoff's representation: in a finite
 distributive lattice a join-irreducible p lies below y ∨ c iff it lies
@@ -26,12 +30,12 @@ distributive lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .lattices import (FiniteDistributiveLattice, _meet_irreducibles,
                        _normal_pair)
-from .posets import ElementId, bits
+from .posets import ElementId, FinitePoset, bits
 
 DeviationMap = Dict[Tuple[ElementId, ElementId], ElementId]
 
@@ -50,13 +54,14 @@ class DeviationViolation:
     pair: tuple
 
 
-def _table(D: FiniteDistributiveLattice, d: DeviationMap) -> list:
-    """d as a flat table of positions, t[i*n + j] = d(x_i, x_j), after
-    checking that d is total with values in the carrier."""
-    idx = D.poset._idx
+def _table(P: FinitePoset, Q: FinitePoset, d: Mapping) -> list:
+    """d: P × P → Q as a flat table of positions, t[i*n + j] =
+    d(p_i, p_j), after checking that d is total with values in Q; the
+    first fault in canonical pair order is raised as InputError."""
+    idx = Q._idx
     t = []
-    for x in D.elements:
-        for y in D.elements:
+    for x in P.elements:
+        for y in P.elements:
             v = d.get((x, y), _MISSING)
             if v is _MISSING:
                 raise InputError(f"map not total: missing pair {(x, y)!r}")
@@ -94,7 +99,7 @@ def check_deviation(D: FiniteDistributiveLattice,
     Pairs are scanned in canonical order; within a pair, axiom 1 is
     checked before axiom 2.
     """
-    bad = _violation(D, _table(D, d))
+    bad = _violation(D, _table(D.poset, D.poset, d))
     if bad is None:
         return None
     axiom, i, j = bad
@@ -133,8 +138,9 @@ def _rows(D: FiniteDistributiveLattice, t: list) -> list:
     every cover x ⋖ x′, antitone iff every row set is an up-set, Cevian
     iff every relation d(x,y) <= m_k is transitive.  The tests look at
     each distinct row set once.  To name a first counterexample, the
-    isotone scan compares the rows of every comparable pair; the
-    antitone and Cevian scans look only at the x that
+    isotone scan compares rows of comparable pairs only from the x in
+    the mask that :func:`_isotone` returns, and the antitone and Cevian
+    scan, :func:`_open_failure`, looks only at the x that
     :func:`_first_open` names."""
     n = len(D)
     up = D.poset._up
@@ -153,17 +159,23 @@ def _rows(D: FiniteDistributiveLattice, t: list) -> list:
     return rows
 
 
-def _isotone(D: FiniteDistributiveLattice, rows: list) -> bool:
-    """Whether d is isotone in its first argument: rows[x′][k] ⊆
-    rows[x][k] for every upper cover x′ of x, which gives every x <= x′
-    by transitivity."""
+def _isotone(D: FiniteDistributiveLattice, rows: list) -> int:
+    """The mask ↓{x : some cover x ⋖ x′ has rows[x′][k] ⊄ rows[x][k]},
+    which is 0 iff d is isotone in its first argument (covers give every
+    x <= x′ by transitivity).  It holds the x of the first
+    counterexample (x, x′, y): a chain of covers from x up to x′ has a
+    failing cover c ⋖ c′, and x <= c."""
     P = D.poset
+    bad = 0
     for x, rx in enumerate(rows):
         for x2 in bits(P._min(P._up[x] & ~(1 << x))):
+            if bad >> x & 1:
+                break
             for a, b in zip(rows[x2], rx):
                 if a & ~b:
-                    return False
-    return True
+                    bad |= P._down[x]
+                    break
+    return bad
 
 
 def _first_open(rows: list, cones: list) -> Optional[int]:
@@ -176,7 +188,7 @@ def _first_open(rows: list, cones: list) -> Optional[int]:
     of the rows as cone k, closure says that d(x,y) <= m_k and
     d(y,z) <= m_k give d(x,z) <= m_k, so d is Cevian iff None comes
     back.  Either way the x returned is that of the first
-    counterexample."""
+    counterexample, which :func:`_open_failure` names."""
     seen = [set() for _ in cones]
     for x, row in enumerate(rows):
         for S, cone, tested in zip(row, cones, seen):
@@ -196,72 +208,60 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _isotone_failure(D: FiniteDistributiveLattice,
-                     rows: list) -> Optional[tuple]:
-    """First (x, x', y) with x <= x' and d(x,y) not<= d(x',y), or None:
-    y fails iff some m_k lies above d(x',y) but not above d(x,y)."""
-    for x, rx in enumerate(rows):
+def _isotone_failure(D: FiniteDistributiveLattice, rows: list,
+                     below: int) -> tuple:
+    """First (x, x', y) with x <= x' and d(x,y) not<= d(x',y), scanning
+    only the x in ``below``, the nonzero mask of :func:`_isotone`: y
+    fails iff some m_k lies above d(x',y) but not above d(x,y)."""
+    for x in bits(below):
+        rx = rows[x]
         for x2 in bits(D.poset._up[x]):
             bad = 0
             for a, b in zip(rows[x2], rx):
                 bad |= a & ~b
             if bad:
                 return (x, x2, _lowest(bad))
-    return None
+    raise ContractError("a cover fails isotonicity, but no x below it")
 
 
-def _antitone_failure(D: FiniteDistributiveLattice, rows: list,
-                      x: int) -> tuple:
-    """First (x, y, y') with y <= y' and d(x,y') not<= d(x,y), at the x
-    that :func:`_first_open` names with ``up`` as cones: y' fails iff
-    some m_k lies above d(x,y) but not above d(x,y')."""
-    rx = rows[x]
-    for y, uy in enumerate(D.poset._up):
-        outside = 0
-        for a in rx:
-            if a >> y & 1:
-                outside |= ~a
-        if uy & outside:
-            return (x, y, _lowest(uy & outside))
-    raise ContractError(f"a row set of x = {x} is no up-set, but no "
-                        f"(x, y, y') fails antitonicity")
-
-
-def _cevian_failure(rows: list, x: int) -> tuple:
-    """First (x, y, z) with d(x,z) not<= d(x,y) ∨ d(y,z), at the x that
-    :func:`_first_open` names with the columns as cones: z fails iff
+def _open_failure(rows: list, cones: list, x: int) -> tuple:
+    """First (x, y, z) with y in some rows[x][k] and z in cones[k][y]
+    outside it, at the x that :func:`_first_open` names with the same
+    cones.  With ``up`` as cones that is y <= y' with
+    d(x,y') not<= d(x,y); with the columns, d(x,z) not<= d(x,y) ∨ d(y,z):
     some m_k lies above d(x,y) and d(y,z) but not above d(x,z)."""
-    rx = rows[x]
-    for y, ry in enumerate(rows):
+    for y in range(len(rows)):
         bad = 0
-        for a, b in zip(rx, ry):
-            if a >> y & 1:
-                bad |= b & ~a
+        for S, cone in zip(rows[x], cones):
+            if S >> y & 1:
+                bad |= cone[y] & ~S
         if bad:
             return (x, y, _lowest(bad))
-    raise ContractError(f"a row set of x = {x} is open under the columns, "
-                        f"but no (x, y, z) fails the Cevian inequality")
+    raise ContractError(f"a row set of x = {x} is open, but no y at it")
+
+
+def _counterexamples(D: FiniteDistributiveLattice, t: list) -> tuple:
+    """The first isotone, antitone and Cevian counterexamples of the
+    total map t in canonical order, as position triples (None where the
+    property holds).  Each property is decided by its test on the row
+    sets of :func:`_rows`, and only a failed test runs its scan."""
+    rows = _rows(D, t)
+    below = _isotone(D, rows)
+    out = [_isotone_failure(D, rows, below) if below else None]
+    for cones in ([D.poset._up] * len(rows[0]), list(zip(*rows))):
+        x = _first_open(rows, cones)
+        out.append(None if x is None else _open_failure(rows, cones, x))
+    return tuple(out)
 
 
 def deviation_properties(D: FiniteDistributiveLattice,
                          d: DeviationMap) -> PropertyReport:
     """The properties of any total map d on D, with first
-    counterexamples in canonical order.
-
-    Each property is decided by its test on the row sets of
-    :func:`_rows`; only a failed test runs its scan, which names the
-    first counterexample.  Antitone and Cevian are one test,
-    :func:`_first_open`, on different cones, and their scans start at
-    the x it returns."""
-    els, rows = D.elements, _rows(D, _table(D, d))
-    li = None if _isotone(D, rows) else _isotone_failure(D, rows)
-    x = _first_open(rows, [D.poset._up] * len(rows[0]))
-    ra = None if x is None else _antitone_failure(D, rows, x)
-    x = _first_open(rows, list(zip(*rows)))
-    cev = None if x is None else _cevian_failure(rows, x)
-    li, ra, cev = (None if ce is None else tuple(els[i] for i in ce)
-                   for ce in (li, ra, cev))
-    return PropertyReport(li is None, ra is None, cev is None, li, ra, cev)
+    counterexamples in canonical order (:func:`_counterexamples`)."""
+    els = D.elements
+    ces = [None if ce is None else tuple(els[i] for i in ce)
+           for ce in _counterexamples(D, _table(D.poset, D.poset, d))]
+    return PropertyReport(*(ce is None for ce in ces), *ces)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +366,6 @@ def _solutions(D: FiniteDistributiveLattice) -> Iterator[list]:
             tab[k] = None
 
 
-def _verify(D, t, require_monotone, require_cevian) -> bool:
-    """Whether the deviation t has the requested properties; only the
-    requested sweeps run."""
-    if not (require_monotone or require_cevian):
-        return True
-    rows = _rows(D, t)
-    if require_monotone and not (
-            _isotone(D, rows)
-            and _first_open(rows, [D.poset._up] * len(rows[0])) is None):
-        return False
-    return not require_cevian or _first_open(rows, list(zip(*rows))) is None
-
-
 def search_deviation(D: FiniteDistributiveLattice,
                      require_monotone: bool = False,
                      require_cevian: bool = False) -> Optional[DeviationMap]:
@@ -388,15 +375,18 @@ def search_deviation(D: FiniteDistributiveLattice,
     Every deviation lies pointwise above x∖y, and the x∖y table is
     monotone and Cevian; it is a deviation iff D is completely normal.
     So no search node is placed: the table is checked against both
-    axioms once, and the flags do not change the result but select the
-    sweeps that re-verify it before it is returned.  Raises InputError
-    on a non-distributive lattice.
+    axioms once, and the flags do not change the result; when one is
+    set, :func:`_counterexamples` re-verifies the table, and a requested
+    property that fails raises ContractError.  Raises InputError on a
+    non-distributive lattice.
     """
     t = _floors(D)
     if t is None:
         return None
-    if not _verify(D, t, require_monotone, require_cevian):
-        raise ContractError("search produced an inconsistent table")
+    if require_monotone or require_cevian:
+        li, ra, cev = _counterexamples(D, t)
+        if require_monotone and (li or ra) or require_cevian and cev:
+            raise ContractError("search produced an inconsistent table")
     return _to_map(D, t)
 
 

@@ -522,14 +522,14 @@ def _guard(count: int, ceiling: Optional[int]):
 
 def _accumulate(out: list, cell: Cell, ceiling: Optional[int]):
     """Add a cell to a union-in-progress of (cell, atom set) pairs,
-    dropping empty and subsumed cells (an atom superset denotes a subset
-    region)."""
-    if is_empty(cell):
-        return
+    dropping subsumed and empty cells (an atom superset denotes a subset
+    region).  Subsumption is tested first: it needs no elimination."""
     atoms = set(cell.atoms)
     for _, s in out:
         if s <= atoms:
             return
+    if is_empty(cell):
+        return
     out[:] = [(c, s) for c, s in out if not atoms <= s]
     out.append((cell, atoms))
     _guard(len(out), ceiling)

@@ -502,9 +502,10 @@ def monotone_adjustment(M, D, d, enumeration,
     for x in M.elements:
         for y in M.elements:
             if (x, y) not in d:
-                raise InputError(f"map not total: missing {(x, y)!r}")
-            if d[(x, y)] not in D.poset:
-                raise InputError(f"value {d[(x, y)]!r} outside lattice")
+                raise InputError(f"map not total: missing pair {(x, y)!r}")
+            v = d[(x, y)]
+            if v not in D.poset:
+                raise InputError(f"value {v!r} at {(x, y)!r} outside carrier")
     shads = prefix_shadows(M, order) if use_shadows else None
 
     d_prime: dict = {}

@@ -1095,6 +1095,21 @@ class TestInfrastructure:
                             "lattice", "check", chain4)
         assert code == 0 and "completely_normal: true" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("deviation", "search", "--lattice", "grid.json"),
+        ("poset", "witness", "--poset", "poset9.json"),
+        ("semilinear", "includes", "--outer", "sl_box.json",
+         "--inner", "sl_triangle.json"),
+    ], ids=["deviation-search", "poset-witness", "semilinear-includes"])
+    def test_dot_without_rendering_is_input_error(self, capsys, argv):
+        """Only ``lattice check`` draws DOT; asking another subcommand
+        for it exits 2 and prints nothing on stdout."""
+        argv = [_fixture(a) if a.endswith(".json") else a for a in argv]
+        code = main(["--format", "dot", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "no --format dot rendering" in err
+
     def test_registry_defaults_match_parser(self):
         """Each registered subcommand parses, and ``run`` fills in the
         same defaults for missing optional arguments as the parser."""

@@ -134,20 +134,23 @@ class TestSweepMasks:
                 want = (oracle.isotone_failure(D, t),
                         oracle.antitone_failure(D, t),
                         oracle.cevian_failure(D, t))
-                # the row-set tests decide what the scans find, and the
-                # antitone and Cevian tests name the first x
-                assert deviations._isotone(D, rows) == (want[0] is None)
-                starts = (deviations._first_open(
-                              rows, [D.poset._up] * len(rows[0])),
-                          deviations._first_open(rows, list(zip(*rows))))
-                assert starts == tuple(None if w is None else w[0]
-                                       for w in want[1:]), (D, t)
-                got = (deviations._isotone_failure(D, rows),
-                       None if starts[0] is None else
-                       deviations._antitone_failure(D, rows, starts[0]),
-                       None if starts[1] is None else
-                       deviations._cevian_failure(rows, starts[1]))
+                # the row-set tests decide what the scans find: the
+                # isotone mask holds the first x, and the antitone and
+                # Cevian tests name it
+                below = deviations._isotone(D, rows)
+                assert (below == 0) == (want[0] is None)
+                assert want[0] is None or below >> want[0][0] & 1, (D, t)
+                cones = ([D.poset._up] * len(rows[0]), list(zip(*rows)))
+                starts = [deviations._first_open(rows, c) for c in cones]
+                assert starts == [None if w is None else w[0]
+                                  for w in want[1:]], (D, t)
+                got = (None if below == 0 else
+                       deviations._isotone_failure(D, rows, below),
+                       *(None if x is None else
+                         deviations._open_failure(rows, c, x)
+                         for c, x in zip(cones, starts)))
                 assert got == want, (D, t)
+                assert deviations._counterexamples(D, t) == want
                 failing = [f + (w is not None) for f, w in zip(failing, want)]
                 count += 1
         assert count >= 2000
@@ -245,8 +248,8 @@ class TestSearch:
     def test_plain_search_runs_no_property_sweep(self, monkeypatch):
         def sweep(*args):
             raise RuntimeError("property sweep in a plain search")
-        for name in ("_isotone", "_first_open", "_isotone_failure",
-                     "_antitone_failure", "_cevian_failure"):
+        for name in ("_counterexamples", "_rows", "_isotone", "_first_open",
+                     "_isotone_failure", "_open_failure"):
             monkeypatch.setattr(deviations, name, sweep)
         assert search_deviation(SQUARE) is not None
         assert len(enumerate_deviations(SQUARE, 3)) == 3

@@ -474,6 +474,9 @@ def test_adjustment_input_errors_match_oracle():
             err = raised(monotone_adjustment, M, D, bad, order)
             assert err == raised(oracle.monotone_adjustment, M, D, bad, order)
             assert err[0] is InputError
+        # one validator: adjustment and the deviation checks share it
+        assert raised(monotone_adjustment, M, D, bad, M.elements) == \
+            raised(check_deviation, D, bad)
     assert "outside" in raised(monotone_adjustment, M, D, both, M.elements)[1]
     for bad in (outside, both):
         err = raised(check_deviation, D, bad)

@@ -209,6 +209,31 @@ class TestComplement:
         assert complement(U, 32).cells == complement(U).cells
 
 
+class TestIntersect:
+    def test_subsumed_candidate_skips_emptiness(self, monkeypatch):
+        """A candidate that a kept cell subsumes is dropped before its
+        emptiness test: the second pair holds every atom of the first.
+        The result is the oracle's, which tests emptiness first."""
+        A = S([["x0 > 0"], ["x0 > 0", "x1 > 0"]], 2)
+        B = S([["x1 > -1"]], 2)
+        tested = []
+        real = semilinear.is_empty
+
+        def recorder(cell):
+            tested.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(semilinear, "is_empty", recorder)
+        got = intersect(A, B)
+        first = Cell.of(A.cells[0].atoms + B.cells[0].atoms)
+        assert tested == [first]        # never the subsumed second pair
+        want: list = []
+        for a in A.cells:
+            for b in B.cells:
+                oracle_fm._accumulate(want, Cell.of(a.atoms + b.atoms), None)
+        assert got.cells == tuple(want) == (first,)
+
+
 class TestIncludes:
     def test_empty_always_included(self):
         assert includes(S([["x0 > 0"]], 2), EMPTY2) == (True, None)
