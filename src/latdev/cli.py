@@ -67,11 +67,13 @@ class RunConfig:
 class Command:
     """A subcommand: its handler, which returns (exit_code, report dict or
     rendered text); its argparse arguments as ``(flags, options)`` pairs;
-    its report schema; and the defaults of its optional arguments."""
+    its report schema; the defaults of its optional arguments; and
+    whether its handler renders ``--format dot`` itself."""
     handler: Callable
     arguments: tuple
     schema: dict
     defaults: dict
+    dot: bool
 
 
 COMMANDS: dict = {}
@@ -85,9 +87,16 @@ def _dest(flags) -> str:
     return flags[0].lstrip("-").replace("-", "_")
 
 
+# Given among the arguments of ``@command``, marks a subcommand whose
+# handler renders ``--format dot`` itself; it adds no parser argument.
+_DOT = object()
+
+
 def command(name: str, *arguments, schema: dict):
     """Register the decorated handler as subcommand ``name`` ("group sub",
     or one word for a subcommand without group)."""
+    dot = _DOT in arguments
+    arguments = tuple(a for a in arguments if a is not _DOT)
     defaults = {_dest(flags): options.get(
                     "default",
                     False if options.get("action") == "store_true" else None)
@@ -95,7 +104,7 @@ def command(name: str, *arguments, schema: dict):
                 if flags[0].startswith("-") and not options.get("required")}
 
     def register(handler):
-        COMMANDS[name] = Command(handler, arguments, schema, defaults)
+        COMMANDS[name] = Command(handler, arguments, schema, defaults, dot)
         return handler
     return register
 
@@ -142,6 +151,7 @@ def _pointstr(point):
          _arg("input"),
          _arg("--prime-ideals", action="store_true",
               help="with --format dot, draw the prime-ideal poset"),
+         _DOT,
          schema=_obj({
              "elements": _INT, "distributive": _BOOL,
              "completely_normal": _BOOL,
@@ -518,12 +528,12 @@ def run(cfg: RunConfig) -> tuple:
     if cfg.cell_ceiling < 1:
         raise InputError(
             f"--cell-ceiling must be at least 1, got {cfg.cell_ceiling}")
+    if cfg.fmt == "dot" and not c.dot:
+        raise InputError(f"{cfg.subcommand} has no --format dot rendering")
     code, report = c.handler(dataclasses.replace(
         cfg, args={**c.defaults, **cfg.args}))
     if isinstance(report, str):          # already rendered (dot)
         return code, report
-    if cfg.fmt == "dot":
-        raise InputError(f"{cfg.subcommand} has no --format dot rendering")
     if cfg.fmt == "text":
         lines = [f"{k}: {json.dumps(report[k], sort_keys=True)}"
                  for k in sorted(report)]

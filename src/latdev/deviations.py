@@ -9,9 +9,9 @@ A deviation is a total binary map d on the lattice with
 Deviations are represented as plain dicts mapping ordered id pairs to
 ids of the host lattice.  ``_table`` is the one place such a map is
 checked and turned into a flat table of positions (``adjustment`` uses
-it too), and ``_counterexamples`` the one property pass on that table:
-the property report maps its positions to ids, and search runs it to
-re-verify the table when a property is asked for.
+it too), and ``_counterexamples`` the one property pass on that table,
+whose positions the property report maps to ids.  Search re-verifies
+its table with the tests of that pass, for the properties asked for.
 
 Search and enumeration rely on Birkhoff's representation: in a finite
 distributive lattice a join-irreducible p lies below y ∨ c iff it lies
@@ -240,6 +240,16 @@ def _open_failure(rows: list, cones: list, x: int) -> tuple:
     raise ContractError(f"a row set of x = {x} is open, but no y at it")
 
 
+def _up_cones(D: FiniteDistributiveLattice, rows: list) -> list:
+    """The cones of the antitone test: ``up`` for every row set."""
+    return [D.poset._up] * len(rows[0])
+
+
+def _column_cones(rows: list) -> list:
+    """The cones of the Cevian test: column k of the rows as cone k."""
+    return list(zip(*rows))
+
+
 def _counterexamples(D: FiniteDistributiveLattice, t: list) -> tuple:
     """The first isotone, antitone and Cevian counterexamples of the
     total map t in canonical order, as position triples (None where the
@@ -248,7 +258,7 @@ def _counterexamples(D: FiniteDistributiveLattice, t: list) -> tuple:
     rows = _rows(D, t)
     below = _isotone(D, rows)
     out = [_isotone_failure(D, rows, below) if below else None]
-    for cones in ([D.poset._up] * len(rows[0]), list(zip(*rows))):
+    for cones in (_up_cones(D, rows), _column_cones(rows)):
         x = _first_open(rows, cones)
         out.append(None if x is None else _open_failure(rows, cones, x))
     return tuple(out)
@@ -376,16 +386,22 @@ def search_deviation(D: FiniteDistributiveLattice,
     monotone and Cevian; it is a deviation iff D is completely normal.
     So no search node is placed: the table is checked against both
     axioms once, and the flags do not change the result; when one is
-    set, :func:`_counterexamples` re-verifies the table, and a requested
-    property that fails raises ContractError.  Raises InputError on a
-    non-distributive lattice.
+    set, the row sets of :func:`_rows` are built once and only the tests
+    of the requested properties re-verify the table (no counterexample
+    scan runs), and a requested property that fails raises
+    ContractError.  Raises InputError on a non-distributive lattice.
     """
     t = _floors(D)
     if t is None:
         return None
     if require_monotone or require_cevian:
-        li, ra, cev = _counterexamples(D, t)
-        if require_monotone and (li or ra) or require_cevian and cev:
+        rows = _rows(D, t)
+        monotone = not require_monotone or (
+            not _isotone(D, rows)
+            and _first_open(rows, _up_cones(D, rows)) is None)
+        cevian = not require_cevian or \
+            _first_open(rows, _column_cones(rows)) is None
+        if not (monotone and cevian):
             raise ContractError("search produced an inconsistent table")
     return _to_map(D, t)
 

@@ -13,16 +13,19 @@ the primitive integer vector ``(c0, ..., c{n-1}, const)`` of its form
 (scaled by a positive rational, which keeps its meaning; computed once,
 when the atom is built), and a single
 projection loop, ``_project``, serves emptiness, witness points and
-projection.  The atoms that complement and elimination derive carry only
-integer data, their key and row (negated, or copied from a projected
-row); their ``LinearForm`` is built on first read, which only the
-textual format, reports and callers that ask for ``form`` do.
-Membership tests scale the point to integers over one common
-denominator and read the sign of each atom's primitive row there, in
-integer arithmetic; a coordinate that is not a finite rational is an
-input error.  Fractions remain where rational values are the result:
-the coordinates of witness points (back-substituted from the integer
-rows), ``LinearForm.evaluate`` and the textual format.
+projection; each of its steps makes one pass over the rows and reduces
+each row it builds to a primitive one inline.  The atoms that complement
+and elimination derive carry only integer data, their key and row
+(negated, or copied from a projected row); their ``LinearForm`` is built
+on first read, which only the textual format, reports and callers that
+ask for ``form`` do.  Membership tests scale the point to integers over
+one common denominator and read the sign of each atom's primitive row
+there, in integer arithmetic; a coordinate that is not a finite rational
+is an input error.  Witness points are back-substituted the same way, as
+integer numerators over one common denominator, and verified there;
+their coordinates become ``Fraction``s once, when returned.  Fractions
+remain only where rational values are the result: those coordinates,
+``LinearForm.evaluate`` and the textual format.
 
 Cells are kept as written apart from duplicate-atom removal; empty cells
 are pruned by the operations that create new cells.  Projection reports
@@ -399,29 +402,41 @@ def _project(rows: list, variables: Iterable[int]):
         return None
     stages = []
     for i in variables:
-        involved = [r for r in rows if r[1][i]]
-        if not involved:
+        # one pass: the rows without x_i, the lower and upper rows (both,
+        # in order, as ``involved``), up to the first equality with x_i
+        new, involved, lowers, uppers = [], [], [], []
+        pivot = None
+        for r in rows:
+            c = r[1][i]
+            if not c:
+                new.append(r)
+            elif r[0] == EQ:
+                pivot = r
+                break
+            else:
+                involved.append(r)
+                (lowers if c > 0 else uppers).append(r)
+        if pivot is None and not involved:
             stages.append(("skip", i))
             continue
-        pivot = next((r for r in involved if r[0] == EQ), None)
         if pivot is not None:
             pv = pivot[1]
             p = pv[i]
             ap, s = abs(p), 1 if p > 0 else -1
             new = []
             for r in rows:
-                c = r[1][i]
+                vec = r[1]
+                c = vec[i]
                 if not c:
                     new.append(r)
                 elif r is not pivot:
                     sc = s * c
-                    new.append((r[0], _primitive(
-                        [ap * a - sc * b for a, b in zip(r[1], pv)])))
+                    v = [ap * a - sc * b for a, b in zip(vec, pv)]
+                    g = gcd(*v)
+                    new.append((r[0], tuple([a // g for a in v]) if g > 1
+                                else tuple(v)))
             stages.append(("eq", i, pivot))
         else:
-            new = [r for r in rows if not r[1][i]]
-            lowers = [r for r in involved if r[1][i] > 0]
-            uppers = [r for r in involved if r[1][i] < 0]
             count = len(new) + len(lowers) * len(uppers)
             if count > MAX_FM_ROWS:
                 raise ResourceLimitError(
@@ -429,11 +444,14 @@ def _project(rows: list, variables: Iterable[int]):
                     f"than {MAX_FM_ROWS}")
             for lo_rel, lo in lowers:
                 c1 = lo[i]
+                lo_gt = lo_rel == GT
                 for up_rel, up in uppers:
                     c2 = -up[i]
-                    rel = GT if (lo_rel == GT or up_rel == GT) else GE
-                    new.append((rel, _primitive(
-                        [c2 * a + c1 * b for a, b in zip(lo, up)])))
+                    v = [c2 * a + c1 * b for a, b in zip(lo, up)]
+                    g = gcd(*v)
+                    new.append((GT if lo_gt or up_rel == GT else GE,
+                                tuple([a // g for a in v]) if g > 1
+                                else tuple(v)))
             stages.append(("ineq", i, involved))
         rows = _tidy(new)
         if rows is None:
@@ -453,7 +471,19 @@ def is_empty(cell: Cell) -> bool:
 def witness_point(cell: Cell,
                   dimension: Optional[int] = None) -> Optional[tuple]:
     """A rational point satisfying every atom, or None if the cell is
-    empty.  The point is verified by evaluation before being returned."""
+    empty.
+
+    Back-substitution runs on integers: the coordinates found so far are
+    ``P / D``, integer numerators over one positive denominator, and
+    ``P`` is rescaled whenever ``D`` grows.  A row ``vec`` bounds x_i by
+    ``-(vec·P + vec[-1]·D) / (vec[i]·D)``; bounds are compared by
+    cross-multiplication, and of two equal bounds a strict one wins.  x_i
+    is the lower bound (plus 1 if strict) when there is no upper one, the
+    upper bound (minus 1 if strict) when there is no lower one, the
+    midpoint of a nonempty interval, or the one point of a closed interval
+    of length 0; an equality gives its one value and a skipped variable 0.
+    The point is verified on ``(P, D)`` before being returned, converted
+    to ``Fraction`` once."""
     if not cell.atoms:
         if dimension is None:
             raise InputError("dimension required for the unconstrained cell")
@@ -464,49 +494,61 @@ def witness_point(cell: Cell,
     projected = _project([a.row for a in cell.atoms], range(n))
     if projected is None:
         return None
-    point: dict = {}
-
-    def value_at(vec: tuple, skip: int) -> Fraction:
-        return sum((vec[j] * point[j] for j in range(n)
-                    if j != skip and vec[j]), Fraction(vec[-1]))
-
+    P, D = [0] * n, 1
     for stage in reversed(projected[0]):
         kind, i = stage[0], stage[1]
         if kind == "skip":
-            point[i] = Fraction(0)
-        elif kind == "eq":
+            continue
+        # x_i = num / (den * D) with den > 0; s is vec·P + vec[-1]·D, the
+        # row's value at P / D times D, where P[i] is still 0
+        if kind == "eq":
             vec = stage[2][1]
-            point[i] = -value_at(vec, i) / vec[i]
+            c = vec[i]
+            s = sum(map(mul, P, vec), vec[-1] * D)
+            num, den = (-s, c) if c > 0 else (s, -c)
         else:
-            lo = up = None
+            # the lower bound ln / (ld * D) and the upper un / (ud * D);
+            # a denominator of 0: no such bound yet
+            ln = ld = un = ud = 0
             lo_strict = up_strict = False
             for rel, vec in stage[2]:
                 c = vec[i]
-                bound = -value_at(vec, i) / c
+                s = sum(map(mul, P, vec), vec[-1] * D)
                 strict = rel == GT
-                if c > 0:
-                    if lo is None or bound > lo or (bound == lo and strict):
-                        lo, lo_strict = bound, strict
-                else:
-                    if up is None or bound < up or (bound == up and strict):
-                        up, up_strict = bound, strict
-            if lo is None and up is None:
-                point[i] = Fraction(0)
-            elif up is None:
-                point[i] = lo + 1 if lo_strict else lo
-            elif lo is None:
-                point[i] = up - 1 if up_strict else up
-            elif lo < up:
-                point[i] = (lo + up) / 2
+                if c > 0:                   # -s / c, above lo iff t < 0
+                    t = ln * c + s * ld
+                    if not ld or t < 0 or not t and strict:
+                        ln, ld, lo_strict = -s, c, strict
+                else:                       # s / -c, below up iff t < 0
+                    t = un * c + s * ud
+                    if not ud or t < 0 or not t and strict:
+                        un, ud, up_strict = s, -c, strict
+            if not ud:
+                num, den = (ln + ld * D if lo_strict else ln), ld
+            elif not ld:
+                num, den = (un - ud * D if up_strict else un), ud
             else:
-                if lo != up or lo_strict or up_strict:
+                t = ln * ud - un * ld
+                if t < 0:
+                    num, den = ln * ud + un * ld, 2 * ld * ud
+                elif t or lo_strict or up_strict:
                     raise ContractError(
                         f"back-substitution met an empty interval at x{i}")
-                point[i] = lo
-    pt = tuple(point[i] for i in range(n))
-    if not cell.satisfied_by(pt):
+                else:
+                    num, den = ln, ld
+        den *= D
+        g = gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+        if D % den:
+            m = den // gcd(D, den)
+            P = [p * m for p in P]
+            D *= m
+        P[i] = num * (D // den)
+    if not _holds(cell.atoms, P, D):
         raise ContractError("back-substitution produced a bad point")
-    return pt
+    return tuple([Fraction(p, D) for p in P])
 
 
 # ---------------------------------------------------------------------------

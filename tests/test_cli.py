@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import copy
+import dataclasses
 import os
 import random
 import re
@@ -1109,6 +1110,23 @@ class TestInfrastructure:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert "no --format dot rendering" in err
+
+    def test_dot_is_refused_before_the_handler_runs(self, capsys,
+                                                    monkeypatch):
+        """The refusal comes from the registry, before dispatch: the
+        handler of a subcommand without DOT rendering is never called."""
+        def spy(cfg):
+            raise AssertionError("handler called for --format dot")
+        name = "deviation search"
+        monkeypatch.setitem(COMMANDS, name, dataclasses.replace(
+            COMMANDS[name], handler=spy))
+        code = main(["--format", "dot", *name.split(),
+                     "--lattice", _fixture("grid.json"),
+                     "--monotone", "--cevian"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "no --format dot rendering" in err
+        assert [n for n, c in COMMANDS.items() if c.dot] == ["lattice check"]
 
     def test_registry_defaults_match_parser(self):
         """Each registered subcommand parses, and ``run`` fills in the

@@ -245,6 +245,20 @@ class TestSearch:
         with pytest.raises(ContractError):
             enumerate_deviations(SQUARE, 2)
 
+    @pytest.mark.parametrize("broken, failure",
+                             [("_isotone", 1), ("_first_open", 0)])
+    def test_failed_property_test_raises_contract_error(self, monkeypatch,
+                                                        broken, failure):
+        """A table that fails a requested property's test is a kernel
+        fault: each flag that runs the failing test raises."""
+        monkeypatch.setattr(deviations, broken, lambda *args: failure)
+        for mono, cev in FLAGS[1:]:
+            if broken == "_isotone" and not mono:
+                assert search_deviation(SQUARE, mono, cev) is not None
+                continue
+            with pytest.raises(ContractError):
+                search_deviation(SQUARE, mono, cev)
+
     def test_plain_search_runs_no_property_sweep(self, monkeypatch):
         def sweep(*args):
             raise RuntimeError("property sweep in a plain search")
@@ -253,6 +267,36 @@ class TestSearch:
             monkeypatch.setattr(deviations, name, sweep)
         assert search_deviation(SQUARE) is not None
         assert len(enumerate_deviations(SQUARE, 3)) == 3
+
+    @pytest.mark.parametrize("mono, cev", [(True, False), (False, True)],
+                             ids=["monotone", "cevian"])
+    def test_one_flag_runs_only_its_property_tests(self, monkeypatch,
+                                                   mono, cev):
+        """One flag builds the row sets once and runs only its own
+        property's tests: the other property's ``_first_open`` scan, and
+        for the Cevian flag the isotone test, never run."""
+        D = lattice_from_downsets(FinitePoset.antichain(range(3)))
+        calls = []
+        real = {name: getattr(deviations, name)
+                for name in ("_rows", "_isotone", "_first_open")}
+
+        def spy(name):
+            def call(*args):
+                if name != "_first_open":
+                    calls.append(name)
+                else:
+                    calls.append("antitone" if all(
+                        c is D.poset._up for c in args[1]) else "cevian")
+                return real[name](*args)
+            return call
+        for name in real:
+            monkeypatch.setattr(deviations, name, spy(name))
+        for name in ("_counterexamples", "_isotone_failure",
+                     "_open_failure"):
+            monkeypatch.setattr(deviations, name, None)
+        assert search_deviation(D, mono, cev) == search_deviation(D)
+        assert calls == (["_rows", "_isotone", "antitone"] if mono
+                         else ["_rows", "cevian"])
 
     def test_node_budget(self, monkeypatch):
         """Search places no value; B3 has 64 ordered pairs, so an

@@ -12,7 +12,9 @@ The atoms that complement and elimination derive from integer data
 through ``Fraction`` forms in every attribute.  Separately seeded sets
 whose cells hold a written contradiction (``f > 0`` against ``-f`` or
 ``f = 0``), which the integer kernel decides by elimination alone, go
-through the same comparisons.
+through the same comparisons.  Every path of ``witness_point``'s
+back-substitution (skip, equality, lower or upper bound alone, strict or
+closed, midpoint and single point) runs at least 100 times on the corpus.
 """
 
 import random
@@ -25,8 +27,8 @@ import oracle_fm as oracle
 from latdev.errors import InputError
 from latdev.semilinear import (EQ, GE, GT, Cell, Constraint, LinearForm,
                                SemilinearSet, _complement, _from_row,
-                               complement, eliminate, includes, is_empty,
-                               witness_point)
+                               _project, complement, eliminate, includes,
+                               is_empty, witness_point)
 
 from conftest import random_point
 
@@ -110,6 +112,44 @@ def test_corpus_has_the_intended_shapes(corpus):
                 for b, nb in zip(c.atoms, norm))
             stats["empty"] += empty
     assert all(v >= 500 for v in stats.values()), stats
+
+
+def _back_substitution_path(stage, point) -> str:
+    """The path that back-substitution takes at one stage of
+    ``_project``, read from the stage and the final point in Fraction
+    arithmetic: the coordinates after x_i are final when x_i is picked."""
+    kind, i = stage[0], stage[1]
+    if kind != "ineq":
+        return kind
+    lows, ups = [], []
+    for rel, vec in stage[2]:
+        value = sum((c * p for j, (c, p) in enumerate(zip(vec, point))
+                     if j != i), Fraction(vec[-1]))
+        (lows if vec[i] > 0 else ups).append((-value / vec[i], rel == GT))
+    # the greatest lower and least upper bound; strict if any such is
+    lo = max(lows, default=None, key=lambda b: (b[0], b[1]))
+    up = min(ups, default=None, key=lambda b: (b[0], not b[1]))
+    if up is None:
+        return "lower strict" if lo[1] else "lower closed"
+    if lo is None:
+        return "upper strict" if up[1] else "upper closed"
+    return "midpoint" if lo[0] < up[0] else "single point"
+
+
+def test_back_substitution_takes_every_path(corpus):
+    """Each path of ``witness_point``'s back-substitution runs at least
+    100 times over the corpus."""
+    counts = dict.fromkeys(["skip", "eq", "lower strict", "lower closed",
+                            "upper strict", "upper closed", "midpoint",
+                            "single point"], 0)
+    for n, S, verdicts in corpus:
+        for c, (empty, point) in zip(S.cells, verdicts):
+            if empty:
+                continue
+            stages, _ = _project([a.row for a in c.atoms], range(n))
+            for stage in stages:
+                counts[_back_substitution_path(stage, point)] += 1
+    assert all(v >= 100 for v in counts.values()), counts
 
 
 def test_is_empty_and_witness_point(corpus):

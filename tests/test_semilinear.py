@@ -100,6 +100,21 @@ class TestWitness:
         w = witness_point(parse_cell(["x0 > 0", "x1 - 2*x0 > 0"], 2))
         assert w is not None and w[0] > 0 and w[1] > 2 * w[0]
 
+    def test_kernel_faults_raise_contract_error(self, monkeypatch):
+        """A point that fails its cell, or an empty interval met in
+        back-substitution, raises ContractError instead of returning."""
+        cell = parse_cell(["x0 > 0"], 1)
+        monkeypatch.setattr(semilinear, "_holds", lambda atoms, P, D: False)
+        with pytest.raises(ContractError, match="bad point"):
+            witness_point(cell)
+        monkeypatch.undo()
+        # x0 > 0 and -x0 >= 0, as if elimination had missed them
+        stage = ("ineq", 0, [(GT, (1, 0)), (GE, (-1, 0))])
+        monkeypatch.setattr(semilinear, "_project",
+                            lambda rows, variables: ([stage], []))
+        with pytest.raises(ContractError, match="empty interval at x0"):
+            witness_point(cell)
+
     def test_random_cells_verify(self, rng):
         for _ in range(150):
             n = rng.randint(1, 3)
