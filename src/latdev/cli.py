@@ -87,16 +87,10 @@ def _dest(flags) -> str:
     return flags[0].lstrip("-").replace("-", "_")
 
 
-# Given among the arguments of ``@command``, marks a subcommand whose
-# handler renders ``--format dot`` itself; it adds no parser argument.
-_DOT = object()
-
-
-def command(name: str, *arguments, schema: dict):
+def command(name: str, *arguments, schema: dict, dot: bool = False):
     """Register the decorated handler as subcommand ``name`` ("group sub",
-    or one word for a subcommand without group)."""
-    dot = _DOT in arguments
-    arguments = tuple(a for a in arguments if a is not _DOT)
+    or one word for a subcommand without group); ``dot`` marks a handler
+    that renders ``--format dot`` itself."""
     defaults = {_dest(flags): options.get(
                     "default",
                     False if options.get("action") == "store_true" else None)
@@ -151,7 +145,7 @@ def _pointstr(point):
          _arg("input"),
          _arg("--prime-ideals", action="store_true",
               help="with --format dot, draw the prime-ideal poset"),
-         _DOT,
+         dot=True,
          schema=_obj({
              "elements": _INT, "distributive": _BOOL,
              "completely_normal": _BOOL,

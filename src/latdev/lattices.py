@@ -79,9 +79,9 @@ class FiniteDistributiveLattice:
                 meet[i][j] = meet[j][i] = k
         self._join = tuple(map(tuple, join))
         self._meet = tuple(map(tuple, meet))
+        # every pair has a meet, so the meet of all elements is the
+        # least element: its up-set is everything
         full = (1 << n) - 1
-        if full not in by_up:
-            raise InputError("no least element")
         self._bot = by_up[full]
         self._top = by_down[full]
         self.bottom = els[self._bot]

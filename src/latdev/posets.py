@@ -121,7 +121,9 @@ class FinitePoset:
 
     def _init(self, elements, relation, close: bool = False) -> None:
         """Check outside input: distinct ids, and a relation on them that
-        is antisymmetric and (unless ``close`` closes it) transitive."""
+        is antisymmetric.  Transitivity is checked only for a relation
+        taken as given; with ``close``, Warshall's closure is transitive
+        by construction."""
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise InputError("duplicate element ids")
@@ -143,15 +145,16 @@ class FinitePoset:
                 if up[j] >> i & 1:
                     raise InputError(f"antisymmetry fails at "
                                      f"{elements[i]!r}, {elements[j]!r}")
-        for i in range(n):
-            ui = up[i]
-            for j in bits(ui):
-                extra = up[j] & ~ui
-                if extra:
-                    k = bits(extra)[0]
-                    raise InputError(
-                        "relation is not transitive: "
-                        f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
+        if not close:
+            for i, ui in enumerate(up):
+                for j in bits(ui):
+                    extra = up[j] & ~ui
+                    if extra:
+                        k = bits(extra)[0]
+                        raise InputError(
+                            "relation is not transitive: "
+                            f"{elements[i]!r} <= {elements[j]!r} <= "
+                            f"{elements[k]!r}")
         self._store(elements, tuple(up))
 
     def _store(self, elements: tuple, up: tuple) -> None:
@@ -233,9 +236,6 @@ class FinitePoset:
     def leq(self, a: ElementId, b: ElementId) -> bool:
         return self._up[self.index(a)] >> self.index(b) & 1 == 1
 
-    def lt(self, a: ElementId, b: ElementId) -> bool:
-        return a != b and self.leq(a, b)
-
     def comparable(self, a: ElementId, b: ElementId) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
@@ -251,12 +251,6 @@ class FinitePoset:
         for a in A:
             m |= self._up[self.index(a)]
         return frozenset(self._members(m))
-
-    def maximal(self, X: Iterable[ElementId]) -> frozenset:
-        return frozenset(self._members(self._max(self._mask(list(X)))))
-
-    def minimal(self, X: Iterable[ElementId]) -> frozenset:
-        return frozenset(self._members(self._min(self._mask(list(X)))))
 
     def covers(self) -> list:
         """Cover pairs (a, b) with a < b and nothing strictly between."""
@@ -482,8 +476,10 @@ def order_from_witness(P: FinitePoset,
 def locally_finite_closure(P: FinitePoset, C: Mapping[ElementId, Iterable],
                            X: Iterable[ElementId]) -> frozenset:
     """⋃_{x∈X} C^ω(x): close X under the set map C (x itself included)."""
-    for x in C:
+    for x, ys in C.items():
         P.index(x)
+        for y in ys:
+            P.index(y)
     seen = set()
     frontier = [x for x in X]
     for x in frontier:
@@ -523,19 +519,20 @@ class StrongAmalgamSpec:
 
 @dataclass(frozen=True)
 class AmalgamViolation:
-    clause: str        # "union" | "shadowing" | "interpolation"
+    clause: str        # "union" | "interpolation"
     data: tuple
 
 
 def check_strong_amalgam(spec: StrongAmalgamSpec) -> Optional[AmalgamViolation]:
     """None if spec is a strong amalgam, else the first failing clause.
 
-    Checks, in order: (1) the family covers the carrier; (2) for p <= q in
-    the index, every x in M_q has genuine minimal shadows on M_p (on a
-    finite carrier this is automatic; it is still verified against the
-    defining equalities A ∩ ↓x = A ∩ ↓U and dually); (3) the interpolation
-    property: x in M_p, y in M_q, x <= y imply x <= z <= y for some z in a
-    block M_r with r <= p, q.
+    Checks, in order: (1) the family covers the carrier; (2)
+    interpolation: x in M_p, y in M_q, x <= y imply x <= z <= y for some
+    z in a block M_r with r <= p, q.  The definition's shadow condition
+    cannot fail on a finite carrier (each member of M_p ∩ ↑x lies above a
+    minimal one, and dually), nor can interpolation for comparable p <= q
+    (take r = p, z = x; dually r = q, z = y), so the scan runs over
+    incomparable index pairs only, in row-major order.
     """
     M, P = spec.carrier, spec.index
     F = [M._mask(spec.family[p]) for p in P.elements]
@@ -546,25 +543,9 @@ def check_strong_amalgam(spec: StrongAmalgamSpec) -> Optional[AmalgamViolation]:
     if missing:
         return AmalgamViolation("union", (missing[0],))
     up, down = M._up, M._down
-    ps = P.elements
-    for i, ui in enumerate(P._up):
-        A = F[i]
-        for j in bits(ui):
-            for x in bits(F[j]):
-                closure = 0
-                for u in bits(M._min(A & up[x])):
-                    closure |= up[u]
-                if closure & A != A & up[x]:
-                    return AmalgamViolation(
-                        "shadowing", (ps[i], ps[j], M.elements[x], "upper"))
-                closure = 0
-                for v in bits(M._max(A & down[x])):
-                    closure |= down[v]
-                if closure & A != A & down[x]:
-                    return AmalgamViolation(
-                        "shadowing", (ps[i], ps[j], M.elements[x], "lower"))
+    ps, everything = P.elements, (1 << len(P)) - 1
     for i in range(len(P)):
-        for j in range(len(P)):
+        for j in bits(everything & ~(P._up[i] | P._down[i])):
             between = 0
             for r in bits(P._down[i] & P._down[j]):
                 between |= F[r]
@@ -638,7 +619,20 @@ def witness_transform(kind: str, *args):
       * ``add_bottom``:      args = (P, W, bottom_id); B(x) gains the bottom.
       * ``convex_restrict``: args = (P, W, subset); intersects both maps with
                              an order-convex subset.
+
+    Raises :class:`InputError` on an unknown kind, a wrong number of
+    arguments, or a witness whose maps are not total on its poset.
     """
+    arity = {"dual": 2, "product": 4, "add_top": 3, "add_bottom": 3,
+             "convex_restrict": 3}.get(kind)
+    if arity is None:
+        raise InputError(f"unknown transform kind: {kind!r}")
+    if len(args) != arity:
+        raise InputError(f"{kind} takes {arity} arguments, got {len(args)}")
+    for P, W in [args[:2], args[2:]] if kind == "product" else [args[:2]]:
+        for z in P.elements:
+            if z not in W.A or z not in W.B:
+                raise InputError(f"witness maps not total: missing {z!r}")
     if kind == "dual":
         P, W = args
         return P.dual(), SeparabilityWitness(dict(W.B), dict(W.A))
@@ -666,13 +660,11 @@ def witness_transform(kind: str, *args):
         B = {x: W.B[x] | {bottom} for x in P.elements}
         B[bottom] = frozenset([bottom])
         return Q, SeparabilityWitness(A, B)
-    if kind == "convex_restrict":
-        P, W, subset = args
-        sub = frozenset(subset)
-        if not P.is_order_convex(sub):
-            raise InputError("subset is not order-convex")
-        Q = P.restrict(sub)
-        A = {x: W.A[x] & sub for x in Q.elements}
-        B = {x: W.B[x] & sub for x in Q.elements}
-        return Q, SeparabilityWitness(A, B)
-    raise InputError(f"unknown transform kind: {kind!r}")
+    P, W, subset = args                 # convex_restrict
+    sub = frozenset(subset)
+    if not P.is_order_convex(sub):
+        raise InputError("subset is not order-convex")
+    Q = P.restrict(sub)
+    A = {x: W.A[x] & sub for x in Q.elements}
+    B = {x: W.B[x] & sub for x in Q.elements}
+    return Q, SeparabilityWitness(A, B)

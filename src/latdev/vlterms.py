@@ -371,6 +371,8 @@ def linearize(t: VLTerm, n: int,
 def _check_dimension(n: int, region: Optional["OmegaRegion"], *terms):
     """InputError unless every term, and the region if given, lives in
     dimension n; ResourceLimitError past ``semilinear.MAX_DIMENSION``."""
+    if n < 0:
+        raise InputError("dimension must be non-negative")
     if n > MAX_DIMENSION:
         raise ResourceLimitError(
             f"dimension {n} exceeds ceiling {MAX_DIMENSION}")

@@ -29,6 +29,9 @@ tests in ``test_order_kernel.py`` can compare the two:
 * ``monotone_adjustment``: the naive sweep, and the shadow path with its
   id-based shadows, ⊴ block order and finitary bounds, folding values
   with ``join_all`` and ``meet_all``.
+* ``check_strong_amalgam`` as its definition is written: the union
+  clause, the shadow equalities for every p <= q and x ∈ M_q, and
+  interpolation over all ordered index pairs.
 
 They only use the public id API of posets and lattices (``leq``,
 ``join``, ``meet``), so they are slow: use them on small inputs.
@@ -44,7 +47,8 @@ from latdev.adjustment import AdjustmentResult, TraceEntry
 from latdev.deviations import DeviationViolation, PropertyReport
 from latdev.errors import ContractError, InputError
 from latdev.lattices import PrimeIdealPoset
-from latdev.posets import FinitePoset, bits, check_enumeration
+from latdev.posets import (AmalgamViolation, FinitePoset, bits,
+                           check_enumeration)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +454,11 @@ def shadow(P, A, x, kind) -> frozenset:
     """Max(A ∩ ↓x) for ``kind`` "lower", Min(A ∩ ↑x) for "upper"."""
     if kind == "lower":
         S = {a for a in A if P.leq(a, x)}
-        return frozenset(s for s in S if not any(P.lt(s, t) for t in S))
+        return frozenset(s for s in S
+                         if not any(s != t and P.leq(s, t) for t in S))
     S = {a for a in A if P.leq(x, a)}
-    return frozenset(s for s in S if not any(P.lt(t, s) for t in S))
+    return frozenset(s for s in S
+                     if not any(t != s and P.leq(t, s) for t in S))
 
 
 def prefix_shadows(M, order) -> dict:
@@ -542,3 +548,56 @@ def monotone_adjustment(M, D, d, enumeration,
         if a != b:
             decided.append((b, a))
     return AdjustmentResult(d_prime, trace)
+
+
+# ---------------------------------------------------------------------------
+# Strong amalgams
+# ---------------------------------------------------------------------------
+
+def amalgam_shadow_failure(spec) -> Optional[AmalgamViolation]:
+    """The definition's shadow clause: for p <= q in the index and x in
+    M_q, the minimal shadows U = Min(M_p ∩ ↑x) and V = Max(M_p ∩ ↓x)
+    satisfy M_p ∩ ↑x = M_p ∩ ↑U and M_p ∩ ↓x = M_p ∩ ↓V."""
+    M, P, fam = spec.carrier, spec.index, spec.family
+    for p in P.elements:
+        A = [a for a in M.elements if a in fam[p]]
+        for q in P.elements:
+            if not P.leq(p, q):
+                continue
+            for x in M.elements:
+                if x not in fam[q]:
+                    continue
+                above = {a for a in A if M.leq(x, a)}
+                U = shadow(M, A, x, "upper")
+                if above != {a for a in A if any(M.leq(u, a) for u in U)}:
+                    return AmalgamViolation("shadowing", (p, q, x, "upper"))
+                below = {a for a in A if M.leq(a, x)}
+                V = shadow(M, A, x, "lower")
+                if below != {a for a in A if any(M.leq(a, v) for v in V)}:
+                    return AmalgamViolation("shadowing", (p, q, x, "lower"))
+    return None
+
+
+def check_strong_amalgam(spec) -> Optional[AmalgamViolation]:
+    """The first failing clause of the definition, in the order union,
+    shadow, interpolation; elements and index pairs in canonical order."""
+    M, P, fam = spec.carrier, spec.index, spec.family
+    for x in M.elements:
+        if not any(x in fam[p] for p in P.elements):
+            return AmalgamViolation("union", (x,))
+    v = amalgam_shadow_failure(spec)
+    if v is not None:
+        return v
+    for p in P.elements:
+        for q in P.elements:
+            rs = [r for r in P.elements if P.leq(r, p) and P.leq(r, q)]
+            for x in M.elements:
+                for y in M.elements:
+                    if x not in fam[p] or y not in fam[q] or \
+                            not M.leq(x, y):
+                        continue
+                    if not any(z in fam[r] and M.leq(x, z) and M.leq(z, y)
+                               for r in rs for z in M.elements):
+                        return AmalgamViolation("interpolation",
+                                                (p, q, x, y))
+    return None

@@ -597,6 +597,84 @@ def test_semilinear_fuzz_exit_codes_schema_and_warm_caches(drawn):
     assert _main_output(top + cmd) == (code, out, err)
 
 
+# A poset whose ids hold commas, so that "a,b" names one id or two, and
+# a witness for it; the fuzz below writes both into its own directory.
+_COMMA_POSET = {"elements": ["a", "b", "a,b", "{a}", "c"],
+                "leq": [["a", "a,b"], ["b", "a,b"], ["{a}", "c"]]}
+_COMMA_WITNESS = {"A": {x: [x] for x in _COMMA_POSET["elements"]},
+                  "B": {"a": ["a"], "b": ["b"], "a,b": ["a", "a,b", "b"],
+                        "{a}": ["{a}"], "c": ["c", "{a}"]}}
+# Documents of every kind (and a path that does not exist) for each
+# file option, so that a poset may be given a witness file and so on.
+_POSET_FILES = [_fixture("poset9.json"), "comma.json",
+                _fixture("amalgam.json"), _fixture("absent.json")]
+_WITNESS_FILES = [_fixture("witness9.json"), _fixture("witness9_bad.json"),
+                  "comma_witness.json", _fixture("poset9.json"),
+                  _fixture("amalgam_blocks.json"), _fixture("absent.json")]
+_SPEC_FILES = [_fixture("amalgam.json"), _fixture("amalgam_bad.json"),
+               _fixture("poset9.json"), _fixture("absent.json")]
+
+
+@st.composite
+def poset_argv(draw):
+    """``poset witness|order|amalgam`` argv over the files above.  A
+    witness --order is a permutation of the ids of poset9 or of the comma
+    poset, with one id repeated, dropped or replaced by an unknown text
+    (the empty string among them), or the empty text itself."""
+    sub = draw(st.sampled_from(["order", "amalgam", "witness"]))
+    if sub == "order":
+        return ["poset", "order", "--poset", draw(st.sampled_from(
+            _POSET_FILES)), "--witness", draw(st.sampled_from(
+                _WITNESS_FILES))]
+    if sub == "amalgam":
+        argv = ["poset", "amalgam", "--spec",
+                draw(st.sampled_from(_SPEC_FILES))]
+        blocks = draw(st.sampled_from([None] + _WITNESS_FILES))
+        return argv + ([] if blocks is None else
+                       ["--block-witnesses", blocks])
+    poset = draw(st.sampled_from(_POSET_FILES))
+    ids = _COMMA_POSET["elements"] if poset == "comma.json" else \
+        [str(i) for i in range(9)]
+    order = draw(st.permutations(ids))
+    edit = draw(st.sampled_from(["none", "duplicate", "missing", "unknown",
+                                 "empty"]))
+    if edit == "duplicate":
+        order.insert(draw(st.integers(0, len(order))),
+                     draw(st.sampled_from(ids)))
+    elif edit == "missing":
+        order.pop(draw(st.integers(0, len(order) - 1)))
+    elif edit == "unknown":
+        order[draw(st.integers(0, len(order) - 1))] = draw(
+            st.sampled_from(["", "q", "9", "{a,b}", "a,"]))
+    elif edit == "empty":
+        order = []
+    argv = ["poset", "witness", "--poset", poset]
+    return argv + ([] if draw(st.integers(0, 9)) == 0
+                   else [f"--order={','.join(order)}"])
+
+
+@given(poset_argv())
+@settings(max_examples=300, deadline=None)
+def test_poset_fuzz_exit_codes_schema_and_rerun(argv):
+    """Exit codes and schemas as for ``vlat``; a second run of the same
+    argv, on the state the first one left, gives the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in (("comma.json", _COMMA_POSET),
+                          ("comma_witness.json", _COMMA_WITNESS)):
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(doc, fh)
+        argv = [os.path.join(tmp, a) if a.startswith("comma") else a
+                for a in argv]
+        code, out, err = _main_output(argv)
+        event(f"{argv[1]} exit {code}")
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            jsonschema.validate(json.loads(out), SCHEMAS[" ".join(argv[:2])])
+        else:
+            assert out == "" and err
+        assert _main_output(argv) == (code, out, err)
+
+
 # A fixture document per input format and the argv that reads it ("{}"
 # marks the document's file); the amalgam spec gets a nu for its blocks.
 _AMALGAM = {**load_json(_fixture("amalgam.json")),
@@ -1042,6 +1120,16 @@ class TestVlat:
         the region in at most vlterms.MAX_REGION_DIMENSION."""
         code, out, err, _ = timed(capsys, 1, "vlat", *argv)
         assert code == 3 and out == "" and "exceeds ceiling" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("leq", "--n", "-1", "--lhs", "one", "--rhs", "one"),
+        ("cevian", "--n", "-1", "--g", "one", "--h", "one", "--k", "one"),
+    ], ids=["leq", "cevian"])
+    def test_negative_dimension_exits_2(self, capsys, argv):
+        code = main(["vlat", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "dimension must be non-negative" in err
 
     def test_pscom_probe_seeded(self, capsys):
         code, out = run_cli(capsys, "--seed", "5", "vlat", "pscom-probe",

@@ -21,7 +21,7 @@ from latdev.errors import InputError
 from latdev.lattices import (FiniteDistributiveLattice, is_completely_normal,
                              is_zero_distributive, lattice_from_downsets,
                              prime_ideal_poset)
-from latdev.posets import FinitePoset
+from latdev.posets import FinitePoset, StrongAmalgamSpec, check_strong_amalgam
 
 from conftest import all_posets, downset_lattice_corpus, random_poset
 
@@ -222,6 +222,54 @@ def test_from_relation_cycle_error_identical():
     err = raised(FinitePoset.from_relation, els, pairs)
     assert err == raised(oracle.validate_relation, els, sorted(closed))
     assert err[0] is InputError
+
+
+def random_order(rng: random.Random, ids, p: float) -> FinitePoset:
+    """A random order on ``ids`` whose canonical order (``ids`` as given)
+    need not be a linear extension."""
+    topo = rng.sample(list(ids), len(ids))
+    return FinitePoset.from_relation(ids, [
+        (topo[i], topo[j]) for i in range(len(topo))
+        for j in range(i + 1, len(topo)) if rng.random() < p])
+
+
+def random_amalgam(rng: random.Random) -> StrongAmalgamSpec:
+    """A carrier of at most 7 elements and an index of at most 4.  Each
+    block is the union of random seed sets over the index elements below
+    it; nine elements in ten are put into one seed, the rest may be in
+    none, so some families miss an element."""
+    M = random_order(rng, rng.sample(range(10), rng.randint(1, 7)),
+                     rng.random())
+    P = random_order(rng, rng.sample("pqrs", rng.randint(1, 4)),
+                     rng.random())
+    density = rng.random() * 0.5
+    seeds = {p: {x for x in M.elements if rng.random() < density}
+             for p in P.elements}
+    for x in M.elements:
+        if rng.random() < 0.9:
+            seeds[rng.choice(P.elements)].add(x)
+    return StrongAmalgamSpec(M, P, {
+        p: frozenset().union(*(seeds[r] for r in P.elements if P.leq(r, p)))
+        for p in P.elements})
+
+
+def test_strong_amalgam_matches_definition():
+    """The library checks union and interpolation over incomparable index
+    pairs only; the oracle checks the definition as written.  The census
+    pins the theorem behind the shorter check: the definition's shadow
+    clause never fires, and every failure is a union or an interpolation
+    failure that the library names first, too."""
+    rng = random.Random(23)
+    census = Counter()
+    for _ in range(600):
+        spec = random_amalgam(rng)
+        want = oracle.check_strong_amalgam(spec)
+        assert check_strong_amalgam(spec) == want
+        census[None if want is None else want.clause] += 1
+        census["shadow clause"] += \
+            oracle.amalgam_shadow_failure(spec) is not None
+    assert census[None] >= 100 and census["interpolation"] >= 100
+    assert census["union"] >= 10 and census["shadow clause"] == 0
 
 
 def random_bounded_poset(rng: random.Random) -> FinitePoset:

@@ -221,6 +221,15 @@ class TestLocallyFiniteClosure:
         C = {2: {1}, 1: {0}, 0: set()}
         assert locally_finite_closure(CHAIN3, C, {2}) == {0, 1, 2}
 
+    @pytest.mark.parametrize("C, X", [
+        ({0: [7]}, [0]),                # reached from X
+        ({1: [0], 2: ["z"]}, [0]),      # never reached
+        ({9: [0]}, [0]),                # unknown key
+    ])
+    def test_unknown_element_rejected(self, C, X):
+        with pytest.raises(InputError, match="unknown element"):
+            locally_finite_closure(CHAIN3, C, X)
+
     def test_witness_map_closure_on_v(self):
         W = witness_from_order(V, ("a", "b", "c"))
         C = {x: W.A[x] | W.B[x] for x in V.elements}
@@ -397,6 +406,36 @@ class TestWitnessTransform:
         with pytest.raises(InputError):
             witness_transform("convex_restrict", CHAIN3,
                               SeparabilityWitness.full(CHAIN3), {0, 2})
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("dual", ()), ("add_top", ("T",)), ("add_bottom", ("B",)),
+        ("convex_restrict", ({1, 2},)), ("product", "left"),
+        ("product", "right")])
+    def test_partial_witness_rejected(self, kind, extra):
+        full = SeparabilityWitness.full(CHAIN3)
+        partial = SeparabilityWitness(
+            {x: full.A[x] for x in (0, 1)}, dict(full.B))
+        if kind == "product":
+            args = (CHAIN3, partial, CHAIN3, full) if extra == "left" \
+                else (CHAIN3, full, CHAIN3, partial)
+        else:
+            args = (CHAIN3, partial) + extra
+        with pytest.raises(InputError,
+                           match="witness maps not total: missing 2"):
+            witness_transform(kind, *args)
+
+    @pytest.mark.parametrize("kind, args", [
+        ("dual", (CHAIN3,)), ("add_top", (CHAIN3,)),
+        ("product", (CHAIN3, SeparabilityWitness.full(CHAIN3))),
+        ("convex_restrict", ())])
+    def test_wrong_argument_count_rejected(self, kind, args):
+        with pytest.raises(InputError, match=f"{kind} takes"):
+            witness_transform(kind, *args)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InputError, match="unknown transform kind"):
+            witness_transform("mirror", CHAIN3,
+                              SeparabilityWitness.full(CHAIN3))
 
     def test_random_transforms_valid(self):
         rng = random.Random(17)

@@ -161,6 +161,10 @@ class TestLinearize:
         pw = linearize(g0 | g1, 2)
         assert len(pw.pieces) == 2
 
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(InputError, match="must be non-negative"):
+            linearize(one, -1)
+
     def test_bounded_pieces_and_sample_agreement(self, rng):
         t = (g0 - g1).pos() & g2
         pw = linearize(t, 3)
