@@ -277,8 +277,8 @@ def _run_adjust(cfg: RunConfig):
          schema=_obj({"A": _OBJECT, "B": _OBJECT, "valid": _BOOL}))
 def _run_poset_witness(cfg: RunConfig):
     P = poset_from_json(load_json(cfg.args["poset"]))
-    order = elements_from_text(cfg.args["order"], P) if cfg.args["order"] \
-        else list(P.elements)
+    order = list(P.elements) if cfg.args["order"] is None \
+        else elements_from_text(cfg.args["order"], P)
     W = posets.witness_from_order(P, order)
     report = witness_to_json(P, W)
     report["valid"] = posets.is_separability_witness(P, W)

@@ -43,9 +43,11 @@ Two results are cached, each by a module-level ``functools`` cache:
 set (its dimension and its cells in order) and the ceiling, where no
 ceiling means ``DEFAULT_CELL_CEILING``.  A raised error is never cached,
 so a complement within one ceiling still fails a lower one.  ``includes``
-tests each pair of a cell of T and a cell of the complement of S with
-``is_empty`` and back-substitutes only the first nonempty pair;
-``witness_point`` is not cached and reads ``MAX_FM_ROWS`` at each call.
+walks to the first nonempty meet t ∧ c of a cell t of T and a cell c of
+the complement of S (``_first_meet``, which tests each partial meet with
+``is_empty`` and builds no intersection) and back-substitutes only that
+cell; ``witness_point`` is not cached and reads ``MAX_FM_ROWS`` at each
+call.
 The sets that complement, intersection and elimination build from the
 atoms of checked sets are stored without re-checking the dimension of
 every atom (``SemilinearSet._built``); the constructor checks outside
@@ -581,13 +583,24 @@ def is_empty_set(S: SemilinearSet) -> bool:
     return all(is_empty(c) for c in S.cells)
 
 
-def set_witness(S: SemilinearSet) -> Optional[tuple]:
-    """A point of S, or None if S is empty."""
-    for c in S.cells:
-        w = witness_point(c, S.dimension)
-        if w is not None:
-            return w
-    return None
+def _first_meet(sets: Sequence[SemilinearSet]) -> Optional[Cell]:
+    """The first nonempty meet c1 ∧ ... ∧ ck of one cell of each set, or
+    None when the sets share no point.  A depth-first walk in nested
+    order, the first set's cells outermost: those are taken as given,
+    each deeper meet is ``Cell.of`` the atoms so far and the next cell's,
+    and an empty partial meet is dropped before it is extended."""
+    def extend(meets: Iterable[Cell], k: int) -> Optional[Cell]:
+        for cell in meets:
+            if is_empty(cell):
+                continue
+            if k + 1 == len(sets):
+                return cell
+            found = extend((Cell.of(cell.atoms + c.atoms)
+                            for c in sets[k + 1].cells), k + 1)
+            if found is not None:
+                return found
+        return None
+    return extend(sets[0].cells, 0)
 
 
 def union(S: SemilinearSet, T: SemilinearSet) -> SemilinearSet:
@@ -671,23 +684,18 @@ def eliminate(S: SemilinearSet, variables: Iterable[int],
 def includes(S: SemilinearSet, T: SemilinearSet,
              ceiling: Optional[int] = None) -> tuple:
     """Whether T ⊆ S.  Returns (True, None) or (False, witness) with a
-    verified witness point in T \\ S: the witness of the first
-    nonempty cell t ∧ c, over the cells t of T and c of the complement
-    of S in order.  Each pair is tested with the cached ``is_empty``, and
-    only that one cell is back-substituted."""
+    verified witness point in T \\ S: the witness of the first meet
+    t ∧ c (``_first_meet``) over the cells t of T and c of the complement
+    of S in order.  Only that one cell is back-substituted."""
     if S.dimension != T.dimension:
         raise InputError("dimension mismatch")
-    comp = complement(S, ceiling)
-    for t in T.cells:
-        for c in comp.cells:
-            cell = Cell.of(t.atoms + c.atoms)
-            if is_empty(cell):
-                continue
-            w = witness_point(cell, S.dimension)
-            if w is None or not T.contains(w) or S.contains(w):
-                raise ContractError(f"inclusion witness {w} fails")
-            return (False, w)
-    return (True, None)
+    cell = _first_meet((T, complement(S, ceiling)))
+    if cell is None:
+        return (True, None)
+    w = witness_point(cell, S.dimension)
+    if w is None or not T.contains(w) or S.contains(w):
+        raise ContractError(f"inclusion witness {w} fails")
+    return (False, w)
 
 
 def same_set(S: SemilinearSet, T: SemilinearSet,

@@ -29,12 +29,16 @@ never linearizing such a composite whole (``_parts``):
 * any other node takes the zero or cozero set of its whole piecewise
   form.
 
-A true verdict comes from this decision alone.  A false ``ideal_leq``
-verdict takes its witness from the whole-term sets, as before, so
-reports do not change; a whole-term set that is empty where the parts
-meet is a ``ContractError``.  The piece ceiling applies to the pieces
-actually built, so a verdict may be reached where linearizing the
-composite whole would pass the ceiling.
+Each decision is one walk (``semilinear._first_meet``) to the first
+nonempty meet of one cell of each set (and of the region), which builds
+no intersection of the sets.  A true verdict comes from this walk alone.
+A false ``ideal_leq`` verdict takes its witness from a second walk, over
+the whole-term sets ``zero_set(h)`` and ``cozero_set(g)``, which are
+still linearized whole, so reports do not change; whole-term sets that
+do not meet where the parts meet are a ``ContractError``.  The piece
+ceiling applies to the pieces actually built, so a verdict may be
+reached where linearizing the composite whole would pass the ceiling;
+the cell ceiling does not bound either walk.
 
 A term is a DAG: ``|t|`` holds ``t`` twice.  Nodes store their hash and
 largest generator index, and the functions that walk a term visit each
@@ -50,11 +54,11 @@ emptiness test (``semilinear`` decides emptiness by elimination alone);
 it is kept because linearizing a term cold would otherwise build the
 difference form, the atom and both cells of every such pair.
 
-The region of interest is ``omega_region(n)``: points u with
-0 <= u_i <= 1 for all i and u_j <= 2*u_k whenever 0 < j < k.  It is
-built once per n and shared: a ``functools`` cache keyed on n keeps
-the four most recently used regions, since the region in dimension n
-holds n(n-1)/2 + 2n dense atoms.
+The region of interest is ``omega_region(n)``, a one-cell semilinear
+set: points u with 0 <= u_i <= 1 for all i and u_j <= 2*u_k whenever
+0 < j < k.  It is built once per n and shared: a ``functools`` cache
+keyed on n keeps the four most recently used regions, since the region
+in dimension n holds n(n-1)/2 + 2n dense atoms.
 
 The deviation at ideal level sends (<g>, <h>) to <(g-h)^+>; it is Cevian
 (``check_cevian_triple``), and ``pseudocomplement_probe`` /
@@ -72,8 +76,9 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (MAX_DIMENSION, Cell, Constraint, GE, GT, EQ,
-                         LinearForm, SemilinearSet, intersect, is_empty,
-                         parse_rational, set_witness, union, unit_form)
+                         LinearForm, SemilinearSet, _first_meet, intersect,
+                         is_empty, parse_rational, union, unit_form,
+                         witness_point)
 
 DEFAULT_PIECE_CEILING = 10_000
 
@@ -368,7 +373,7 @@ def linearize(t: VLTerm, n: int,
     return PiecewiseForm(n, _node_pieces(t, n, limit)[0])
 
 
-def _check_dimension(n: int, region: Optional["OmegaRegion"], *terms):
+def _check_dimension(n: int, region: Optional[SemilinearSet], *terms):
     """InputError unless every term, and the region if given, lives in
     dimension n; ResourceLimitError past ``semilinear.MAX_DIMENSION``."""
     if n < 0:
@@ -376,7 +381,7 @@ def _check_dimension(n: int, region: Optional["OmegaRegion"], *terms):
     if n > MAX_DIMENSION:
         raise ResourceLimitError(
             f"dimension {n} exceeds ceiling {MAX_DIMENSION}")
-    if region is not None and region.n != n:
+    if region is not None and region.dimension != n:
         raise InputError("region dimension mismatch")
     if any(max_generator(t) >= n for t in terms):
         raise InputError("term uses a generator outside the declared dimension")
@@ -563,40 +568,16 @@ def _parts(t: VLTerm, n: int, ceiling: Optional[int],
     return (cozero_set if cozero else zero_set)(t, n, ceiling)
 
 
-def _common_point(sets: Sequence[SemilinearSet]) -> bool:
-    """Whether the sets share a point: a depth-first walk over one cell
-    of each, pruning empty partial intersections, that stops at the first
-    nonempty one."""
-    def extend(atoms: tuple, k: int) -> bool:
-        if k == len(sets):
-            return True
-        for c in sets[k].cells:
-            cell = Cell.of(atoms + c.atoms)
-            if not is_empty(cell) and extend(cell.atoms, k + 1):
-                return True
-        return False
-    return extend((), 0)
-
-
 # ---------------------------------------------------------------------------
 # The bounded region and partial-point completion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaRegion:
-    """The region 0 <= u_i <= 1 (all i), u_j <= 2*u_k for 0 < j < k."""
-    n: int
-    set: SemilinearSet
-
-    def contains(self, point) -> bool:
-        return self.set.contains(point)
-
-
 @lru_cache(maxsize=4, typed=True)
-def omega_region(n: int) -> OmegaRegion:
+def omega_region(n: int) -> SemilinearSet:
     """The region of interest in dimension 1 <= n <=
-    ``MAX_REGION_DIMENSION`` (ResourceLimitError above it), built once
-    per n (cached; an error is not)."""
+    ``MAX_REGION_DIMENSION`` (ResourceLimitError above it): the one cell
+    0 <= u_i <= 1 (all i), u_j <= 2*u_k for 0 < j < k.  Built once per n
+    (cached; an error is not)."""
     if n < 1:
         raise InputError("region dimension must be >= 1")
     if n > MAX_REGION_DIMENSION:
@@ -611,7 +592,7 @@ def omega_region(n: int) -> OmegaRegion:
             f = [Fraction(0)] * n
             f[j], f[k] = Fraction(-1), Fraction(2)
             atoms.append(Constraint(LinearForm(tuple(f)), GE))        # u_j <= 2 u_k
-    return OmegaRegion(n, SemilinearSet(n, (Cell.of(atoms),)))
+    return SemilinearSet(n, (Cell.of(atoms),))
 
 
 def omega_extend(u: Mapping[int, Fraction], n: int) -> tuple:
@@ -645,7 +626,7 @@ def omega_extend(u: Mapping[int, Fraction], n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def ideal_leq(g: VLTerm, h: VLTerm, n: int,
-              region: Optional[OmegaRegion] = None,
+              region: Optional[SemilinearSet] = None,
               ceiling: Optional[int] = None) -> tuple:
     """Decide <g> <= <h> in the principal-ideal order.
 
@@ -655,19 +636,18 @@ def ideal_leq(g: VLTerm, h: VLTerm, n: int,
     Z(u), Z(|u|) = Z(u), Z(u⁺) = {u <= 0}, Z(a ∨ b) = Z(a + b) =
     Z(a) ∩ Z(b) and Z(a ∧ b) = Z(a) ∪ Z(b) for nonnegative a, b), so a
     composite representative such as |a| ∨ |b| is never linearized whole
-    to answer true.  On false, the witness comes from the whole-term sets
-    ``zero_set(h)`` ∩ ``cozero_set(g)``: a verified point z with
+    to answer true.  On false, the witness is that of the first meet
+    (``semilinear._first_meet``) of the whole-term sets ``zero_set(h)``
+    and ``cozero_set(g)`` (and the region): a verified point z with
     h(z) = 0 and g(z) != 0 (and z in the region)."""
     _check_dimension(n, region, g, h)
-    extra = () if region is None else (region.set,)
-    if not _common_point((_parts(h, n, ceiling, False),
-                          _parts(g, n, ceiling, True)) + extra):
+    extra = () if region is None else (region,)
+    if _first_meet((_parts(h, n, ceiling, False),
+                    _parts(g, n, ceiling, True)) + extra) is None:
         return (True, None)
-    bad = intersect(zero_set(h, n, ceiling), cozero_set(g, n, ceiling),
-                    ceiling)
-    if region is not None:
-        bad = intersect(bad, region.set, ceiling)
-    w = set_witness(bad)
+    cell = _first_meet((zero_set(h, n, ceiling), cozero_set(g, n, ceiling))
+                       + extra)
+    w = None if cell is None else witness_point(cell, n)
     if w is None:
         raise ContractError("ideal order: the sets built by parts meet "
                             "but the whole-term sets do not")
@@ -687,11 +667,11 @@ class PrincipalIdeal:
     (<g0> = <2·g0>, yet their deviations from <g0> differ)."""
     representative: VLTerm
     n: int
-    region: Optional["OmegaRegion"] = None
+    region: Optional[SemilinearSet] = None
 
     @classmethod
     def of(cls, t: VLTerm, n: int,
-           region: Optional["OmegaRegion"] = None) -> "PrincipalIdeal":
+           region: Optional[SemilinearSet] = None) -> "PrincipalIdeal":
         return cls(abs(t), n, region)
 
     def _lift(self, t: VLTerm) -> "PrincipalIdeal":
@@ -729,19 +709,19 @@ def cevian_dev(g: VLTerm, h: VLTerm) -> VLTerm:
 
 
 def ideal_meet_is_zero(g: VLTerm, h: VLTerm, n: int,
-                       region: Optional[OmegaRegion] = None,
+                       region: Optional[SemilinearSet] = None,
                        ceiling: Optional[int] = None) -> bool:
     """Whether <|g|> ∧ <|h|> is the zero ideal (no common cozero point,
     within the region when given), decided on the cozero sets built by
     parts as in ``ideal_leq``."""
     _check_dimension(n, region, g, h)
-    extra = () if region is None else (region.set,)
-    return not _common_point((_parts(g, n, ceiling, True),
-                              _parts(h, n, ceiling, True)) + extra)
+    extra = () if region is None else (region,)
+    return _first_meet((_parts(g, n, ceiling, True),
+                        _parts(h, n, ceiling, True)) + extra) is None
 
 
 def check_cevian_triple(g: VLTerm, h: VLTerm, k: VLTerm, n: int,
-                        region: Optional[OmegaRegion] = None,
+                        region: Optional[SemilinearSet] = None,
                         ceiling: Optional[int] = None) -> bool:
     """Whether <(g-k)^+> <= <(g-h)^+> ∨ <(h-k)^+>; true for all terms."""
     lhs = cevian_dev(g, k)
@@ -861,7 +841,7 @@ class NoisoProbeReport:
 
 
 def _ladder(lhs: VLTerm, rhs: VLTerm, anchor: tuple,
-            region: OmegaRegion, ceiling) -> LadderCheck:
+            region: SemilinearSet, ceiling) -> LadderCheck:
     ok, w = ideal_leq(lhs, rhs, 2, region, ceiling)
     anchor_valid = (region.contains(anchor)
                     and evaluate(rhs, anchor) == 0

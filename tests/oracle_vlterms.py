@@ -3,9 +3,11 @@
 ``latdev.vlterms`` decides the ideal order and the zero meet on zero and
 cozero sets built by parts (Z(|a| ∨ |b|) = Z(a) ∩ Z(b) and the like).
 These are the decisions it replaced, kept verbatim apart from their
-docstrings so that ``test_vlterms.py`` can compare the two: each
-linearizes the composite representative whole, and intersects its
-``zero_set`` / ``cozero_set``.
+docstrings and the region, now the ``SemilinearSet`` itself, so that
+``test_vlterms.py`` can compare the two: each linearizes the composite
+representative whole, and intersects its ``zero_set`` / ``cozero_set``.
+``set_witness`` is the library's former witness of a set, kept here so
+that the oracle does not run the first-meet walk it checks.
 """
 
 from __future__ import annotations
@@ -13,21 +15,31 @@ from __future__ import annotations
 from typing import Optional
 
 from latdev.errors import ContractError, InputError
-from latdev.semilinear import intersect, is_empty_set, set_witness
-from latdev.vlterms import (OmegaRegion, VLTerm, cevian_dev, cozero_set,
-                            evaluate, ideal_join, zero_set)
+from latdev.semilinear import (SemilinearSet, intersect, is_empty_set,
+                               witness_point)
+from latdev.vlterms import (VLTerm, cevian_dev, cozero_set, evaluate,
+                            ideal_join, zero_set)
+
+
+def set_witness(S: SemilinearSet) -> Optional[tuple]:
+    """A point of S, or None if S is empty."""
+    for c in S.cells:
+        w = witness_point(c, S.dimension)
+        if w is not None:
+            return w
+    return None
 
 
 def ideal_leq(g: VLTerm, h: VLTerm, n: int,
-              region: Optional[OmegaRegion] = None,
+              region: Optional[SemilinearSet] = None,
               ceiling: Optional[int] = None) -> tuple:
     """<g> <= <h>: (True, None), or (False, z) with h(z) = 0 != g(z)."""
-    if region is not None and region.n != n:
+    if region is not None and region.dimension != n:
         raise InputError("region dimension mismatch")
     bad = intersect(zero_set(h, n, ceiling), cozero_set(g, n, ceiling),
                     ceiling)
     if region is not None:
-        bad = intersect(bad, region.set, ceiling)
+        bad = intersect(bad, region, ceiling)
     w = set_witness(bad)
     if w is None:
         return (True, None)
@@ -38,19 +50,19 @@ def ideal_leq(g: VLTerm, h: VLTerm, n: int,
 
 
 def ideal_meet_is_zero(g: VLTerm, h: VLTerm, n: int,
-                       region: Optional[OmegaRegion] = None,
+                       region: Optional[SemilinearSet] = None,
                        ceiling: Optional[int] = None) -> bool:
     """Whether the cozero sets of g and h (within the region) are
     disjoint."""
     common = intersect(cozero_set(g, n, ceiling),
                        cozero_set(h, n, ceiling), ceiling)
     if region is not None:
-        common = intersect(common, region.set, ceiling)
+        common = intersect(common, region, ceiling)
     return is_empty_set(common)
 
 
 def check_cevian_triple(g: VLTerm, h: VLTerm, k: VLTerm, n: int,
-                        region: Optional[OmegaRegion] = None,
+                        region: Optional[SemilinearSet] = None,
                         ceiling: Optional[int] = None) -> bool:
     """Whether <(g-k)^+> <= <(g-h)^+> ∨ <(h-k)^+>."""
     lhs = cevian_dev(g, k)

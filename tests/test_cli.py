@@ -518,19 +518,71 @@ def vlat_argv(draw):
     return top + ["vlat", sub] + argv
 
 
+def _check_vlat_run(argv, sub):
+    """Run the argv: exit 0-3, a report of the schema of ``sub`` on exit 0
+    or 1 and nothing but an error on 2 or 3, and the same bytes again on
+    the caches the first run left warm.  Returns the exit code and
+    stdout."""
+    code, out, err = _main_output(argv)
+    event(f"{sub} exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        jsonschema.validate(json.loads(out), SCHEMAS[sub])
+    else:
+        assert out == "" and err
+    assert _main_output(argv) == (code, out, err)
+    return code, out
+
+
 @given(vlat_argv())
 @settings(max_examples=200, deadline=None)
 def test_vlat_fuzz_exit_codes_and_schema(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    event(f"exit {code}")
-    assert code in (0, 1, 2, 3)
-    if code in (0, 1):
-        sub = " ".join(a for a in argv if a in ("vlat", "leq", "cevian"))
-        jsonschema.validate(json.loads(out.getvalue()), SCHEMAS[sub])
+    """Exit codes, schemas and reruns (``_check_vlat_run``).  The witness
+    of a false verdict is found by a walk that builds no intersection, so
+    an exit-1 ``vlat leq`` prints what the run without --cell-ceiling
+    prints."""
+    sub = " ".join(a for a in argv if a in ("vlat", "leq", "cevian"))
+    code, out = _check_vlat_run(argv, sub)
+    if code == 1 and sub == "vlat leq" and argv[0] == "--cell-ceiling":
+        assert _main_output(argv[2:])[:2] == (1, out)
+
+
+@st.composite
+def probe_argv(draw):
+    """``vlat noiso-probe`` or ``vlat pscom-probe`` argv with small
+    parameters: --k, --m and --n for the first; --n, --alpha, --c,
+    --count up to 3 and --depth up to 2 for the second.  One argv in
+    four puts one parameter out of range, or --c malformed;
+    --cell-ceiling is from 1 to 8 or absent."""
+    sub = draw(st.sampled_from(["noiso-probe", "pscom-probe"]))
+    bad = draw(st.integers(0, 3)) == 0
+    if sub == "noiso-probe":
+        values = {"k": draw(st.integers(1, 8)), "m": draw(st.integers(1, 4)),
+                  "n": draw(st.integers(1, 4))}
+        if bad:
+            values[draw(st.sampled_from(sorted(values)))] = \
+                draw(st.integers(-1, 0))
     else:
-        assert out.getvalue() == "" and err.getvalue()
+        n = draw(st.integers(2, 4))
+        values = {"n": n, "alpha": draw(st.integers(1, n - 1)),
+                  "c": draw(st.sampled_from(["1", "1/2", "3/2", "2"])),
+                  "count": draw(st.integers(0, 3)),
+                  "depth": draw(st.integers(0, 2))}
+        if bad:
+            name = draw(st.sampled_from(["n", "alpha", "c"]))
+            values[name] = draw(st.sampled_from({
+                "n": [0, 1], "alpha": [0, n],
+                "c": ["0", "-1", "1/0", "half", "", "1/2/3"]}[name]))
+    ceiling = draw(st.one_of(st.none(), st.integers(1, 8)))
+    top = [] if ceiling is None else ["--cell-ceiling", str(ceiling)]
+    return top + ["vlat", sub] + [f"--{k}={v}" for k, v in values.items()]
+
+
+@given(probe_argv())
+@settings(max_examples=150, deadline=None)
+def test_probe_fuzz_exit_codes_schema_and_rerun(argv):
+    _check_vlat_run(argv, " ".join(a for a in argv if a in (
+        "vlat", "noiso-probe", "pscom-probe")))
 
 
 _SETS = sorted(name for name in os.listdir(os.path.join(GOLDEN, "fixtures"))
@@ -816,6 +868,15 @@ class TestPoset:
                             "--order", "a,b,z")
         assert code == 2 and out == ""
 
+    def test_witness_empty_order_exits_2(self, capsys):
+        """An empty --order names no element, as for adjust --order=; it
+        is not the absent option."""
+        code = main(["poset", "witness", "--poset", _fixture("poset9.json"),
+                     "--order="])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "'' is not a list of elements" in err
+
     def test_order_invalid_witness_exits_2(self, capsys, tmp_path):
         p = write(tmp_path, "c2.json",
                   {"elements": ["0", "1"], "leq": [["0", "1"]]})
@@ -1036,6 +1097,16 @@ class TestVlat:
         assert evaluate(parse_term("g0"), w) == 0
         assert evaluate(parse_term(lhs), w) != 0
         assert wall < 1
+
+    def test_leq_witness_past_the_cell_ceiling(self, capsys):
+        """The witness of a false verdict is found by a walk that builds
+        no intersection, so --cell-ceiling does not bound it: the report
+        is the one at the default ceiling."""
+        argv = ["vlat", "leq", "--n", "2", "--lhs", "|g0|",
+                "--rhs", "(2*g0 - g1)^+"]
+        code, out = run_cli(capsys, "--cell-ceiling", "2", *argv)
+        assert (code, out) == run_cli(capsys, *argv)
+        assert code == 1 and json.loads(out)["witness"] == ["1/2", "1"]
 
     def test_cevian(self, capsys):
         code, out = run_cli(capsys, "vlat", "cevian", "--n", "3",

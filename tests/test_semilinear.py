@@ -3,6 +3,7 @@ complement, inclusion, shadows, interpolation."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -16,7 +17,7 @@ from latdev.semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                                unit_form, upper_shadow_set, witness_point)
 
 import oracle_fm
-from conftest import random_point, random_semilinear
+from conftest import random_form, random_point, random_semilinear
 
 
 def S(cells, n):
@@ -295,6 +296,81 @@ class TestIncludes:
                     assert not (B.contains(p) and not A.contains(p))
             else:
                 assert B.contains(w) and not A.contains(w)
+
+
+def _sign_cells(rng, n):
+    """The cells {f > 0}, {f = 0}, {-f > 0} of two random forms, met
+    pairwise: nine pairwise disjoint cells, some of them empty."""
+    signs = []
+    for _ in range(2):
+        f = random_form(rng, n)
+        signs.append([Constraint(f, GT), Constraint(f, EQ),
+                      Constraint(-f, GT)])
+    return [Cell.of((a, b)) for a in signs[0] for b in signs[1]]
+
+
+def _disjoint(T):
+    return all(is_empty(Cell.of(a.atoms + b.atoms))
+               for i, a in enumerate(T.cells) for b in T.cells[i + 1:])
+
+
+class TestFirstMeet:
+    """``_first_meet`` against the materialized ``intersect`` chain."""
+
+    def _sets(self, rng, n):
+        """1-3 sets: random ones, with an empty cell or the whole cell put
+        among their cells, the set with no cells, or a sample of
+        ``_sign_cells`` in order (pairwise disjoint)."""
+        sets = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["random", "empty cell", "whole cell",
+                               "no cells", "disjoint", "disjoint"])
+            if kind == "no cells":
+                sets.append(SemilinearSet.empty(n))
+                continue
+            if kind == "disjoint":
+                cells = [c for c in _sign_cells(rng, n)
+                         if rng.random() < 0.5]
+            else:
+                cells = list(random_semilinear(rng, n).cells)
+                extra = {"random": [], "whole cell": [Cell(())],
+                         "empty cell": [parse_cell(["x0 > 0", "-x0 > 0"],
+                                                   n)]}[kind]
+                cells[rng.randint(0, len(cells)):0] = extra
+            sets.append(SemilinearSet.of(n, cells))
+        return sets
+
+    def test_matches_intersect_chain(self, rng):
+        seen = {"none": 0, "meet": 0, "first cell": 0}
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            sets = self._sets(rng, n)
+            chain = reduce(intersect, sets)
+            got = semilinear._first_meet(sets)
+            assert (got is None) == is_empty_set(chain)
+            if got is None:
+                seen["none"] += 1
+                continue
+            seen["meet"] += 1
+            assert not is_empty(got)
+            w = witness_point(got, n)
+            assert all(T.contains(w) for T in sets)
+            if all(_disjoint(T) for T in sets):
+                seen["first cell"] += 1
+                first = next(c for c in chain.cells if not is_empty(c))
+                assert got == first
+        assert min(seen.values()) >= 40, seen
+
+    def test_first_set_taken_as_given(self):
+        """A lone set's first nonempty cell comes back as it is, atoms
+        unsorted, not rebuilt by ``Cell.of``; an empty cell before it is
+        skipped."""
+        empty = parse_cell(["x0 > 0", "-x0 > 0"], 1)
+        cell = Cell((Constraint(form([-1], 5), GE),
+                     Constraint(form([1], 0), GT)))
+        assert cell != Cell.of(cell.atoms)
+        assert semilinear._first_meet(
+            [SemilinearSet._built(1, (empty, cell))]) is cell
 
 
 class TestShadows:

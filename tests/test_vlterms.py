@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_vlterms
-from latdev import vlterms
+from latdev import semilinear, vlterms
 from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
     intersect, is_empty, is_empty_set, same_set
@@ -385,7 +385,7 @@ class TestOmega:
 
     def test_region_dimension_ceiling(self):
         reg = omega_region(MAX_REGION_DIMENSION)
-        assert reg.contains(tuple(F(1) for _ in range(reg.n)))
+        assert reg.contains(tuple(F(1) for _ in range(reg.dimension)))
         with pytest.raises(ResourceLimitError):
             omega_region(MAX_REGION_DIMENSION + 1)
 
@@ -506,7 +506,7 @@ def test_ideal_meet_is_zero_matches_absolute_value_formulation():
         for region in (None, omega_region(n)):
             common = intersect(cozero_set(abs(g), n), cozero_set(abs(h), n))
             if region is not None:
-                common = intersect(common, region.set)
+                common = intersect(common, region)
             expected = is_empty_set(common)
             assert ideal_meet_is_zero(g, h, n, region) == expected
             assert ideal_meet_is_zero(abs(g), h, n, region) == expected
@@ -599,10 +599,22 @@ class TestDecisionByParts:
 
     def test_disagreeing_whole_term_path_is_a_contract_error(
             self, monkeypatch):
-        monkeypatch.setattr(vlterms, "set_witness", lambda S: None)
+        monkeypatch.setattr(vlterms, "witness_point", lambda *args: None)
         assert ideal_leq(g0, abs(g0), 1) == (True, None)
         with pytest.raises(ContractError):
             ideal_leq(g0, g1, 2)
+
+    def test_false_verdict_builds_no_intersection(self, monkeypatch):
+        """The witness of a false verdict is the first meet of the
+        whole-term sets, found by a walk: ``intersect`` runs nowhere."""
+        calls = []
+        for module in (semilinear, vlterms):
+            monkeypatch.setattr(module, "intersect",
+                                lambda *args, real=module.intersect:
+                                calls.append(args) or real(*args))
+        ok, w = ideal_leq(abs(g0), (2 * g0 - g1).pos(), 2)
+        assert not ok and _witness_text(w) == ["1/2", "1"]
+        assert calls == []
 
     def test_dimension_checked_before_parts(self):
         """0*g5 is never linearized by parts; g5 still needs n >= 6."""
