@@ -34,7 +34,7 @@ sorted by rank.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -124,26 +124,8 @@ class AdjustmentTrace(Mapping):
     def __len__(self) -> int:
         return len(self._decided)
 
-    def items(self):
-        return _TraceItems(self)
-
-    def values(self):
-        return _TraceValues(self)
-
     def __repr__(self) -> str:
         return f"AdjustmentTrace({len(self)} entries)"
-
-
-class _TraceItems(ItemsView):
-    def __iter__(self):
-        t = self._mapping
-        return zip(t._decided, map(t._entry, range(len(t._decided))))
-
-
-class _TraceValues(ValuesView):
-    def __iter__(self):
-        t = self._mapping
-        return map(t._entry, range(len(t._decided)))
 
 
 @dataclass(frozen=True)

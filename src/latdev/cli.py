@@ -550,8 +550,13 @@ def main(argv=None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"input error: cannot write {cfg.output}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return code

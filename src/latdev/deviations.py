@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
-from .lattices import (FiniteDistributiveLattice, _meet_irreducibles,
-                       _normal_pair)
+from .lattices import FiniteDistributiveLattice, _normal_pair, _one_cover
 from .posets import ElementId, FinitePoset, bits
 
 DeviationMap = Dict[Tuple[ElementId, ElementId], ElementId]
@@ -144,7 +143,7 @@ def _rows(D: FiniteDistributiveLattice, t: list) -> list:
     :func:`_first_open` names."""
     n = len(D)
     up = D.poset._up
-    ms = _meet_irreducibles(D)
+    ms = _one_cover(D.poset._up)
     above = [[k for k, m in enumerate(ms) if uv >> m & 1] for uv in up]
     rows = []
     for x in range(n):

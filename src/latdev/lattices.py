@@ -92,10 +92,10 @@ class FiniteDistributiveLattice:
         # O(J(L)) (counted up to |L| + 1) has |L| elements.  The masks
         # J(L) ∩ ↓x are kept: in a distributive lattice a meet is their
         # AND and a join their OR.
-        below = self._irreducibles()
-        self._irr = sum(1 << p for p in below)
-        self._birkhoff = tuple(dx & self._irr for dx in down)
-        self._from_birkhoff = {b: x for x, b in enumerate(self._birkhoff)}
+        self._irr = sum(1 << p for p in _one_cover(down))
+        self._birkhoff = bk = tuple(dx & self._irr for dx in down)
+        self._from_birkhoff = {b: x for x, b in enumerate(bk)}
+        below = {p: bk[p] ^ 1 << p for p in bits(self._irr)}
         self._distributive = len(down_set_masks(below, limit=n)) == n
         if check_distributive and not self._distributive:
             raise InputError("lattice is not distributive at "
@@ -104,28 +104,9 @@ class FiniteDistributiveLattice:
     def _distributivity_failure(self) -> Optional[tuple]:
         """The first triple (x, y, z) in canonical order with
         x∧(y∨z) != (x∧y)∨(x∧z), or None."""
-        n = len(self.elements)
         jn, mt = self._join, self._meet
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if mt[i][jn[j][k]] != jn[mt[i][j]][mt[i][k]]:
-                        return (self.elements[i], self.elements[j],
-                                self.elements[k])
-        return None
-
-    def _irreducibles(self) -> dict:
-        """{p: mask of the join-irreducibles strictly below p} over the
-        join-irreducibles p: the elements with exactly one lower cover."""
-        down = self.poset._down
-        principal = set(down)
-        below = {}
-        for x, dx in enumerate(down):
-            strict = dx & ~(1 << x)
-            if strict in principal:     # exactly one lower cover
-                below[x] = strict
-        irreducible = sum(1 << x for x in below)
-        return {x: b & irreducible for x, b in below.items()}
+        return _first_triple(self, lambda i, j, k:
+                             mt[i][jn[j][k]] != jn[mt[i][j]][mt[i][k]])
 
     @property
     def is_distributive(self) -> bool:
@@ -151,6 +132,23 @@ class FiniteDistributiveLattice:
         return f"FiniteDistributiveLattice({len(self.elements)} elements)"
 
 
+def _one_cover(cones) -> list:
+    """The positions x whose strict cone, ``cones[x]`` minus x, is itself
+    a cone.  On down-set masks these are the elements with exactly one
+    lower cover (the join-irreducibles), on up-set masks those with
+    exactly one upper cover (the meet-irreducibles)."""
+    principal = set(cones)
+    return [x for x, c in enumerate(cones) if c & ~(1 << x) in principal]
+
+
+def _first_triple(D: FiniteDistributiveLattice, fails) -> Optional[tuple]:
+    """The first triple of ids (x, y, z) in canonical order whose
+    positions satisfy ``fails``, or None."""
+    els, N = D.elements, range(len(D))
+    return next(((els[i], els[j], els[k]) for i in N for j in N for k in N
+                 if fails(i, j, k)), None)
+
+
 def chain_lattice(n: int) -> FiniteDistributiveLattice:
     return FiniteDistributiveLattice(FinitePoset.chain(n))
 
@@ -168,7 +166,7 @@ def lattice_from_downsets(J: FinitePoset) -> FiniteDistributiveLattice:
     if len(downs) > MAX_LATTICE_ELEMENTS:
         raise ResourceLimitError(f"the down-set lattice has more than "
                                  f"{MAX_LATTICE_ELEMENTS} elements")
-    downs = sorted(downs, key=canonical_key)
+    downs.sort(key=canonical_key)
     # containing[j]: the down-sets that contain element j of J
     containing = [0] * len(J)
     for k, S in enumerate(downs):
@@ -206,29 +204,15 @@ def is_zero_distributive(D: FiniteDistributiveLattice) -> tuple:
             if row[x] == bot:
                 acc = jn[acc][x]
         if row[acc] != bot:
-            triple = _zero_distributivity_failure(D)
+            triple = _first_triple(D, lambda i, j, k: (
+                mt[i][k] == bot and mt[j][k] == bot
+                and mt[jn[i][j]][k] != bot))
             if triple is None:
                 raise ContractError(
                     f"the elements disjoint from {D.elements[z]!r} are "
                     "not closed under joins, yet no triple fails")
             return (False, triple)
     return (True, None)
-
-
-def _zero_distributivity_failure(
-        D: FiniteDistributiveLattice) -> Optional[tuple]:
-    """The first triple (x, y, z) in canonical order with x∧z = y∧z = 0
-    and (x∨y)∧z != 0, or None."""
-    bot = D._bot
-    n = len(D)
-    jn, mt = D._join, D._meet
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (mt[i][k] == bot and mt[j][k] == bot
-                        and mt[jn[i][j]][k] != bot):
-                    return (D.elements[i], D.elements[j], D.elements[k])
-    return None
 
 
 def is_completely_normal(D: FiniteDistributiveLattice) -> tuple:
@@ -288,14 +272,6 @@ class PrimeIdealPoset:
     poset: FinitePoset
 
 
-def _meet_irreducibles(D: FiniteDistributiveLattice) -> list:
-    """Positions of the meet-irreducibles of D, the elements m with one
-    upper cover: ↑m minus m is then a principal up-set."""
-    up = D.poset._up
-    principal = set(up)
-    return [m for m, um in enumerate(up) if um & ~(1 << m) in principal]
-
-
 def prime_ideal_poset(D: FiniteDistributiveLattice) -> PrimeIdealPoset:
     """All prime ideals of D: nonempty proper down-sets closed under join
     such that x∧y ∈ I implies x ∈ I or y ∈ I.
@@ -309,7 +285,7 @@ def prime_ideal_poset(D: FiniteDistributiveLattice) -> PrimeIdealPoset:
     down, mt = D.poset._down, D._meet
     full = (1 << len(D)) - 1
     primes = []
-    for m in _meet_irreducibles(D):
+    for m in _one_cover(D.poset._up):
         outside = full & ~down[m]
         acc = D._top
         for x in bits(outside):

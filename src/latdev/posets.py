@@ -53,26 +53,24 @@ def _extremes(cone: Sequence[int], mask: int) -> int:
 
 
 def down_set_masks(below: Mapping[int, int],
-                   limit: Optional[int] = None) -> set:
+                   limit: Optional[int] = None) -> list:
     """All down-sets, as bitmasks, of the order on the keys of ``below``
     in which ``below[i]`` is the mask of the elements strictly below i.
 
-    With ``limit``, stops as soon as more than ``limit`` are found.
+    The keys are taken along a linear extension (fewer elements below
+    first); each key i doubles the down-sets found so far that hold all
+    of ``below[i]``, by adding i to them.  Without ``limit`` the list
+    holds every down-set once.  With ``limit`` it stops after the first
+    key that takes the count past ``limit``, so it holds more than
+    ``limit`` masks (at most twice as many) exactly when there are more
+    than ``limit`` down-sets.
     """
-    found = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for X in frontier:
-            for i, b in below.items():
-                if not X >> i & 1 and not b & ~X:
-                    Y = X | 1 << i
-                    if Y not in found:
-                        found.add(Y)
-                        nxt.append(Y)
-                        if limit is not None and len(found) > limit:
-                            return found
-        frontier = nxt
+    found = [0]
+    for i in sorted(below, key=lambda i: below[i].bit_count()):
+        b, bit = below[i], 1 << i
+        found += [X | bit for X in found if X & b == b]
+        if limit is not None and len(found) > limit:
+            break
     return found
 
 
@@ -236,9 +234,6 @@ class FinitePoset:
     def leq(self, a: ElementId, b: ElementId) -> bool:
         return self._up[self.index(a)] >> self.index(b) & 1 == 1
 
-    def comparable(self, a: ElementId, b: ElementId) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
     def down_set(self, A: Iterable[ElementId]) -> frozenset:
         """All x with x <= a for some a in A."""
         m = 0
@@ -253,15 +248,11 @@ class FinitePoset:
         return frozenset(self._members(m))
 
     def covers(self) -> list:
-        """Cover pairs (a, b) with a < b and nothing strictly between."""
-        els, down = self.elements, self._down
-        out = []
-        for i, ui in enumerate(self._up):
-            above = ui & ~(1 << i)
-            for j in bits(above):
-                if not above & down[j] & ~(1 << j):
-                    out.append((els[i], els[j]))
-        return out
+        """Cover pairs (a, b) with a < b and nothing strictly between: the
+        minimal elements b of the strict up-set of a."""
+        els = self.elements
+        return [(els[i], els[j]) for i, ui in enumerate(self._up)
+                for j in bits(self._min(ui & ~(1 << i)))]
 
     # -- constructions -----------------------------------------------------
 

@@ -579,10 +579,6 @@ def _accumulate(out: list, cell: Cell, ceiling: Optional[int]):
     _guard(len(out), ceiling)
 
 
-def is_empty_set(S: SemilinearSet) -> bool:
-    return all(is_empty(c) for c in S.cells)
-
-
 def _first_meet(sets: Sequence[SemilinearSet]) -> Optional[Cell]:
     """The first nonempty meet c1 ∧ ... ∧ ck of one cell of each set, or
     None when the sets share no point.  A depth-first walk in nested

@@ -7,7 +7,9 @@ docstrings and the region, now the ``SemilinearSet`` itself, so that
 ``test_vlterms.py`` can compare the two: each linearizes the composite
 representative whole, and intersects its ``zero_set`` / ``cozero_set``.
 ``set_witness`` is the library's former witness of a set, kept here so
-that the oracle does not run the first-meet walk it checks.
+that the oracle does not run the first-meet walk it checks, and
+``is_empty_set`` the library's former emptiness test of a set, which
+only tests called.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ from __future__ import annotations
 from typing import Optional
 
 from latdev.errors import ContractError, InputError
-from latdev.semilinear import (SemilinearSet, intersect, is_empty_set,
+from latdev.semilinear import (SemilinearSet, intersect, is_empty,
                                witness_point)
 from latdev.vlterms import (VLTerm, cevian_dev, cozero_set, evaluate,
                             ideal_join, zero_set)
+
+
+def is_empty_set(S: SemilinearSet) -> bool:
+    return all(is_empty(c) for c in S.cells)
 
 
 def set_witness(S: SemilinearSet) -> Optional[tuple]:

@@ -25,11 +25,12 @@ from latdev.semilinear import (includes, is_empty, lower_shadow_set,
 from latdev.vlterms import (cevian_dev, check_cevian_triple, cozero_set,
                             ideal_join, ideal_leq, linearize, noiso_probe,
                             pseudocomplement_probe, random_term)
-from latdev.semilinear import intersect, is_empty_set
+from latdev.semilinear import intersect
 
 from conftest import (all_posets, random_point, random_poset,
                       random_semilinear)
 from oracle_orders import is_completely_normal as oracle_normal, join_all
+from oracle_vlterms import is_empty_set
 
 
 def report(num, label, t0, extra=""):

@@ -161,6 +161,19 @@ class TestLattice:
         code, out = run_cli(capsys, "lattice", "check", str(p))
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("target, reason", [
+        ("absent/report.json", "No such file or directory"),
+        ("", "Is a directory")], ids=["missing-directory", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, chain4, target,
+                                       reason):
+        """A report that cannot be written is an input error: exit 2,
+        nothing on stdout, and the path and the reason on stderr."""
+        path = os.path.join(tmp_path, target)
+        code, out, err = _main_output(["--output", path,
+                                       "lattice", "check", chain4])
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot write {path}: {reason}\n"
+
 
 class TestDeviation:
     def test_check_reports_properties(self, capsys, chain4, chain4_dev):
@@ -410,6 +423,43 @@ class TestAdjust:
             assert out == "" and "meetand/joinand pairs" in err
 
 
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_run(argv):
+    """Run the argv under the exit-code contract: exit 0-3; on exit 0 or
+    1 a report in the chosen format (JSON valid against the
+    subcommand's schema, text of one ``key: json`` line per key in key
+    order that makes up such a report, or a DOT graph); on exit 2 or 3
+    nothing on stdout and a message on stderr; and the same bytes again
+    on the state the first run left.  Returns the exit code, stdout and
+    stderr."""
+    cfg = config_from_args(_build_parser().parse_args(argv))
+    code, out, err = _main_output(argv)
+    event(f"{cfg.subcommand} --format {cfg.fmt} exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1) and cfg.fmt == "dot":
+        assert out.startswith("digraph")
+    elif code in (0, 1):
+        if cfg.fmt == "json":
+            report = json.loads(out)
+        else:
+            assert out.endswith("\n")
+            pairs = [line.partition(": ") for line in out[:-1].split("\n")]
+            keys = [k for k, sep, _ in pairs if sep]
+            assert len(keys) == len(pairs) and keys == sorted(set(keys))
+            report = {k: json.loads(v) for k, _, v in pairs}
+        jsonschema.validate(report, SCHEMAS[cfg.subcommand])
+    else:
+        assert out == "" and err
+    assert _main_output(argv) == (code, out, err)
+    return code, out, err
+
+
 # Lattices for the adjust fuzz: string ids, tuple ids, not distributive.
 FUZZ_FILES = [os.path.join(GOLDEN, "fixtures", name)
               for name in ("chain4.json", "tree.json", "n5.json")]
@@ -457,23 +507,66 @@ def adjust_inputs(draw):
 @given(adjust_inputs(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_adjust_fuzz_exit_codes_and_schema(inputs, use_shadows):
+    """The exit-code contract (``_check_run``); adjust has no false
+    verdict, so it never exits 1."""
     lattice, dev, order = inputs
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "map.json")
         with open(path, "w") as fh:
             json.dump(dev, fh)
-        argv = ["adjust", "--lattice", lattice, "--map", path,
-                f"--order={order}"] + (["--use-shadows"] if use_shadows
-                                       else [])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    event(f"exit {code}")
-    assert code in (0, 1, 2, 3)
-    if code == 0:
-        jsonschema.validate(json.loads(out.getvalue()), SCHEMAS["adjust"])
-    else:
-        assert out.getvalue() == "" and err.getvalue()
+        code, _, _ = _check_run(
+            ["adjust", "--lattice", lattice, "--map", path,
+             f"--order={order}"] + (["--use-shadows"] if use_shadows else []))
+    assert code != 1
+
+
+# Lattice files of at most 12 elements (distributive or not, completely
+# normal or not, a down-set lattice, a poset that is no lattice), files
+# of other kinds and a missing path, and deviation maps for chain4 and
+# for tree_lattice.
+_LATTICE_FILES = [_fixture(f"{name}.json") for name in (
+    "chain4", "b3", "grid", "tree", "tree_lattice", "ncn", "m3", "n5",
+    "n5_strict", "nonlattice", "chain6_bottom_last")]
+_OTHER_FILES = [_fixture(f"{name}.json") for name in (
+    "poset9", "witness9", "sl_box", "amalgam", "absent")]
+_MAP_FILES = [_fixture(f"{name}.json") for name in (
+    "chain4_bumped", "chain4_bad", "tree_map")]
+
+
+@st.composite
+def order_argv(draw):
+    """``lattice check`` (with or without --prime-ideals) or ``deviation
+    check|search|enumerate`` argv on the files above: a map or another
+    file for check (three maps in four on their own lattice), --monotone
+    and --cevian for search, --limit from -2 to 25 for enumerate, each
+    under --format json, text or dot."""
+    sub = draw(st.sampled_from(["check", "search", "enumerate"]))
+    lattice = draw(st.sampled_from(_LATTICE_FILES + _OTHER_FILES))
+    fmt = ["--format", draw(st.sampled_from(["json", "text", "dot"]))]
+    if draw(st.integers(0, 3)) == 0:
+        return fmt + ["lattice", "check", lattice] + (
+            ["--prime-ideals"] if draw(st.booleans()) else [])
+    if sub == "check":
+        deviation = draw(st.sampled_from(_MAP_FILES)
+                         | st.sampled_from(_OTHER_FILES))
+        if deviation in _MAP_FILES and draw(st.integers(0, 3)):
+            lattice = _fixture("tree_lattice.json" if "tree" in deviation
+                               else "chain4.json")
+        return fmt + ["deviation", "check", "--lattice", lattice,
+                      "--map", deviation]
+    argv = fmt + ["deviation", sub, "--lattice", lattice]
+    if sub == "search":
+        return argv + [flag for flag in ("--monotone", "--cevian")
+                       if draw(st.booleans())]
+    return argv + ["--limit", str(draw(st.integers(-2, 25)))]
+
+
+@given(order_argv())
+@settings(max_examples=400, deadline=None)
+def test_order_fuzz_exit_codes_schema_and_rerun(argv):
+    """The exit-code contract (``_check_run``) for the lattice and
+    deviation subcommands."""
+    _check_run(argv)
 
 
 def term_texts(n: int):
@@ -518,32 +611,14 @@ def vlat_argv(draw):
     return top + ["vlat", sub] + argv
 
 
-def _check_vlat_run(argv, sub):
-    """Run the argv: exit 0-3, a report of the schema of ``sub`` on exit 0
-    or 1 and nothing but an error on 2 or 3, and the same bytes again on
-    the caches the first run left warm.  Returns the exit code and
-    stdout."""
-    code, out, err = _main_output(argv)
-    event(f"{sub} exit {code}")
-    assert code in (0, 1, 2, 3)
-    if code in (0, 1):
-        jsonschema.validate(json.loads(out), SCHEMAS[sub])
-    else:
-        assert out == "" and err
-    assert _main_output(argv) == (code, out, err)
-    return code, out
-
-
 @given(vlat_argv())
 @settings(max_examples=200, deadline=None)
 def test_vlat_fuzz_exit_codes_and_schema(argv):
-    """Exit codes, schemas and reruns (``_check_vlat_run``).  The witness
-    of a false verdict is found by a walk that builds no intersection, so
-    an exit-1 ``vlat leq`` prints what the run without --cell-ceiling
-    prints."""
-    sub = " ".join(a for a in argv if a in ("vlat", "leq", "cevian"))
-    code, out = _check_vlat_run(argv, sub)
-    if code == 1 and sub == "vlat leq" and argv[0] == "--cell-ceiling":
+    """The exit-code contract (``_check_run``).  The witness of a false
+    verdict is found by a walk that builds no intersection, so an exit-1
+    ``vlat leq`` prints what the run without --cell-ceiling prints."""
+    code, out, _ = _check_run(argv)
+    if code == 1 and "leq" in argv and argv[0] == "--cell-ceiling":
         assert _main_output(argv[2:])[:2] == (1, out)
 
 
@@ -581,8 +656,7 @@ def probe_argv(draw):
 @given(probe_argv())
 @settings(max_examples=150, deadline=None)
 def test_probe_fuzz_exit_codes_schema_and_rerun(argv):
-    _check_vlat_run(argv, " ".join(a for a in argv if a in (
-        "vlat", "noiso-probe", "pscom-probe")))
+    _check_run(argv)
 
 
 _SETS = sorted(name for name in os.listdir(os.path.join(GOLDEN, "fixtures"))
@@ -613,13 +687,6 @@ def semilinear_argv(draw):
     return top, ["semilinear", sub] + argv
 
 
-def _main_output(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _clear_caches():
     """Empty every ``functools`` cache in the modules of ``latdev``."""
     for module in vars(latdev).values():
@@ -632,21 +699,15 @@ def _clear_caches():
 @given(semilinear_argv())
 @settings(max_examples=200, deadline=None)
 def test_semilinear_fuzz_exit_codes_schema_and_warm_caches(drawn):
-    """Exit codes and schemas as for ``vlat``.  The argv then runs
-    again after a run without --cell-ceiling has cached its results at
-    the default ceiling: same exit code, same bytes, so a result cached
-    at one ceiling never answers for another."""
+    """The exit-code contract (``_check_run``) from empty caches.  The
+    argv then runs again after a run without --cell-ceiling has cached
+    its results at the default ceiling: same exit code, same bytes, so a
+    result cached at one ceiling never answers for another."""
     top, cmd = drawn
     _clear_caches()
-    code, out, err = _main_output(top + cmd)
-    event(f"exit {code}")
-    assert code in (0, 1, 2, 3)
-    if code in (0, 1):
-        jsonschema.validate(json.loads(out), SCHEMAS[" ".join(cmd[:2])])
-    else:
-        assert out == "" and err
+    first = _check_run(top + cmd)
     _main_output(cmd)
-    assert _main_output(top + cmd) == (code, out, err)
+    assert _main_output(top + cmd) == first
 
 
 # A poset whose ids hold commas, so that "a,b" names one id or two, and
@@ -708,8 +769,7 @@ def poset_argv(draw):
 @given(poset_argv())
 @settings(max_examples=300, deadline=None)
 def test_poset_fuzz_exit_codes_schema_and_rerun(argv):
-    """Exit codes and schemas as for ``vlat``; a second run of the same
-    argv, on the state the first one left, gives the same bytes."""
+    """The exit-code contract (``_check_run``), reruns included."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in (("comma.json", _COMMA_POSET),
                           ("comma_witness.json", _COMMA_WITNESS)):
@@ -717,14 +777,7 @@ def test_poset_fuzz_exit_codes_schema_and_rerun(argv):
                 json.dump(doc, fh)
         argv = [os.path.join(tmp, a) if a.startswith("comma") else a
                 for a in argv]
-        code, out, err = _main_output(argv)
-        event(f"{argv[1]} exit {code}")
-        assert code in (0, 1, 2, 3)
-        if code in (0, 1):
-            jsonschema.validate(json.loads(out), SCHEMAS[" ".join(argv[:2])])
-        else:
-            assert out == "" and err
-        assert _main_output(argv) == (code, out, err)
+        _check_run(argv)
 
 
 # A fixture document per input format and the argv that reads it ("{}"
@@ -810,21 +863,13 @@ def hostile_documents(draw):
 @given(hostile_documents())
 @settings(max_examples=500, deadline=None)
 def test_document_fuzz_exit_codes_and_schema(run):
+    """The exit-code contract (``_check_run``) on a hostile document."""
     doc, argv = run
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([path if a == "{}" else a for a in argv])
-    event(f"exit {code}")
-    assert code in (0, 1, 2, 3)
-    if code in (0, 1):
-        jsonschema.validate(json.loads(out.getvalue()),
-                            SCHEMAS[" ".join(argv[:2])])
-    else:
-        assert out.getvalue() == "" and err.getvalue()
+        _check_run([path if a == "{}" else a for a in argv])
 
 
 class TestPoset:

@@ -18,10 +18,11 @@ from latdev.adjustment import monotone_adjustment
 from latdev.deviations import (check_deviation, deviation_properties,
                                enumerate_deviations, search_deviation)
 from latdev.errors import InputError
-from latdev.lattices import (FiniteDistributiveLattice, is_completely_normal,
-                             is_zero_distributive, lattice_from_downsets,
-                             prime_ideal_poset)
-from latdev.posets import FinitePoset, StrongAmalgamSpec, check_strong_amalgam
+from latdev.lattices import (FiniteDistributiveLattice, _one_cover,
+                             is_completely_normal, is_zero_distributive,
+                             lattice_from_downsets, prime_ideal_poset)
+from latdev.posets import (FinitePoset, StrongAmalgamSpec,
+                           check_strong_amalgam, down_set_masks)
 
 from conftest import all_posets, downset_lattice_corpus, random_poset
 
@@ -99,6 +100,44 @@ def test_downset_lattices_match_oracle():
     posets += [FinitePoset.antichain(range(n)) for n in range(1, 6)]
     for J in posets:
         assert_downsets_match_oracle(J)
+
+
+def test_down_set_masks_match_oracle():
+    """The doubling enumeration lists the down-sets that the breadth-first
+    oracle finds, each once, and its list passes a limit exactly when
+    there are more down-sets than the limit."""
+    posets = list(all_posets(4))
+    posets += [FinitePoset.chain(n) for n in range(1, 9)]
+    posets += [FinitePoset.antichain(range(n)) for n in range(1, 9)]
+    for J in posets:
+        below = {i: d & ~(1 << i) for i, d in enumerate(J._down)}
+        masks = down_set_masks(below)
+        assert len(set(masks)) == len(masks)
+        assert ({frozenset(J._members(X)) for X in masks}
+                == set(oracle.all_down_sets(J)))
+        count = len(masks)
+        for limit in range(max(count - 3, 0), count + 3):
+            assert (len(down_set_masks(below, limit)) > limit) == \
+                (count > limit)
+
+
+def test_covers_and_single_covers_match_definition():
+    """``covers()`` lists the pairs a < b with nothing strictly between,
+    in canonical order, and ``_one_cover`` picks the elements with
+    exactly one lower cover (on down-set masks) or exactly one upper
+    cover (on up-set masks), on the corpus lattices and posets."""
+    for P in [D.poset for D in CORPUS] + list(all_posets(4)):
+        le, N = leq_matrix(P), range(len(P))
+        less = [(a, b) for a in N for b in N if a != b and le[a][b]]
+        covers = [(a, b) for a, b in less
+                  if not any(le[a][c] and le[c][b] for c in N
+                             if c not in (a, b))]
+        els = P.elements
+        assert P.covers() == [(els[a], els[b]) for a, b in covers]
+        lower = Counter(b for _, b in covers)
+        upper = Counter(a for a, _ in covers)
+        assert _one_cover(P._down) == [x for x in N if lower[x] == 1]
+        assert _one_cover(P._up) == [x for x in N if upper[x] == 1]
 
 
 def assert_same_poset(P: FinitePoset, Q: FinitePoset):

@@ -12,11 +12,12 @@ from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import (Cell, Constraint, GE, GT, EQ, LinearForm,
                                SemilinearSet, complement, eliminate, form,
                                includes, interpolant, intersect, is_empty,
-                               is_empty_set, lower_shadow_set, parse_cell,
+                               lower_shadow_set, parse_cell,
                                parse_constraint, parse_set, same_set, union,
                                unit_form, upper_shadow_set, witness_point)
 
 import oracle_fm
+from oracle_vlterms import is_empty_set
 from conftest import random_form, random_point, random_semilinear
 
 

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 import oracle_vlterms
+from oracle_vlterms import is_empty_set
 from latdev import semilinear, vlterms
 from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
-    intersect, is_empty, is_empty_set, same_set
+    intersect, is_empty, same_set
 from latdev.vlterms import (MAX_REGION_DIMENSION, MAX_TERM_DEPTH, Join,
                             PrincipalIdeal, Scale, cevian_dev, check_cevian_triple, const,
                             cozero_set, evaluate, gen, ideal_join, ideal_leq,
