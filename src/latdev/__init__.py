@@ -33,11 +33,10 @@ from .semilinear import (Cell, Constraint, LinearForm, SemilinearSet,
                          complement, eliminate, includes, interpolant,
                          is_empty, lower_shadow_set, upper_shadow_set,
                          witness_point)
-from .vlterms import (Gen, One, PrincipalIdeal, VLTerm, cevian_dev,
-                      check_cevian_triple, cozero_set, evaluate, gen,
-                      ideal_join, ideal_leq, ideal_meet, linearize,
-                      noiso_probe, omega_extend, omega_region, one,
-                      parse_term, pseudocomplement_probe, substitute,
-                      zero_set)
+from .vlterms import (Gen, One, VLTerm, cevian_dev, check_cevian_triple,
+                      cozero_set, evaluate, gen, ideal_join, ideal_leq,
+                      ideal_meet, linearize, noiso_probe, omega_extend,
+                      omega_region, one, parse_term, pseudocomplement_probe,
+                      substitute, zero_set)
 
 __version__ = "0.1.0"

@@ -35,10 +35,11 @@ no intersection of the sets.  A true verdict comes from this walk alone.
 A false ``ideal_leq`` verdict takes its witness from a second walk, over
 the whole-term sets ``zero_set(h)`` and ``cozero_set(g)``, which are
 still linearized whole, so reports do not change; whole-term sets that
-do not meet where the parts meet are a ``ContractError``.  The piece
-ceiling applies to the pieces actually built, so a verdict may be
-reached where linearizing the composite whole would pass the ceiling;
-the cell ceiling does not bound either walk.
+do not meet where the parts meet are a ``ContractError``.  One ceiling
+bounds both pieces and cells (None means
+``semilinear.DEFAULT_CELL_CEILING``).  It bounds the pieces actually
+built, so a verdict may be reached where linearizing the composite whole
+would pass the ceiling; as a cell ceiling it bounds neither walk.
 
 A term is a DAG: ``|t|`` holds ``t`` twice.  Nodes store their hash and
 largest generator index, and the functions that walk a term visit each
@@ -75,12 +76,10 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
-from .semilinear import (MAX_DIMENSION, Cell, Constraint, GE, GT, EQ,
-                         LinearForm, SemilinearSet, _first_meet, intersect,
-                         is_empty, parse_rational, union, unit_form,
-                         witness_point)
-
-DEFAULT_PIECE_CEILING = 10_000
+from .semilinear import (DEFAULT_CELL_CEILING, MAX_DIMENSION, Cell,
+                         Constraint, GE, GT, EQ, LinearForm, SemilinearSet,
+                         _first_meet, intersect, is_empty, parse_rational,
+                         union, unit_form, witness_point)
 
 # Largest k that ``noiso_probe`` accepts.  Its report writes 2^(k-1) in
 # decimal (in the terms and the witness points), and Python refuses to
@@ -368,7 +367,7 @@ def linearize(t: VLTerm, n: int,
     branch forms; the kept branch of a join takes the closed side
     (difference >= 0), the other the open side.
     """
-    limit = DEFAULT_PIECE_CEILING if ceiling is None else ceiling
+    limit = DEFAULT_CELL_CEILING if ceiling is None else ceiling
     _check_dimension(n, None, t)
     return PiecewiseForm(n, _node_pieces(t, n, limit)[0])
 
@@ -655,42 +654,6 @@ def ideal_leq(g: VLTerm, h: VLTerm, n: int,
             (region is not None and not region.contains(w)):
         raise ContractError(f"ideal order witness {w} fails")
     return (False, w)
-
-
-@dataclass(frozen=True)
-class PrincipalIdeal:
-    """The ideal generated by a term, stored via its absolute value,
-    optionally relative to a region.  Comparison is zero-set containment
-    (`ideal_leq`); equality is mutual comparison, no canonical
-    representative is computed.  There is no ideal-level deviation:
-    ``cevian_dev`` of two representatives depends on the terms chosen
-    (<g0> = <2·g0>, yet their deviations from <g0> differ)."""
-    representative: VLTerm
-    n: int
-    region: Optional[SemilinearSet] = None
-
-    @classmethod
-    def of(cls, t: VLTerm, n: int,
-           region: Optional[SemilinearSet] = None) -> "PrincipalIdeal":
-        return cls(abs(t), n, region)
-
-    def _lift(self, t: VLTerm) -> "PrincipalIdeal":
-        return PrincipalIdeal(abs(t), self.n, self.region)
-
-    def leq(self, other: "PrincipalIdeal") -> tuple:
-        return ideal_leq(self.representative, other.representative,
-                         self.n, self.region)
-
-    def same(self, other: "PrincipalIdeal") -> bool:
-        return self.leq(other)[0] and other.leq(self)[0]
-
-    def join(self, other: "PrincipalIdeal") -> "PrincipalIdeal":
-        return self._lift(ideal_join(self.representative,
-                                     other.representative))
-
-    def meet(self, other: "PrincipalIdeal") -> "PrincipalIdeal":
-        return self._lift(ideal_meet(self.representative,
-                                     other.representative))
 
 
 def ideal_join(g: VLTerm, h: VLTerm) -> VLTerm:

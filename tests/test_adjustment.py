@@ -110,6 +110,16 @@ class TestPairOrder:
         with pytest.raises(InputError):
             pair_leq(ctx, {0, 7}, {1})
 
+    def test_duplicate_base_rejected(self):
+        with pytest.raises(InputError, match="base enumeration has "
+                                             "duplicates"):
+            PairOrderContext((0, 1, 0))
+
+    def test_three_element_set_rejected(self):
+        with pytest.raises(InputError, match="pair sets must have one or "
+                                             "two elements"):
+            PairOrderContext((0, 1, 2)).key({0, 1, 2})
+
 
 class TestMonotoneAdjustment:
     def test_monotone_input_is_fixed_point(self):

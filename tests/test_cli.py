@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import (currently_in_test_context, event, given, settings,
+                        strategies as st)
 
 import latdev
 from latdev import cli, deviations
@@ -437,10 +438,11 @@ def _check_run(argv):
     order that makes up such a report, or a DOT graph); on exit 2 or 3
     nothing on stdout and a message on stderr; and the same bytes again
     on the state the first run left.  Returns the exit code, stdout and
-    stderr."""
+    stderr; under hypothesis, the exit code is also a test event."""
     cfg = config_from_args(_build_parser().parse_args(argv))
     code, out, err = _main_output(argv)
-    event(f"{cfg.subcommand} --format {cfg.fmt} exit {code}")
+    if currently_in_test_context():
+        event(f"{cfg.subcommand} --format {cfg.fmt} exit {code}")
     assert code in (0, 1, 2, 3)
     if code in (0, 1) and cfg.fmt == "dot":
         assert out.startswith("digraph")
@@ -1087,6 +1089,28 @@ class TestHostileJson:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("input error")
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["lattice", "check", "{}"], '{"elements": [', "invalid JSON in "),
+        (["deviation", "check", "--lattice", "chain2", "--map", "{}"],
+         json.dumps({"d": {"01": "0"}}), "bad pair key '01'"),
+        (["deviation", "check", "--lattice", "chain2", "--map", "{}"],
+         json.dumps({"d": {"0,1,1": "0"}}), "bad pair key '0,1,1'"),
+        (["poset", "amalgam", "--spec", _fixture("amalgam.json"),
+          "--block-witnesses", "{}"],
+         json.dumps({p: w for p, w in load_json(
+             _fixture("amalgam_blocks.json")).items() if p != "q"}),
+         "missing block witness for 'q'"),
+    ], ids=["invalid-json", "pair-key-no-comma", "pair-key-two-commas",
+            "missing-block-witness"])
+    def test_unreadable_input_exits_2_with_message(self, tmp_path, argv,
+                                                   text, message):
+        files = {"{}": tmp_path / "doc.json", "chain2": tmp_path / "c2.json"}
+        files["{}"].write_text(text)
+        files["chain2"].write_text(json.dumps(
+            {"elements": ["0", "1"], "leq": [["0", "1"]]}))
+        code, _, err = _check_run([str(files.get(a, a)) for a in argv])
+        assert code == 2 and err.startswith(f"input error: {message}")
+
     def test_dimension_above_ceiling_exits_3(self, capsys, tmp_path):
         path = write(tmp_path, "doc.json",
                      {"dimension": 10 ** 12, "cells": [["x0 > 0"]]})
@@ -1258,6 +1282,11 @@ class TestVlat:
 
 
 class TestInfrastructure:
+    def test_unknown_subcommand_is_input_error(self):
+        with pytest.raises(latdev.InputError,
+                           match="unknown subcommand 'lattice frob'"):
+            cli.run(cli.RunConfig(subcommand="lattice frob"))
+
     @pytest.mark.parametrize("ceiling", ["0", "-1"])
     @pytest.mark.parametrize("argv", [
         ["semilinear", "includes",

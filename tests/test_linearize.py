@@ -16,10 +16,9 @@ import pytest
 
 import oracle_fm as oracle
 from latdev.errors import InputError, ResourceLimitError
-from latdev.semilinear import is_empty
-from latdev.vlterms import (DEFAULT_PIECE_CEILING, Add, Join, Meet, One,
-                            Scale, _node_pieces, gen, linearize,
-                            random_term, substitute)
+from latdev.semilinear import DEFAULT_CELL_CEILING, is_empty
+from latdev.vlterms import (Add, Join, Meet, One, Scale, _node_pieces, gen,
+                            linearize, random_term, substitute)
 
 TERMS = 600
 
@@ -83,16 +82,16 @@ def _outcome(fn):
         return (type(exc), str(exc))
 
 
-def _new(t, n, limit=DEFAULT_PIECE_CEILING):
+def _new(t, n, limit=DEFAULT_CELL_CEILING):
     return _outcome(lambda: linearize(t, n, limit).pieces)
 
 
-def _old(t, n, limit=DEFAULT_PIECE_CEILING):
+def _old(t, n, limit=DEFAULT_CELL_CEILING):
     return _outcome(lambda: oracle.linearize_pieces(t, n, limit))
 
 
 def test_corpus_has_the_intended_shapes():
-    pieces = [len(oracle.linearize_pieces(t, n, DEFAULT_PIECE_CEILING))
+    pieces = [len(oracle.linearize_pieces(t, n, DEFAULT_CELL_CEILING))
               for n, t in CORPUS]
     assert max(pieces) >= 8 and sum(p > 1 for p in pieces) > TERMS // 3
 
@@ -123,7 +122,7 @@ def test_skipped_pairs_leave_fewer_emptiness_tests():
     pw = linearize(abs(Join(g0, g1)), 2)
     calls = is_empty.cache_info()
     assert pw.pieces == oracle.linearize_pieces(abs(Join(g0, g1)), 2,
-                                                DEFAULT_PIECE_CEILING)
+                                                DEFAULT_CELL_CEILING)
     # Join(g0, g1): 2 cells; |.|: 2 of the 4 pairs survive, 2 cells each
     assert calls.hits + calls.misses == 2 + 2 * 2
 

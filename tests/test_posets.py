@@ -289,6 +289,30 @@ class TestStrongAmalgam:
             StrongAmalgamSpec(CHAIN3, FinitePoset(["p"], []),
                               {"p": frozenset([0, 99])})
 
+    def test_family_not_total_rejected(self):
+        with pytest.raises(InputError,
+                           match="family not total on index: missing 'q'"):
+            StrongAmalgamSpec(CHAIN3, FinitePoset.antichain(["p", "q"]),
+                              {"p": frozenset([0, 1, 2])})
+
+    def test_witness_needs_a_strong_amalgam(self):
+        spec = StrongAmalgamSpec(CHAIN3, FinitePoset.antichain(["p", "q"]),
+                                 {"p": frozenset([0, 1]),
+                                  "q": frozenset([2])})
+        blocks = {p: SeparabilityWitness.full(CHAIN3.restrict(spec.family[p]))
+                  for p in "pq"}
+        with pytest.raises(InputError,
+                           match="not a strong amalgam: interpolation"):
+            witness_from_amalgam(spec, blocks, {0: "p", 1: "p", 2: "q"})
+
+    def test_nu_not_total_rejected(self):
+        M = _powerset_poset([1, 2])
+        spec = StrongAmalgamSpec(M, FinitePoset(["p"], []),
+                                 {"p": frozenset(M.elements)})
+        with pytest.raises(InputError, match=r"nu not total: missing \(1, 2\)"):
+            witness_from_amalgam(spec, {"p": SeparabilityWitness.full(M)},
+                                 {x: "p" for x in M.elements if x != (1, 2)})
+
     def test_witness_single_block_unchanged(self):
         M = _powerset_poset([1, 2])
         spec = StrongAmalgamSpec(M, FinitePoset(["p"], []),

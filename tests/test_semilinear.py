@@ -504,6 +504,29 @@ class TestDimensionChecks:
         with pytest.raises(InputError):
             SemilinearSet(2, (mixed,))
 
+    @pytest.mark.parametrize("op", [
+        union, intersect, lambda U, V: interpolant(U, [0], V, [0])],
+        ids=["union", "intersect", "interpolant"])
+    def test_sets_of_two_dimensions(self, op):
+        with pytest.raises(InputError, match="^dimension mismatch$"):
+            op(WHOLE2, SemilinearSet.whole(3))
+
+    def test_witness_point_dimension(self):
+        with pytest.raises(InputError, match="dimension required for the "
+                                             "unconstrained cell"):
+            witness_point(Cell.of([]))
+        with pytest.raises(InputError, match="^dimension mismatch$"):
+            witness_point(parse_cell(["x0 > 0"], 2), 3)
+
+    def test_relation_outside_the_three(self):
+        with pytest.raises(InputError, match="relation must be one of .*"
+                                             "got '<'"):
+            Constraint(form([1]), "<")
+
+    def test_form_at_point_of_other_dimension(self):
+        with pytest.raises(InputError, match="point dimension mismatch"):
+            form([1, 2]).evaluate((1,))
+
     @pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf"),
                                      "1/0", None, 1j])
     def test_coordinate_not_a_finite_rational(self, bad):

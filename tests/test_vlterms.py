@@ -12,12 +12,12 @@ from latdev import semilinear, vlterms
 from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
     intersect, is_empty, same_set
-from latdev.vlterms import (MAX_REGION_DIMENSION, MAX_TERM_DEPTH, Join,
-                            PrincipalIdeal, Scale, cevian_dev, check_cevian_triple, const,
-                            cozero_set, evaluate, gen, ideal_join, ideal_leq,
-                            ideal_meet, ideal_meet_is_zero, linearize,
-                            max_generator, noiso_probe, omega_extend,
-                            omega_region, one, parse_term,
+from latdev.vlterms import (MAX_REGION_DIMENSION, MAX_TERM_DEPTH, Add, Gen,
+                            Join, Scale, cevian_dev, check_cevian_triple,
+                            const, cozero_set, evaluate, gen, ideal_join,
+                            ideal_leq, ideal_meet, ideal_meet_is_zero,
+                            linearize, max_generator, noiso_probe,
+                            omega_extend, omega_region, one, parse_term,
                             pseudocomplement_probe, random_term, substitute,
                             term_depth, text_length, zero, zero_set)
 
@@ -65,6 +65,21 @@ class TestParse:
             parse_term("g0 +")
         with pytest.raises(InputError):
             parse_term("q0")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(g0 |", "expected "), (")", "unexpected token"),
+        ("g0 g1", "trailing input"), ("g0 )", "trailing input")])
+    def test_malformed_term_message(self, text, message):
+        with pytest.raises(InputError, match=message):
+            parse_term(text)
+
+    def test_trailing_blanks_accepted(self):
+        assert parse_term("g0  ") == g0
+
+    def test_negative_generator_index(self):
+        with pytest.raises(InputError, match="generator index must be "
+                                             "non-negative"):
+            gen(-1)
 
     @pytest.mark.parametrize("text", ["1/0*g0", "g0 + 3/0", "2/0"])
     def test_zero_denominator_is_input_error(self, text):
@@ -145,6 +160,16 @@ class TestSharedNodes:
             assert text_length(t) == len(str(t))
         t = parse_term("|" * self.BARS + "g0" + "|" * self.BARS)
         assert text_length(t) == 13 * 2 ** self.BARS - 11
+
+    def test_fold_combines_each_shared_node_once(self):
+        """The root reaches the one g1 object twice: the second visit
+        finds it valued and pops it, so g0, g1, the inner sum and the
+        root are combined once each."""
+        shared = Gen(1)
+        calls = []
+        vlterms._fold(Add(Add(Gen(0), shared), shared),
+                      lambda s, kids: calls.append(s) or 0)
+        assert len(calls) == 4
 
     def test_linearize_nested_bars(self):
         t = parse_term("|" * self.BARS + "g0 - g1" + "|" * self.BARS)
@@ -414,6 +439,8 @@ class TestOmega:
     def test_extend_validates_partial_constraints(self):
         with pytest.raises(InputError):
             omega_extend({0: F(2)}, 2)
+        with pytest.raises(InputError, match="index 3 outside dimension 3"):
+            omega_extend({3: F(1)}, 3)
         with pytest.raises(InputError):
             omega_extend({1: F(1), 2: F(1, 4)}, 3)   # u1 > 2*u2
 
@@ -573,13 +600,14 @@ class TestDecisionByParts:
         2^40 steps on these."""
         with time_limit(1, shape):
             if shape == "ideal-self-join":
-                i0, i1 = PrincipalIdeal.of(g0, 2), PrincipalIdeal.of(g1, 2)
+                i0, i1 = abs(g0), abs(g1)
                 j = i0
                 for _ in range(40):
-                    j = j.join(j)
-                assert j.same(i0)
-                assert j.join(i1).same(i0.join(i1))
-                ok, w = j.leq(i1)
+                    j = abs(ideal_join(j, j))
+                assert ideal_leq(j, i0, 2)[0] and ideal_leq(i0, j, 2)[0]
+                ji, i = abs(ideal_join(j, i1)), abs(ideal_join(i0, i1))
+                assert ideal_leq(ji, i, 2)[0] and ideal_leq(i, ji, 2)[0]
+                ok, w = ideal_leq(j, i1, 2)
                 assert not ok and evaluate(g0, w) != 0
             else:
                 t = g0
@@ -633,18 +661,6 @@ class TestDecisionByParts:
         t = cevian_dev(g0, g1)
         assert zero_set(t, 2) is zero_set(t, 2)
         assert cozero_set(t, 2, 50) is cozero_set(cevian_dev(g0, g1), 2, 50)
-
-
-class TestPrincipalIdeal:
-    def test_order_and_algebra(self):
-        from latdev.vlterms import PrincipalIdeal
-        a = PrincipalIdeal.of(g0, 2)
-        b = PrincipalIdeal.of(g1, 2)
-        j = a.join(b)
-        assert a.leq(j)[0] and b.leq(j)[0]
-        assert not j.leq(a)[0]
-        assert a.meet(b).leq(a)[0]
-        assert a.same(PrincipalIdeal.of(3 * g0, 2))
 
 
 def multiplier_cross_check(g, h, points, m_max=64):
