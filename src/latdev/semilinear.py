@@ -15,8 +15,10 @@ when the atom is built), and a single
 projection loop, ``_project``, serves emptiness, witness points and
 projection; each of its steps makes one pass over the rows and reduces
 each row it builds to a primitive one inline.  The atoms that complement
-and elimination derive carry only integer data, their key and row
-(negated, or copied from a projected row); their ``LinearForm`` is built
+and elimination derive, and those that ``vlterms`` builds from the
+integer rows of its pieces (``_row_atom``), carry only their key and
+row (negated, copied from a projected row, or read off an integer row
+over one denominator); their ``LinearForm`` is built
 on first read, which only the textual format, reports and callers that
 ask for ``form`` do.  Membership tests scale the point to integers over
 one common denominator and read the sign of each atom's primitive row
@@ -223,6 +225,19 @@ def _derived(key: tuple, row: tuple) -> Constraint:
     object.__setattr__(a, "row", row)
     object.__setattr__(a, "_hash", hash(key))
     return a
+
+
+def _row_atom(rel: str, vec: tuple, d: int) -> Constraint:
+    """The atom ``vec / d  rel  0`` of integers ``vec`` (the coefficients,
+    then the constant) over a positive denominator ``d``, in lowest
+    terms, built without its form: its key holds each ``vec[i] / d`` as
+    an int when integral and a ``Fraction`` otherwise, as ``Constraint``
+    builds it, and its row is the primitive vector."""
+    if d == 1:
+        key = (rel, *vec)
+    else:
+        key = (rel, *[v // d if not v % d else Fraction(v, d) for v in vec])
+    return _derived(key, (rel, _primitive(vec)))
 
 
 _atom_key = attrgetter("key")
@@ -754,15 +769,18 @@ def interpolant(U: SemilinearSet, X: Iterable[int], V: SemilinearSet,
 _TERM = re.compile(r"""
     \s*(?P<sign>[+-])?\s*
     (?:
-        (?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*x(?P<var1>\d+))?
-      | x(?P<var2>\d+)
+        (?P<coef>[0-9]+(?:/[0-9]+)?)\s*(?:\*\s*x(?P<var1>[0-9]+))?
+      | x(?P<var2>[0-9]+)
     )
 """, re.VERBOSE)
 
 
 def parse_rational(text: str) -> Fraction:
     """A rational literal such as ``3``, ``-2/3`` or ``0.5``; a zero
-    denominator or a malformed literal is an input error."""
+    denominator or a malformed literal is an input error, and so is any
+    character outside ASCII (``Fraction`` reads every Unicode digit)."""
+    if not text.isascii():
+        raise InputError(f"not a rational number: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -43,9 +43,19 @@ would pass the ceiling; as a cell ceiling it bounds neither walk.
 
 A term is a DAG: ``|t|`` holds ``t`` twice.  Nodes store their hash and
 largest generator index, and the functions that walk a term visit each
-shared node once.  ``linearize`` caches the pieces of each node (one
-``functools`` cache keyed on the node, the dimension and the piece
-ceiling), so subterms shared between terms or within one are split once.
+shared node once.  The pieces of each node are cached (one ``functools``
+cache keyed on the node, the dimension and the piece ceiling), so
+subterms shared between terms or within one are split once.  A piece
+form is an integer row: the n coefficients and the constant as integers
+over one positive denominator, in lowest terms.  Scaling, sums and the
+join/meet differences stay in integer arithmetic, and each atom is built
+from its row (``semilinear._row_atom``), with the key and row that
+``Constraint`` would give its ``Fraction`` form, so cells sort and
+compare as before.  The zero, cozero and sign sets read these rows;
+only ``linearize`` turns them into ``LinearForm``s, once per node it
+returns (a second cache).  The piece ceiling is resolved in one place
+(``_check_inputs``): None means ``semilinear.DEFAULT_CELL_CEILING``, and
+a ceiling below 1 is an input error.
 A join, meet or sum pairs the pieces of its two sides and skips, before
 building any cell, each pair whose cells clash syntactically: a strict
 row ``f > 0`` in one cell and a row on ``-f``, or ``f = 0``, in the other.
@@ -73,13 +83,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from numbers import Number
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (DEFAULT_CELL_CEILING, MAX_DIMENSION, Cell,
                          Constraint, GE, GT, EQ, LinearForm, SemilinearSet,
-                         _first_meet, intersect, is_empty, parse_rational,
-                         union, unit_form, witness_point)
+                         _first_meet, _row_atom, intersect, is_empty,
+                         parse_rational, union, unit_form, witness_point)
 
 # Largest k that ``noiso_probe`` accepts.  Its report writes 2^(k-1) in
 # decimal (in the terms and the witness points), and Python refuses to
@@ -136,7 +148,7 @@ class VLTerm:
         return Scale(Fraction(-1), self)
 
     def __rmul__(self, q) -> "VLTerm":
-        return Scale(Fraction(q), self)
+        return Scale(q, self)
 
     def __or__(self, other: "VLTerm") -> "VLTerm":
         return Join(self, other)
@@ -182,12 +194,25 @@ class One(VLTerm):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Scale(VLTerm):
+    """``coeff * arg``; the coefficient is stored as the exact
+    ``Fraction`` of the number given (a float by its binary value), and
+    anything that is not a finite rational number is an input error."""
     coeff: Fraction
     arg: VLTerm
     _hash: int = _stored()
     _top: int = _stored()
 
     def __post_init__(self):
+        q = self.coeff
+        if q.__class__ is not Fraction:
+            try:
+                if not isinstance(q, Number):
+                    raise TypeError
+                q = Fraction(q)
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(f"scalar {q!r} is not a finite rational "
+                                 f"number") from None
+            object.__setattr__(self, "coeff", q)
         object.__setattr__(self, "_hash",
                            hash((3, self.coeff, self.arg._hash)))
         object.__setattr__(self, "_top", self.arg._top)
@@ -316,7 +341,7 @@ def zero() -> VLTerm:
 
 
 def const(q) -> VLTerm:
-    return Scale(Fraction(q), One())
+    return Scale(q, One())
 
 
 def max_generator(t: VLTerm) -> int:
@@ -367,14 +392,18 @@ def linearize(t: VLTerm, n: int,
     branch forms; the kept branch of a join takes the closed side
     (difference >= 0), the other the open side.
     """
-    limit = DEFAULT_CELL_CEILING if ceiling is None else ceiling
-    _check_dimension(n, None, t)
-    return PiecewiseForm(n, _node_pieces(t, n, limit)[0])
+    limit = _check_inputs(n, None, ceiling, t)
+    return PiecewiseForm(n, _node_forms(t, n, limit))
 
 
-def _check_dimension(n: int, region: Optional[SemilinearSet], *terms):
-    """InputError unless every term, and the region if given, lives in
-    dimension n; ResourceLimitError past ``semilinear.MAX_DIMENSION``."""
+def _check_inputs(n: int, region: Optional[SemilinearSet],
+                  ceiling: Optional[int], *terms) -> int:
+    """Check that every term, and the region if given, lives in
+    dimension n (InputError otherwise; ResourceLimitError past
+    ``semilinear.MAX_DIMENSION``), and return the piece ceiling:
+    ``ceiling``, or ``semilinear.DEFAULT_CELL_CEILING`` for None.  A
+    ceiling below 1 is an input error: every join, meet or sum would
+    pass it."""
     if n < 0:
         raise InputError("dimension must be non-negative")
     if n > MAX_DIMENSION:
@@ -384,6 +413,11 @@ def _check_dimension(n: int, region: Optional[SemilinearSet], *terms):
         raise InputError("region dimension mismatch")
     if any(max_generator(t) >= n for t in terms):
         raise InputError("term uses a generator outside the declared dimension")
+    if ceiling is None:
+        return DEFAULT_CELL_CEILING
+    if ceiling < 1:
+        raise InputError(f"ceiling must be at least 1, got {ceiling}")
+    return ceiling
 
 
 _WHOLE = Cell(())
@@ -406,26 +440,48 @@ def _clash_rows(cell: Cell) -> tuple:
     return tuple(vectors), tuple(probes)
 
 
+def _lowest(vec: list, d: int) -> tuple:
+    """The piece form ``(vec, d)`` in lowest terms."""
+    g = gcd(d, *vec)
+    if g == 1:
+        return tuple(vec), d
+    return tuple([v // g for v in vec]), d // g
+
+
+def _add_forms(f1: tuple, f2: tuple, sign: int) -> tuple:
+    """The piece form of f1 + sign * f2, for sign 1 or -1."""
+    (v1, d1), (v2, d2) = f1, f2
+    d = lcm(d1, d2)
+    k1, k2 = d // d1, sign * (d // d2)
+    return _lowest([k1 * a + k2 * b for a, b in zip(v1, v2)], d)
+
+
 @lru_cache(maxsize=1 << 14)
 def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
     """``(pieces, clash rows)``: the pieces (cell, form) of one term node,
-    and ``_clash_rows`` of each piece's cell.  The cache is keyed on the
-    node, so the subterms that several terms share, or one term holds
-    twice, are split once.  A pair of pieces whose cells clash is skipped
-    before any cell is built: every cell built from it is empty.  That
-    test is the library's only syntactic emptiness check; it stays
-    because it saves building the difference form, the atom and two cells
-    per clashing pair when a term is linearized cold."""
+    and ``_clash_rows`` of each piece's cell.  A piece form is an integer
+    row ``(vec, d)``: n coefficients and then the constant in ``vec``,
+    over one positive denominator ``d``, in lowest terms.  Scaling and
+    sums stay in integers, and each split atom is built from its row
+    (``semilinear._row_atom``); only ``linearize`` turns forms into
+    ``LinearForm``s (``_node_forms``).  The cache is keyed on the node,
+    so the subterms that several terms share, or one term holds twice,
+    are split once.  A pair of pieces whose cells clash is skipped before
+    any cell is built: every cell built from it is empty.  That test is
+    the library's only syntactic emptiness check; it stays because it
+    saves building the difference form, the atom and two cells per
+    clashing pair when a term is linearized cold."""
     if isinstance(t, Gen):
-        coeffs = [Fraction(0)] * n
-        coeffs[t.index] = Fraction(1)
-        return ((_WHOLE, LinearForm(tuple(coeffs))),), (_NO_ROWS,)
+        vec = [0] * (n + 1)
+        vec[t.index] = 1
+        return ((_WHOLE, (tuple(vec), 1)),), (_NO_ROWS,)
     if isinstance(t, One):
-        return (((_WHOLE, LinearForm(tuple([Fraction(0)] * n),
-                                     Fraction(1))),), (_NO_ROWS,))
+        return ((_WHOLE, ((0,) * n + (1,), 1)),), (_NO_ROWS,)
     if isinstance(t, Scale):
         pieces, clash = _node_pieces(t.arg, n, limit)
-        return tuple((c, f.scale(t.coeff)) for c, f in pieces), clash
+        a, b = t.coeff.numerator, t.coeff.denominator
+        return tuple((c, _lowest([a * v for v in vec], b * d))
+                     for c, (vec, d) in pieces), clash
     if not isinstance(t, _Binary):
         raise InputError(f"not a term: {t!r}")
     left = _node_pieces(t.left, n, limit)
@@ -441,12 +497,12 @@ def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
             if is_add:
                 cell = Cell.of(base)
                 if not is_empty(cell):
-                    acc.append((cell, f1 + f2))
+                    acc.append((cell, _add_forms(f1, f2, 1)))
                 continue
             # join keeps the larger branch on the closed side, meet the
             # smaller
-            diff = f1 - f2 if is_join else f2 - f1
-            closed = Constraint(diff, GE)
+            closed = _row_atom(GE, *(_add_forms(f1, f2, -1) if is_join
+                                     else _add_forms(f2, f1, -1)))
             first = Cell.of(base + (closed,))
             second = Cell.of(base + closed.negations())    # -diff > 0
             if not is_empty(first):
@@ -460,12 +516,23 @@ def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
 
 
 @lru_cache(maxsize=1 << 12)
+def _node_forms(t: VLTerm, n: int, limit: int) -> tuple:
+    """The pieces of one term node with their forms as ``LinearForm``s:
+    what ``linearize`` returns, built once per node."""
+    out = []
+    for cell, (vec, d) in _node_pieces(t, n, limit)[0]:
+        vals = [Fraction(v, d) for v in vec]
+        out.append((cell, LinearForm(tuple(vals[:-1]), vals[-1])))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 12)
 def cozero_set(t: VLTerm, n: int,
                ceiling: Optional[int] = None) -> SemilinearSet:
     """Points where the term is nonzero (cached per term node, dimension
     and ceiling, like the pieces)."""
     return _piece_set(t, n, ceiling, lambda f: [            # f > 0, -f > 0
-        (atom,) for atom in Constraint(f, EQ).negations()])
+        (atom,) for atom in _row_atom(EQ, *f).negations()])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -475,17 +542,19 @@ def zero_set(t: VLTerm, n: int,
     assembled directly from the (disjoint, covering) pieces (cached like
     ``cozero_set``).  A constant piece is kept whole when it is 0."""
     return _piece_set(t, n, ceiling, lambda f: (
-        [(Constraint(f, EQ),)] if not f.is_constant()
-        else [()] if f.const == 0 else []))
+        [(_row_atom(EQ, *f),)] if any(f[0][:-1])
+        else [()] if not f[0][-1] else []))
 
 
 def _piece_set(t: VLTerm, n: int, ceiling: Optional[int],
                extras) -> SemilinearSet:
     """The nonempty cells ``cell ∧ atoms`` over the pieces (cell, f) of
     t and the atom tuples in ``extras(f)``, in piece order; empty atoms
-    keep the piece cell itself."""
+    keep the piece cell itself.  ``f`` is the integer row of
+    ``_node_pieces``."""
+    limit = _check_inputs(n, None, ceiling, t)
     cells = []
-    for cell, f in linearize(t, n, ceiling).pieces:
+    for cell, f in _node_pieces(t, n, limit)[0]:
         for atoms in extras(f):
             c = Cell.of(cell.atoms + atoms) if atoms else cell
             if not is_empty(c):
@@ -535,7 +604,7 @@ def _sign_set(u: VLTerm, n: int, ceiling: Optional[int],
     """{u > 0} when ``positive``, else {u <= 0}, read off the pieces of u:
     the cozero and zero set of u⁺ (cached as such by ``_parts``)."""
     return _piece_set(u, n, ceiling, lambda f: [
-        (Constraint(f, GT),) if positive else Constraint(f, GT).negations()])
+        (_row_atom(GT, *f),) if positive else _row_atom(GT, *f).negations()])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -639,7 +708,7 @@ def ideal_leq(g: VLTerm, h: VLTerm, n: int,
     (``semilinear._first_meet``) of the whole-term sets ``zero_set(h)``
     and ``cozero_set(g)`` (and the region): a verified point z with
     h(z) = 0 and g(z) != 0 (and z in the region)."""
-    _check_dimension(n, region, g, h)
+    _check_inputs(n, region, ceiling, g, h)
     extra = () if region is None else (region,)
     if _first_meet((_parts(h, n, ceiling, False),
                     _parts(g, n, ceiling, True)) + extra) is None:
@@ -677,7 +746,7 @@ def ideal_meet_is_zero(g: VLTerm, h: VLTerm, n: int,
     """Whether <|g|> ∧ <|h|> is the zero ideal (no common cozero point,
     within the region when given), decided on the cozero sets built by
     parts as in ``ideal_leq``."""
-    _check_dimension(n, region, g, h)
+    _check_inputs(n, region, ceiling, g, h)
     extra = () if region is None else (region,)
     return _first_meet((_parts(g, n, ceiling, True),
                         _parts(h, n, ceiling, True)) + extra) is None
@@ -880,7 +949,7 @@ def random_term(rng: random.Random, n: int, depth: int) -> VLTerm:
 def _tokenize(text: str) -> list:
     import re
     tok = re.compile(r"""\s*(?:
-        (?P<gen>g\d+) | (?P<one>one) | (?P<num>\d+(?:/\d+)?)
+        (?P<gen>g[0-9]+) | (?P<one>one) | (?P<num>[0-9]+(?:/[0-9]+)?)
       | (?P<join>\\/) | (?P<meet>/\\) | (?P<pos>\^\+)
       | (?P<op>[-+*|()])
     )""", re.VERBOSE)

@@ -23,7 +23,10 @@ which built the atom of an integer row through its ``Fraction`` form;
 ``latdev.vlterms`` that the per-node cache replaced (``test_linearize.py``
 compares the two): one recursive walk per term with a per-call memo,
 building and testing every pair of pieces.  Departures: it is not
-cached, and its emptiness test is ``is_empty`` below.
+cached, and its emptiness test is ``is_empty`` below.  ``piece_set``
+builds the zero, cozero and sign sets of a term from those pieces, each
+atom as ``Constraint(form, rel)`` of its ``Fraction`` form, as
+``vlterms`` built them before its pieces became integer rows.
 """
 
 from __future__ import annotations
@@ -388,3 +391,29 @@ def linearize_pieces(t: VLTerm, n: int, limit: int) -> tuple:
         return out
 
     return go(t)
+
+
+def piece_set(t: VLTerm, n: int, limit: int, kind: str) -> tuple:
+    """The cells of the zero set (``kind`` "zero"), the cozero set
+    ("cozero"), {t > 0} ("positive") or {t <= 0} ("nonpositive") of a
+    term: over its pieces (cell, f) in order, the nonempty cells
+    ``cell ∧ atoms`` for the atom tuples below.  A constant piece of the
+    zero set is kept whole when it is 0 and dropped otherwise."""
+    def extras(f: LinearForm) -> list:
+        if kind == "zero":
+            if not f.is_constant():
+                return [(Constraint(f, EQ),)]
+            return [()] if f.const == 0 else []
+        if kind == "cozero":
+            return [(Constraint(f, GT),), (Constraint(-f, GT),)]
+        if kind == "positive":
+            return [(Constraint(f, GT),)]
+        return [(Constraint(-f, GE),)]
+
+    cells = []
+    for cell, f in linearize_pieces(t, n, limit):
+        for atoms in extras(f):
+            c = Cell.of(cell.atoms + atoms) if atoms else cell
+            if not is_empty(c):
+                cells.append(c)
+    return tuple(cells)

@@ -1134,6 +1134,22 @@ class TestVlat:
                             "--rhs", "g0", "--n", "1")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["vlat", "leq", "--n", "2", "--lhs", "g\u0661", "--rhs", "g0"],
+         "cannot tokenize term"),
+        (["vlat", "cevian", "--n", "1", "--g", "\u0661/2*g0", "--h", "g0",
+          "--k", "g0"], "cannot tokenize term"),
+        (["vlat", "pscom-probe", "--n", "2", "--alpha", "1", "--c",
+          "\u0661", "--count", "1"], "not a rational number"),
+        (["semilinear", "shadow", "--set", "{}", "--vars", "0"],
+         "cannot parse linear form"),
+    ], ids=["generator", "scalar", "probe-c", "set-document"])
+    def test_non_ascii_digit_exits_2(self, tmp_path, argv, message):
+        path = write(tmp_path, "doc.json", {"dimension": 2,
+                                            "cells": [["x\u0661 > 0"]]})
+        code, _, err = _check_run([path if a == "{}" else a for a in argv])
+        assert code == 2 and err.startswith(f"input error: {message}")
+
     @pytest.mark.parametrize("term", [
         "(" * 2000 + "g0" + ")" * 2000,
         "-" * 2000 + "g0",

@@ -7,6 +7,12 @@ and on terms that hold a subterm several times, the pieces must be
 identical in order (cell atoms and forms), with an empty node cache and
 again once the cache holds the pieces of every other term; a piece
 ceiling must fail with the same exception type and message.
+
+The zero, cozero and sign sets that ``vlterms`` builds from its integer
+pieces must equal those that ``oracle_fm.piece_set`` builds from the
+oracle's ``Fraction`` pieces: the same cells in order, and in each the
+same atoms in order with the same key (its value types included) and
+row, on this corpus and on terms whose scalars have denominators 2-7.
 """
 
 import random
@@ -17,8 +23,9 @@ import pytest
 import oracle_fm as oracle
 from latdev.errors import InputError, ResourceLimitError
 from latdev.semilinear import DEFAULT_CELL_CEILING, is_empty
-from latdev.vlterms import (Add, Join, Meet, One, Scale, _node_pieces, gen,
-                            linearize, random_term, substitute)
+from latdev.vlterms import (Add, Join, Meet, One, Scale, _node_pieces,
+                            _sign_set, cozero_set, gen, linearize,
+                            random_term, substitute, zero_set)
 
 TERMS = 600
 
@@ -73,6 +80,32 @@ def _corpus():
 
 
 CORPUS = list(_corpus())
+
+
+def fraction_term(rng: random.Random, n: int, depth: int):
+    """A random term whose scalars, and constants, have denominators
+    2-7."""
+    def scalar():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                        rng.randint(2, 7))
+    if depth <= 0:
+        r = rng.random()
+        if r < 0.6:
+            return gen(rng.randrange(n))
+        return Scale(scalar(), One()) if r < 0.85 else One()
+    op = rng.choice(["scale", "scale", "add", "join", "meet", "pos"])
+    a = fraction_term(rng, n, depth - 1)
+    if op == "scale":
+        return Scale(scalar(), a)
+    if op == "pos":
+        return a.pos()
+    b = fraction_term(rng, n, depth - 1)
+    return {"add": Add, "join": Join, "meet": Meet}[op](a, b)
+
+
+FRACTION_TERMS = [(1 + k % 3, fraction_term(random.Random(k), 1 + k % 3,
+                                            1 + k % 4))
+                  for k in range(150)]
 
 
 def _outcome(fn):
@@ -148,3 +181,41 @@ def test_generator_outside_dimension_fails_alike():
     assert _new(t, 2)[0] is InputError
     # the dimension check precedes any ceiling
     assert _new(t, 2, 1) == _old(t, 2, 1) == _new(t, 2)
+
+
+SET_KINDS = ("zero", "cozero", "positive", "nonpositive")
+
+
+def _library_set(t, n, kind):
+    if kind == "zero":
+        return zero_set(t, n, DEFAULT_CELL_CEILING)
+    if kind == "cozero":
+        return cozero_set(t, n, DEFAULT_CELL_CEILING)
+    return _sign_set(t, n, DEFAULT_CELL_CEILING, kind == "positive")
+
+
+def _atoms(cells) -> list:
+    """Each cell as its atoms in order: key, the types of the key's
+    values, and row."""
+    return [[(a.key, tuple(map(type, a.key)), a.row) for a in c.atoms]
+            for c in cells]
+
+
+def test_sets_from_integer_pieces_match_the_oracle():
+    corpus = CORPUS + FRACTION_TERMS
+    for n, t in FRACTION_TERMS:
+        assert _new(t, n) == _old(t, n), str(t)
+    expected = [[_atoms(oracle.piece_set(t, n, DEFAULT_CELL_CEILING, kind))
+                 for kind in SET_KINDS] for n, t in corpus]
+    # some atoms hold values that are not integral
+    assert any(Fraction in types for sets in expected for cells in sets
+               for atoms in cells for _, types, _ in atoms)
+    for (n, t), want in zip(corpus, expected):
+        for caches in (_node_pieces, zero_set, cozero_set, is_empty):
+            caches.cache_clear()
+        assert [_atoms(_library_set(t, n, kind).cells)
+                for kind in SET_KINDS] == want, str(t)
+    # warm: every node's pieces and sets are cached now
+    for (n, t), want in zip(corpus, expected):
+        assert [_atoms(_library_set(t, n, kind).cells)
+                for kind in SET_KINDS] == want, str(t)

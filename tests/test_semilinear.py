@@ -48,6 +48,24 @@ class TestParsing:
         with pytest.raises(InputError, match="zero denominator"):
             parse_constraint("3/0*x0 + 1 >= 0", 1)
 
+    @pytest.mark.parametrize("text", [
+        "x\u0661 + 1", "\u0661/2*x0", "x0 + \uff13", "x0 + 1/\u0662"])
+    def test_only_ascii_digits_in_forms(self, text):
+        # Arabic-Indic and fullwidth digits are digits to ``\d``
+        with pytest.raises(InputError, match="cannot parse linear form"):
+            semilinear.parse_linear_form(text, 2)
+
+    @pytest.mark.parametrize("text", ["\u0661", "\u0661/2", "1/\u0662",
+                                      "\uff13", "0.\u0665"])
+    def test_only_ascii_digits_in_rationals(self, text):
+        with pytest.raises(InputError, match="not a rational number"):
+            semilinear.parse_rational(text)
+
+    def test_ascii_rationals_still_read(self):
+        assert [semilinear.parse_rational(t) for t in
+                ("3", "-2/3", "0.5", " 7 ")] == \
+            [3, Fraction(-2, 3), Fraction(1, 2), 7]
+
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             parse_constraint("x0 ? 0", 1)

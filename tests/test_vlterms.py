@@ -81,6 +81,13 @@ class TestParse:
                                              "non-negative"):
             gen(-1)
 
+    @pytest.mark.parametrize("text", [
+        "g\u0661", "\u0661/2*g0", "g0 + \uff13", "1/\u0662*g0"])
+    def test_only_ascii_digits(self, text):
+        # Arabic-Indic and fullwidth digits are digits to ``\d``
+        with pytest.raises(InputError, match="cannot tokenize term"):
+            parse_term(text)
+
     @pytest.mark.parametrize("text", ["1/0*g0", "g0 + 3/0", "2/0"])
     def test_zero_denominator_is_input_error(self, text):
         with pytest.raises(InputError, match="zero denominator"):
@@ -177,6 +184,39 @@ class TestSharedNodes:
         assert ideal_leq(t, g0 - g1, 2) == (True, None)
 
 
+class TestScale:
+    def test_float_coefficient_is_exact(self):
+        t = Scale(0.1, g0)
+        assert t.coeff == Fraction(0.1) and type(t.coeff) is Fraction
+        # evaluate and linearize read the same exact binary value
+        (_, f), = linearize(t, 1).pieces
+        assert evaluate(t, (3,)) == f.evaluate((3,)) == 3 * Fraction(0.1)
+        assert evaluate(t, (3,)) != Fraction(3, 10)
+
+    def test_bool_coefficient_is_its_integer(self):
+        t = Scale(True, g0)
+        assert str(t) == "1*(g0)" and t == Scale(Fraction(1), g0)
+        assert type(t.coeff) is Fraction
+
+    @pytest.mark.parametrize("coeff", ["1/2", "3", None, 1j])
+    def test_non_number_is_input_error(self, coeff):
+        with pytest.raises(InputError, match="not a finite rational"):
+            Scale(coeff, g0)
+        with pytest.raises(InputError, match="not a finite rational"):
+            coeff * g0
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_is_input_error(self, coeff):
+        with pytest.raises(InputError, match="not a finite rational"):
+            Scale(coeff, g0)
+
+    def test_integers_and_fractions_keep_their_hash(self):
+        assert Scale(2, g0) == Scale(Fraction(2), g0) == 2 * g0
+        assert hash(Scale(2, g0)) == hash(Scale(Fraction(2), g0))
+        assert const(-1) == Scale(Fraction(-1), one())
+
+
 class TestLinearize:
     def test_generator_single_piece(self):
         pw = linearize(g0, 2)
@@ -224,6 +264,24 @@ class TestLinearize:
     def test_generator_outside_dimension(self):
         with pytest.raises(InputError):
             linearize(g2, 2)
+
+    @pytest.mark.parametrize("ceiling", [0, -1])
+    def test_ceiling_below_1_is_input_error(self, ceiling):
+        # a generator alone has one piece, but a ceiling below 1 is
+        # refused before any split, as the CLI refuses --cell-ceiling 0
+        calls = [lambda: linearize(g0, 1, ceiling),
+                 lambda: zero_set(g0, 1, ceiling),
+                 lambda: cozero_set(g0 | g0, 1, ceiling),
+                 lambda: ideal_leq(g0, g0, 1, ceiling=ceiling),
+                 lambda: ideal_leq(zero(), zero(), 1, ceiling=ceiling),
+                 lambda: ideal_meet_is_zero(g0, zero(), 1,
+                                            ceiling=ceiling)]
+        for call in calls:
+            with pytest.raises(InputError, match="ceiling must be at "
+                                                 "least 1"):
+                call()
+        assert len(linearize(g0, 1, 1).pieces) == 1
+        assert ideal_leq(g0, g0, 1, ceiling=1) == (True, None)
 
 
 class TestZeroCozero:
