@@ -1,14 +1,19 @@
-"""Every ``functools`` cache of the library is a module-level function.
+"""Every cache of the library is emptied by a module-level ``cache_clear``.
 
 The benchmark empties the caches before each round by calling
 ``cache_clear`` on the module attributes of ``latdev``; a cache on a
 nested function or a method is out of its reach, and would let rounds
-reuse each other's work."""
+reuse each other's work.  So is a module-level memo without a
+``cache_clear`` beside it."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
+from fractions import Fraction
 
 import latdev
+from latdev import semilinear, vlterms
 
 SRC = pathlib.Path(latdev.__file__).parent
 CACHES = {"lru_cache", "cache"}
@@ -49,3 +54,41 @@ def test_caches_decorate_module_level_functions():
                     misplaced.append(f"{path.name}:{node.lineno}")
     assert not misplaced, f"caches outside module-level defs: {misplaced}"
     assert found >= 8
+
+
+def _modules() -> list:
+    return [latdev] + [importlib.import_module(f"latdev.{m.name}")
+                       for m in pkgutil.iter_modules(latdev.__path__)]
+
+
+def _clear_as_the_benchmark_does():
+    for mod in _modules():
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def _containers() -> dict:
+    """The size of every dict, list and set held by a module attribute."""
+    return {(mod.__name__, name): len(obj) for mod in _modules()
+            for name, obj in vars(mod).items()
+            if isinstance(obj, (dict, list, set))}
+
+
+def test_benchmark_clear_empties_every_memo():
+    """Membership, emptiness, complement and ``linearize`` fill the
+    module-level memos; the benchmark's clear brings every module-level
+    container back to its size before them, and empties the point
+    memo."""
+    _clear_as_the_benchmark_does()
+    before = _containers()
+    U = semilinear.parse_set([["x0 - x1 > 0", "x1 >= 1/2"], ["x0 = 2"]], 2)
+    points = [(Fraction(1, 2), 1), (3, Fraction(2, 3)), (2, 5)]
+    for T in (U, semilinear.complement(U),
+              vlterms.zero_set(vlterms.parse_term("(g0 - g1)^+"), 2)):
+        for p in points:
+            T.contains(p)
+    assert semilinear._POINTS
+    _clear_as_the_benchmark_does()
+    assert not semilinear._POINTS
+    assert _containers() == before

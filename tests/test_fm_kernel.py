@@ -6,7 +6,9 @@ positively scaled duplicates of atoms, all-zero (constant) atoms and
 several equalities per cell, these must be identical: ``is_empty``
 verdicts, ``witness_point`` points (equal, not merely valid),
 ``eliminate`` cells as their atoms' text in order, ``complement`` and
-``includes`` results; ``contains`` must agree with Fraction evaluation.
+``includes`` results; ``contains`` must agree with Fraction evaluation,
+also when one point object is tested again and the scaled-point memo
+answers, and for the points that it never keeps.
 The atoms that complement and elimination derive from integer data
 (``negations``, ``_from_row``) must equal the ones the oracle builds
 through ``Fraction`` forms in every attribute.  Separately seeded sets
@@ -25,10 +27,12 @@ import pytest
 
 import oracle_fm as oracle
 from latdev.errors import InputError
-from latdev.semilinear import (EQ, GE, GT, Cell, Constraint, LinearForm,
-                               SemilinearSet, _complement, _from_row,
-                               _project, complement, eliminate, includes,
-                               is_empty, witness_point)
+from latdev.semilinear import (EQ, GE, GT, _POINTS, _POINTS_CAP, Cell,
+                               Constraint, LinearForm, SemilinearSet,
+                               _complement, _from_row, _project,
+                               _scaled_point, complement, eliminate,
+                               includes, is_empty, lower_shadow_set,
+                               upper_shadow_set, witness_point)
 
 from conftest import random_point
 
@@ -283,6 +287,115 @@ def test_membership_checks_dimension(point):
         S.cells[0].atoms[0].satisfied_by(point)
     with pytest.raises(InputError):
         oracle.contains(S, point)
+
+
+def _memo_sets(rng: random.Random, n: int) -> list:
+    """A random set U in dimension n, its complement and its upper and
+    lower shadows on a random support."""
+    while True:
+        U = random_fm_set(rng, n)
+        if _de_morgan(U) <= 4:
+            break
+    X = [i for i in range(n) if rng.random() < 0.5]
+    return [U, complement(U), upper_shadow_set(U, X),
+            lower_shadow_set(U, X)]
+
+
+def test_one_point_against_many_sets():
+    """Each point is scaled once, at its first test, and every later test
+    of the same object reads the memo; the verdicts stay the oracle's."""
+    rng = random.Random(20261020)
+    checked = 0
+    for k in range(300):
+        n = 1 + k % 4
+        sets = _memo_sets(rng, n)
+        points = [random_point(rng, n) for _ in range(3)]
+        points += [w for c in sets[0].cells
+                   if (w := witness_point(c, n)) is not None]
+        _scaled_point.cache_clear()
+        for p in points:
+            for T in sets:
+                assert T.contains(p) == oracle.contains(T, p), (T, p)
+                for c in T.cells:
+                    assert c.satisfied_by(p) == \
+                        oracle.cell_satisfied_by(c, p)
+                assert _POINTS[id(p)][0] is p
+                checked += 1
+    assert checked >= 3_000
+
+
+def test_memo_hit_checks_dimension():
+    p = (Fraction(1, 2), 1)
+    two = SemilinearSet(2, (Cell.of([Constraint(
+        LinearForm((Fraction(1), Fraction(-1, 2))), GT)]),))
+    three = SemilinearSet.whole(3)
+    assert two.contains(p) == oracle.contains(two, p) is False
+    assert _POINTS[id(p)][0] is p
+    for check in (lambda: three.contains(p),
+                  lambda: oracle.contains(three, p),
+                  lambda: Cell.of([Constraint(LinearForm(
+                      (Fraction(1),) * 3), GE)]).satisfied_by(p),
+                  lambda: Constraint(LinearForm((Fraction(1),)),
+                                     GT).satisfied_by(p)):
+        with pytest.raises(InputError, match="point dimension mismatch"):
+            check()
+
+
+def test_changed_list_point_gets_new_verdict():
+    half = SemilinearSet(2, (Cell.of([Constraint(
+        LinearForm((Fraction(1), Fraction(0))), GT)]),))
+    p = [Fraction(1, 3), 0]
+    for first, verdict in ((Fraction(1, 3), True), (Fraction(-1, 3), False),
+                           (2, True)):
+        p[0] = first
+        assert half.contains(p) is verdict
+        assert oracle.contains(half, p) is verdict
+        assert half.cells[0].satisfied_by(p) is verdict
+        assert id(p) not in _POINTS
+
+
+def test_equal_distinct_tuples_agree():
+    rng = random.Random(20261021)
+    for k in range(100):
+        n = 1 + k % 4
+        sets = _memo_sets(rng, n)
+        p = random_point(rng, n)
+        q = tuple(list(p))
+        assert p == q and p is not q
+        for T in sets:
+            assert T.contains(p) == T.contains(q) == oracle.contains(T, p)
+
+
+class _Tuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize("point", [
+    ("1/2", 1), (0.5, 1), (True, 1), (Fraction(1, 2), False),
+    (Fraction(1, 2), -0.25), _Tuple((Fraction(1, 2), 1))])
+def test_points_never_kept(point):
+    """Points of strings, floats or bools, and tuple subclasses, are
+    scaled at every call, with the verdicts of Fraction evaluation."""
+    for T in (SemilinearSet(2, (Cell.of([Constraint(
+            LinearForm((Fraction(1), Fraction(-1))), GE)]),)),
+              SemilinearSet.whole(2)):
+        for _ in range(2):
+            assert T.contains(point) == oracle.contains(T, point)
+            assert id(point) not in _POINTS
+
+
+def test_memo_holds_at_most_its_cap():
+    rng = random.Random(20261022)
+    S = random_fm_set(rng, 2)
+    points = [random_point(rng, 2) for _ in range(3 * _POINTS_CAP)]
+    _scaled_point.cache_clear()
+    sizes = []
+    for p in points + points[::-1]:
+        assert S.contains(p) == oracle.contains(S, p), p
+        sizes.append(len(_POINTS))
+    assert max(sizes) == _POINTS_CAP
+    _scaled_point.cache_clear()
+    assert not _POINTS
 
 
 CONTRADICTIONS = 1_500

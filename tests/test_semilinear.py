@@ -555,6 +555,10 @@ class TestDimensionChecks:
             half.cells[0].satisfied_by((bad,))
         with pytest.raises(InputError):
             half.cells[0].atoms[0].satisfied_by((bad,))
+        with pytest.raises(InputError):
+            Cell(()).satisfied_by((bad,))
+        with pytest.raises(InputError):
+            SemilinearSet.whole(2).contains((bad, 1))
 
     @pytest.mark.parametrize("point,inside", [
         ((1,), True), ((Fraction(-1, 2),), False), (("1/2",), True),
