@@ -420,9 +420,14 @@ def _run_vlat_pscom(cfg: RunConfig):
     if cfg.args["depth"] > MAX_PROBE_DEPTH:
         raise InputError(f"--depth must be at most {MAX_PROBE_DEPTH}")
     if cfg.args["probes"]:
-        terms = [vlterms.parse_term(line)
-                 for line in read_text(cfg.args["probes"]).split("\n")
-                 if line.strip()]
+        terms = []
+        lines = read_text(cfg.args["probes"]).split("\n")
+        for i, line in enumerate(lines, 1):
+            if line.strip():
+                try:
+                    terms.append(vlterms.parse_term(line))
+                except InputError as exc:
+                    raise InputError(f"probes line {i}: {exc}") from None
     else:
         rng = random.Random(cfg.seed)
         # drawn lazily: pseudocomplement_probe checks n and alpha first

@@ -105,7 +105,7 @@ class LinearForm:
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.coeffs):
             raise InputError("point dimension mismatch")
-        return sum((c * Fraction(p) for c, p in zip(self.coeffs, point)),
+        return sum((c * _rational(p) for c, p in zip(self.coeffs, point)),
                    self.const)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
@@ -373,13 +373,7 @@ def _scaled_point(point, n: int) -> tuple:
     for p in point:
         if p.__class__ is not int and p.__class__ is not Fraction:
             keep = False
-            if not isinstance(p, (int, Fraction)):
-                try:
-                    p = Fraction(p)
-                except (TypeError, ValueError, OverflowError,
-                        ZeroDivisionError):
-                    raise InputError(f"coordinate {p!r} is not a finite "
-                                     "rational") from None
+            p = _rational(p)
         nums.append(p.numerator)
         dens.append(p.denominator)
     d = lcm(*dens)
@@ -395,6 +389,17 @@ def _scaled_point(point, n: int) -> tuple:
 
 # the benchmark empties every module-level ``cache_clear`` between rounds
 _scaled_point.cache_clear = _POINTS.clear
+
+
+def _rational(p) -> Fraction:
+    """A point coordinate as a ``Fraction``: anything ``Fraction`` takes
+    (an int, a float by its binary value, a string such as ``"1/2"``);
+    anything else, or a nan or infinity, is an input error."""
+    try:
+        return Fraction(p)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"coordinate {p!r} is not a finite rational") \
+            from None
 
 
 def _holds(atoms: Iterable[Constraint], P: Sequence[int], D: int) -> bool:

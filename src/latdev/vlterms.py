@@ -80,6 +80,7 @@ the non-monotonicity construction at finite dimension.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -90,8 +91,9 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 from .errors import ContractError, InputError, ResourceLimitError
 from .semilinear import (DEFAULT_CELL_CEILING, MAX_DIMENSION, Cell,
                          Constraint, GE, GT, EQ, LinearForm, SemilinearSet,
-                         _first_meet, _row_atom, intersect, is_empty,
-                         parse_rational, union, unit_form, witness_point)
+                         _first_meet, _rational, _row_atom, intersect,
+                         is_empty, parse_rational, union, unit_form,
+                         witness_point)
 
 # Largest k that ``noiso_probe`` accepts.  Its report writes 2^(k-1) in
 # decimal (in the terms and the witness points), and Python refuses to
@@ -353,8 +355,9 @@ def max_generator(t: VLTerm) -> int:
 
 def evaluate(t: VLTerm, point: Sequence) -> Fraction:
     """Value of the term at a rational point; joins are maxima, meets
-    are minima, the unit evaluates to 1."""
-    pt = tuple(Fraction(p) for p in point)
+    are minima, the unit evaluates to 1.  A coordinate that is not a
+    finite rational is an input error."""
+    pt = tuple(_rational(p) for p in point)
     if max_generator(t) >= len(pt):
         raise InputError("point dimension too small for the term")
 
@@ -666,9 +669,14 @@ def omega_region(n: int) -> SemilinearSet:
 def omega_extend(u: Mapping[int, Fraction], n: int) -> tuple:
     """Complete a partial point on an index set M to a full point of the
     region: each missing coordinate copies the value at the next index
-    of M above it, falling back to 1 when none exists."""
+    of M above it, falling back to 1 when none exists.  An index that is
+    not an int, or a value that is not a finite rational, is an input
+    error."""
+    for i in u:
+        if type(i) is not int:
+            raise InputError(f"index {i!r} is not an int")
     M = sorted(u)
-    vals = {i: Fraction(u[i]) for i in M}
+    vals = {i: _rational(u[i]) for i in M}
     for i in M:
         if not 0 <= i < n:
             raise InputError(f"index {i} outside dimension {n}")
@@ -708,12 +716,12 @@ def ideal_leq(g: VLTerm, h: VLTerm, n: int,
     (``semilinear._first_meet``) of the whole-term sets ``zero_set(h)``
     and ``cozero_set(g)`` (and the region): a verified point z with
     h(z) = 0 and g(z) != 0 (and z in the region)."""
-    _check_inputs(n, region, ceiling, g, h)
+    limit = _check_inputs(n, region, ceiling, g, h)
     extra = () if region is None else (region,)
-    if _first_meet((_parts(h, n, ceiling, False),
-                    _parts(g, n, ceiling, True)) + extra) is None:
+    if _first_meet((_parts(h, n, limit, False),
+                    _parts(g, n, limit, True)) + extra) is None:
         return (True, None)
-    cell = _first_meet((zero_set(h, n, ceiling), cozero_set(g, n, ceiling))
+    cell = _first_meet((zero_set(h, n, limit), cozero_set(g, n, limit))
                        + extra)
     w = None if cell is None else witness_point(cell, n)
     if w is None:
@@ -746,10 +754,10 @@ def ideal_meet_is_zero(g: VLTerm, h: VLTerm, n: int,
     """Whether <|g|> ∧ <|h|> is the zero ideal (no common cozero point,
     within the region when given), decided on the cozero sets built by
     parts as in ``ideal_leq``."""
-    _check_inputs(n, region, ceiling, g, h)
+    limit = _check_inputs(n, region, ceiling, g, h)
     extra = () if region is None else (region,)
-    return _first_meet((_parts(g, n, ceiling, True),
-                        _parts(h, n, ceiling, True)) + extra) is None
+    return _first_meet((_parts(g, n, limit, True),
+                        _parts(h, n, limit, True)) + extra) is None
 
 
 def check_cevian_triple(g: VLTerm, h: VLTerm, k: VLTerm, n: int,
@@ -946,24 +954,15 @@ def random_term(rng: random.Random, n: int, depth: int) -> VLTerm:
 # Term grammar
 # ---------------------------------------------------------------------------
 
-def _tokenize(text: str) -> list:
-    import re
-    tok = re.compile(r"""\s*(?:
-        (?P<gen>g[0-9]+) | (?P<one>one) | (?P<num>[0-9]+(?:/[0-9]+)?)
-      | (?P<join>\\/) | (?P<meet>/\\) | (?P<pos>\^\+)
-      | (?P<op>[-+*|()])
-    )""", re.VERBOSE)
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = tok.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise InputError(f"cannot tokenize term at: {text[pos:]!r}")
-            break
-        out.append(m)
-        pos = m.end()
-    return out
+# One token: a generator, ``one``, a rational p or p/q, or an operator;
+# blanks before it are skipped.
+_TOKEN = re.compile(
+    r"\s*(g[0-9]+|one|[0-9]+(?:/[0-9]+)?|\\/|/\\|\^\+|[-+*|()])")
+
+# The binary operators, loosest first: precedence and constructor.  All
+# are left-associative.
+_BINARY = {"\\/": (1, Join), "/\\": (2, Meet),
+           "+": (3, Add), "-": (3, VLTerm.__sub__)}
 
 
 def term_depth(t: VLTerm) -> int:
@@ -975,13 +974,20 @@ def term_depth(t: VLTerm) -> int:
 def parse_term(text: str) -> VLTerm:
     """Parse the textual grammar: atoms g0.., one; operators +, -,
     rational scaling p/q*, \\/ (join), /\\ (meet), postfix ^+, and |...|
-    for absolute value.  Example: ``(g0 - 2*g1)^+ \\/ one``.
-
+    for absolute value.  Example: ``(g0 - 2*g1)^+ \\/ one``.  Binding
+    from tightest: postfix ^+, prefix - and p/q* (``-g0^+`` is -(g0^+)),
+    + and - (one level), /\\, then \\/; the binary operators are
+    left-associative (``_BINARY``): g0 - g1 - g2 is (g0 - g1) - g2.
     Terms deeper than ``MAX_TERM_DEPTH`` (in operators, or in nested
     parentheses, bars and prefix operators) are an input error."""
-    toks = _tokenize(text)
-    pos = 0
-    nesting = 0
+    toks, pos = [], 0
+    while (m := _TOKEN.match(text, pos)) is not None:
+        toks.append(m.group(1))
+        pos = m.end()
+    if text[pos:].strip():
+        raise InputError(f"cannot tokenize term at: {text[pos:]!r}")
+    toks.append(None)
+    pos = nesting = 0
 
     def nested(parse):
         """Run a sub-parser one nesting level deeper."""
@@ -994,93 +1000,59 @@ def parse_term(text: str) -> VLTerm:
         nesting -= 1
         return t
 
-    def peek():
-        if pos >= len(toks):
-            return None
-        m = toks[pos]
-        for k in ("gen", "one", "num", "join", "meet", "pos"):
-            if m.group(k):
-                return (k, m.group(k))
-        return ("op", m.group("op"))
-
     def take(expected=None):
         nonlocal pos
-        t = peek()
-        if t is None:
+        tok = toks[pos]
+        if tok is None:
             raise InputError("unexpected end of term")
-        if expected is not None and t != expected and t[0] != expected:
-            raise InputError(f"expected {expected!r}, got {t!r}")
+        if expected is not None and tok != expected:
+            raise InputError(f"expected {expected!r}, got {tok!r}")
         pos += 1
+        return tok
+
+    def binary(floor=1):
+        """Operands joined by binary operators of precedence >= floor."""
+        t = unary()
+        while toks[pos] in _BINARY and _BINARY[toks[pos]][0] >= floor:
+            level, make = _BINARY[take()]
+            t = make(t, binary(level + 1))
         return t
 
-    def parse_join():
-        t = parse_meet()
-        while peek() == ("join", "\\/"):
+    def unary():
+        if toks[pos] == "-":
             take()
-            t = Join(t, parse_meet())
-        return t
-
-    def parse_meet():
-        t = parse_sum()
-        while peek() == ("meet", "/\\"):
+            return -nested(unary)
+        if toks[pos] is not None and toks[pos][0].isdigit():
+            q = parse_rational(take())
+            if toks[pos] != "*":
+                return const(q)
             take()
-            t = Meet(t, parse_sum())
-        return t
-
-    def parse_sum():
-        t = parse_unary()
-        while peek() in (("op", "+"), ("op", "-")):
-            k = take()
-            u = parse_unary()
-            t = Add(t, u) if k == ("op", "+") else Add(t, Scale(Fraction(-1), u))
-        return t
-
-    def parse_unary():
-        if peek() == ("op", "-"):
-            take()
-            return Scale(Fraction(-1), nested(parse_unary))
-        t = peek()
-        if t is not None and t[0] == "num":
-            take()
-            q = parse_rational(t[1])
-            if peek() == ("op", "*"):
-                take()
-                return Scale(q, nested(parse_unary))
-            return const(q)
-        return parse_postfix()
-
-    def parse_postfix():
-        t = parse_primary()
-        while peek() == ("pos", "^+"):
+            return Scale(q, nested(unary))
+        t = primary()
+        while toks[pos] == "^+":
             take()
             t = t.pos()
         return t
 
-    def parse_primary():
-        t = peek()
-        if t is None:
-            raise InputError("unexpected end of term")
-        if t[0] == "gen":
-            take()
-            return Gen(int(t[1][1:]))
-        if t[0] == "one":
-            take()
+    def primary():
+        tok = take()
+        if tok[0] == "g":
+            try:
+                return Gen(int(tok[1:]))
+            except ValueError:      # past Python's int digit limit
+                raise InputError(f"generator index of {len(tok) - 1} "
+                                 "digits") from None
+        if tok == "one":
             return One()
-        if t == ("op", "("):
-            take()
-            inner = nested(parse_join)
-            take(("op", ")"))
-            return inner
-        if t == ("op", "|"):
-            take()
-            inner = nested(parse_join)
-            take(("op", "|"))
-            return abs(inner)
-        raise InputError(f"unexpected token {t!r}")
+        if tok not in ("(", "|"):
+            raise InputError(f"unexpected token {tok!r}")
+        inner = nested(binary)
+        take(")" if tok == "(" else "|")
+        return inner if tok == "(" else abs(inner)
 
-    term = parse_join()
-    if pos != len(toks):
-        raise InputError(f"trailing input after term: {toks[pos].group()!r}")
+    term = binary()
+    if toks[pos] is not None:
+        raise InputError(f"trailing input after term: {toks[pos]!r}")
     if term_depth(term) > MAX_TERM_DEPTH:
         raise InputError(f"term deeper than {MAX_TERM_DEPTH} operators")
     return term

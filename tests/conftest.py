@@ -121,6 +121,39 @@ def random_semilinear(rng: random.Random, n: int,
     return SemilinearSet.of(n, cells)
 
 
+_OPERANDS = ("g0", "g1", "g2", "one", "0", "2", "1/2")
+_PREFIXES = ("-", "2*", "1/2*", "(", "|")
+_OPERATORS = ("+", "-", "\\/", "/\\")
+_JUNK = ("g10", "3/0", "*", "/", "\\", "^", "x", "on", "١", "")
+
+
+def token_soup(rng: random.Random) -> str:
+    """Term text of up to 15 tokens, most of them where the grammar
+    expects them (an operand or prefix, then a binary operator, ``^+`` or
+    a closing bracket) and one in 25 anywhere or not a token at all, with
+    or without blanks between them; most open brackets are closed at the
+    end.  About a quarter of the texts parse, many of them mixing
+    operators without brackets."""
+    out, operand, opened = [], True, []
+    for _ in range(rng.randrange(16)):
+        r = rng.random()
+        if r < 0.04:
+            tok = rng.choice(_JUNK + _PREFIXES + _OPERATORS + (")", "^+"))
+        elif operand:
+            tok = rng.choice(_OPERANDS + _PREFIXES)
+        elif opened and r < 0.3:
+            tok = ")" if opened.pop() == "(" else "|"
+        else:
+            tok = rng.choice(_OPERATORS + ("^+",))
+        if operand and tok in ("(", "|"):
+            opened.append(tok)
+        operand = tok in _PREFIXES or tok in _OPERATORS
+        out.append(tok + rng.choice(("", " ", " ", "\t")))
+    out += [")" if b == "(" else "|" for b in reversed(opened)
+            if rng.random() < 0.9]
+    return "".join(out)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

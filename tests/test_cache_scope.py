@@ -92,3 +92,20 @@ def test_benchmark_clear_empties_every_memo():
     _clear_as_the_benchmark_does()
     assert not semilinear._POINTS
     assert _containers() == before
+
+
+def test_default_ceiling_is_one_cache_key():
+    """``ceiling=None`` stands for ``DEFAULT_CELL_CEILING``: the ideal
+    order and the zero meet key the set caches on the resolved ceiling,
+    so the same question asked both ways builds its sets once."""
+    g = vlterms.parse_term("(g0 - g1)^+")
+    h = vlterms.parse_term("|g0| \\/ |g1|")
+    caches = (vlterms._parts, vlterms.zero_set, vlterms.cozero_set)
+    sizes = []
+    _clear_as_the_benchmark_does()
+    for ceiling in (None, semilinear.DEFAULT_CELL_CEILING, None):
+        assert vlterms.ideal_leq(g, h, 2, ceiling=ceiling) == (True, None)
+        assert not vlterms.ideal_meet_is_zero(g, h, 2, ceiling=ceiling)
+        sizes.append([c.cache_info().currsize for c in caches])
+    assert sizes[0] == sizes[1] == sizes[2]
+    assert all(sizes[0])

@@ -27,7 +27,7 @@ from latdev.serialize import (deviation_from_json, deviation_to_json,
                               lattice_from_json, load_json, render_id)
 from latdev.vlterms import MAX_NOISO_K, evaluate, parse_term
 
-from conftest import time_limit
+from conftest import time_limit, token_soup
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -593,15 +593,20 @@ def term_texts(n: int):
 def vlat_argv(draw):
     """``vlat leq`` or ``vlat cevian`` argv: term texts in dimension
     1-3, with or without --omega, and --cell-ceiling from 1 up or absent;
-    one text in ten cut short, and one dimension in ten too small."""
+    one text in ten drawn from the token soup of the parser's
+    differential test (mostly malformed), one of the others in ten cut
+    short, and one dimension in ten too small."""
     sub = draw(st.sampled_from(["leq", "cevian"]))
     names = ["--lhs", "--rhs"] if sub == "leq" else ["--g", "--h", "--k"]
     n = draw(st.integers(1, 3))
     argv = []
     for name in names:
-        text = draw(term_texts(n))
         if draw(st.integers(0, 9)) == 0:
-            text = text[:draw(st.integers(0, len(text)))]
+            text = token_soup(random.Random(draw(st.integers(0, 2 ** 32))))
+        else:
+            text = draw(term_texts(n))
+            if draw(st.integers(0, 9)) == 0:
+                text = text[:draw(st.integers(0, len(text)))]
         argv.append(f"{name}={text}")
     if draw(st.integers(0, 9)) == 0:
         n = draw(st.integers(-1, n - 1))
@@ -1257,6 +1262,15 @@ class TestVlat:
                                   "--probes", str(probes))
         assert code == 3 and out == ""
         assert "13958643701 characters" in err
+
+    def test_pscom_probe_names_the_bad_line(self, tmp_path):
+        probes = tmp_path / "probes.txt"
+        probes.write_text("g0\n\n|g1| \\/ x\n-g0\n")
+        code, _, err = _check_run(["vlat", "pscom-probe",
+                                   "--probes", str(probes)])
+        assert code == 2
+        assert err == "input error: probes line 3: cannot tokenize term " \
+                      "at: ' x'\n"
 
     def test_pscom_probe_unreadable_file_exits_2(self, capsys, tmp_path):
         binary = tmp_path / "binary.txt"

@@ -2,6 +2,7 @@
 the region probes."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,16 @@ from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import Cell, SemilinearSet, complement, includes, \
     intersect, is_empty, same_set
 from latdev.vlterms import (MAX_REGION_DIMENSION, MAX_TERM_DEPTH, Add, Gen,
-                            Join, Scale, cevian_dev, check_cevian_triple,
+                            Join, Meet, Scale, cevian_dev, check_cevian_triple,
                             const, cozero_set, evaluate, gen, ideal_join,
                             ideal_leq, ideal_meet, ideal_meet_is_zero,
                             linearize, max_generator, noiso_probe,
                             omega_extend, omega_region, one, parse_term,
                             pseudocomplement_probe, random_term, substitute,
-                            term_depth, text_length, zero, zero_set)
+                            term_depth, text_length, VLTerm, zero,
+                            zero_set)
 
-from conftest import random_point, time_limit
+from conftest import random_point, time_limit, token_soup
 
 F = Fraction
 g0, g1, g2 = gen(0), gen(1), gen(2)
@@ -44,6 +46,36 @@ class TestEvaluate:
     def test_dimension_checked(self):
         with pytest.raises(InputError):
             evaluate(g1, (1,))
+
+
+# A coordinate given as a point or a partial point: one conversion for
+# forms, terms and the region completion.
+COORDINATE_ENTRIES = {
+    "form": lambda p: semilinear.form([1]).evaluate((p,)),
+    "term": lambda p: evaluate(g0, (p,)),
+    "extend": lambda p: omega_extend({0: p}, 2)[0],
+}
+
+
+@pytest.mark.parametrize("bad", ["abc", float("nan"), float("inf"), "1/0",
+                                 None, 1j])
+@pytest.mark.parametrize("entry", COORDINATE_ENTRIES)
+def test_coordinate_not_a_finite_rational(entry, bad):
+    with pytest.raises(InputError, match="is not a finite rational"):
+        COORDINATE_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("value", ["1/2", 0.5, F(1, 2), " 1/2 "])
+@pytest.mark.parametrize("entry", COORDINATE_ENTRIES)
+def test_coordinate_converted_as_before(entry, value):
+    got = COORDINATE_ENTRIES[entry](value)
+    assert got == F(1, 2) and type(got) is Fraction
+
+
+@pytest.mark.parametrize("index", [0.5, "0", None, F(1)])
+def test_extend_index_not_an_int(index):
+    with pytest.raises(InputError, match="is not an int"):
+        omega_extend({index: F(1, 2)}, 2)
 
 
 class TestParse:
@@ -73,8 +105,60 @@ class TestParse:
         with pytest.raises(InputError, match=message):
             parse_term(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("(g0 |", "expected ')', got '|'"), ("|g0", "unexpected end of term"),
+        (")", "unexpected token ')'"), ("g0 \\/", "unexpected end of term"),
+        ("g0 g1", "trailing input after term: 'g1'"),
+        ("2^+", "trailing input after term: '^+'")])
+    def test_message_quotes_the_token(self, text, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            parse_term(text)
+
     def test_trailing_blanks_accepted(self):
         assert parse_term("g0  ") == g0
+
+    @pytest.mark.parametrize("text, term", [
+        ("g0 \\/ g1 /\\ g2", Join(g0, Meet(g1, g2))),
+        ("g0 /\\ g1 \\/ g2", Join(Meet(g0, g1), g2)),
+        ("g0 - g1 - g2", (g0 - g1) - g2),
+        ("g0 + g1 \\/ g2", Join(Add(g0, g1), g2)),
+        ("g0 /\\ g1 - g2", Meet(g0, g1 - g2)),
+        ("-g0^+", -(g0.pos())),
+        ("2*g0 + g1", Add(Scale(2, g0), g1)),
+        ("|g0 - g1|^+ + one", Add(abs(g0 - g1).pos(), one()))])
+    def test_precedence_and_associativity(self, text, term):
+        """Tightest first: postfix ^+, prefix - and p/q*, then + and -,
+        /\\, \\/; every binary operator is left-associative."""
+        assert parse_term(text) == term
+
+    def test_same_as_former_parser(self):
+        """20,000 token-soup texts and 3,000 printed random terms parse
+        to equal terms with ``oracle_vlterms.parse_term``, the former
+        parser, or raise an InputError with it whose message starts with
+        the same words (the former one wrote a token as a regex group
+        pair, ``('op', ')')``)."""
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except InputError as e:
+                return re.match(r"[a-z ]*", str(e)).group()
+
+        rng = random.Random(29)
+        soup = [token_soup(rng) for _ in range(20000)]
+        printed = [str(random_term(rng, 3, rng.randint(0, 4)))
+                   for _ in range(3000)]
+        parsed = 0
+        for text in soup + printed:
+            got = outcome(parse_term, text)
+            assert got == outcome(oracle_vlterms.parse_term, text), text
+            parsed += isinstance(got, VLTerm)
+        assert parsed > 3000 + 4000
+
+    def test_generator_index_past_int_digit_limit(self):
+        # int() refuses more than 4,300 digits with a ValueError
+        with pytest.raises(InputError, match="generator index of 5000 "
+                                             "digits"):
+            parse_term("g" + "9" * 5000)
 
     def test_negative_generator_index(self):
         with pytest.raises(InputError, match="generator index must be "
