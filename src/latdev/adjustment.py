@@ -35,8 +35,7 @@ sorted by rank.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .deviations import _table
 from .errors import InputError
@@ -79,8 +78,7 @@ def pair_leq(ctx: PairOrderContext, s, t) -> bool:
     return ctx.key(set(s)) <= ctx.key(set(t))
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     base_value: ElementId       # d(a,b)
     meetands: tuple             # index pairs (x,y) whose d' entered the meet
     joinands: tuple             # index pairs (x,y) whose d' entered the join
@@ -128,8 +126,7 @@ class AdjustmentTrace(Mapping):
         return f"AdjustmentTrace({len(self)} entries)"
 
 
-@dataclass(frozen=True)
-class AdjustmentResult:
+class AdjustmentResult(NamedTuple):
     d_prime: Mapping[Tuple[ElementId, ElementId], ElementId]
     trace: Mapping[Tuple[ElementId, ElementId], TraceEntry]
 

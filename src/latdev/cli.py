@@ -13,16 +13,14 @@ and report schema); the parser, ``SCHEMAS`` and ``run`` read that table.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import adjustment, deviations, lattices, posets, semilinear, vlterms
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, _Frozen
 from .serialize import (_by_pair, amalgam_from_json, deviation_from_json,
                         deviation_to_json, dot_lattice, dot_poset,
                         elements_from_text, lattice_from_json, load_json,
@@ -53,18 +51,30 @@ def _report_ceiling(pairs: int) -> None:
                                  f"more than {MAX_REPORT_PAIRS}")
 
 
-@dataclass
 class RunConfig:
-    subcommand: str
-    args: dict = field(default_factory=dict)
-    output: Optional[str] = None
-    fmt: str = "json"
-    seed: int = 0
-    cell_ceiling: int = semilinear.DEFAULT_CELL_CEILING
+    """One run of a subcommand: its arguments by destination name (a new
+    empty dict when not given) and the global options."""
+    __slots__ = _fields = ("subcommand", "args", "output", "fmt", "seed",
+                           "cell_ceiling")
+
+    def __init__(self, subcommand: str, args: Optional[dict] = None,
+                 output: Optional[str] = None, fmt: str = "json",
+                 seed: int = 0,
+                 cell_ceiling: int = semilinear.DEFAULT_CELL_CEILING):
+        self.subcommand = subcommand
+        self.args = {} if args is None else args
+        self.output = output
+        self.fmt = fmt
+        self.seed = seed
+        self.cell_ceiling = cell_ceiling
+
+    __repr__ = _Frozen.__repr__
+    _values = _Frozen._values
+    __eq__ = _Frozen.__eq__
+    __hash__ = None
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A subcommand: its handler, which returns (exit_code, report dict or
     rendered text); its argparse arguments as ``(flags, options)`` pairs;
     its report schema; the defaults of its optional arguments; and
@@ -529,8 +539,9 @@ def run(cfg: RunConfig) -> tuple:
             f"--cell-ceiling must be at least 1, got {cfg.cell_ceiling}")
     if cfg.fmt == "dot" and not c.dot:
         raise InputError(f"{cfg.subcommand} has no --format dot rendering")
-    code, report = c.handler(dataclasses.replace(
-        cfg, args={**c.defaults, **cfg.args}))
+    code, report = c.handler(RunConfig(
+        cfg.subcommand, {**c.defaults, **cfg.args}, cfg.output, cfg.fmt,
+        cfg.seed, cfg.cell_ceiling))
     if isinstance(report, str):          # already rendered (dot)
         return code, report
     if cfg.fmt == "text":

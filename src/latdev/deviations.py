@@ -29,8 +29,7 @@ distributive lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .lattices import FiniteDistributiveLattice, _normal_pair, _one_cover
@@ -47,8 +46,7 @@ _MISSING = object()
 MAX_SEARCH_NODES = 10 ** 6
 
 
-@dataclass(frozen=True)
-class DeviationViolation:
+class DeviationViolation(NamedTuple):
     axiom: int                 # 1 or 2
     pair: tuple
 
@@ -105,8 +103,7 @@ def check_deviation(D: FiniteDistributiveLattice,
     return DeviationViolation(axiom, (D.elements[i], D.elements[j]))
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Monotonicity/Cevian flags of a deviation, with first counterexamples.
 
     Counterexample shapes (canonical-order minimal):

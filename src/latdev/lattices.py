@@ -22,8 +22,7 @@ search and the monotone adjustment reject such lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .posets import (ElementId, FinitePoset, bits, canonical_key,
@@ -261,8 +260,7 @@ def _normal_pair(D: FiniteDistributiveLattice, a: int, b: int) -> bool:
 # Prime ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeIdealPoset:
+class PrimeIdealPoset(NamedTuple):
     """Prime ideals of a lattice, ordered by inclusion.
 
     ``poset`` has one element per prime ideal; its id is the tuple of

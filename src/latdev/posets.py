@@ -21,10 +21,9 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, _Frozen
 
 ElementId = Hashable
 
@@ -318,8 +317,7 @@ def shadow(P: FinitePoset, A: Iterable[ElementId], x: ElementId,
 # Separability witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeparabilityWitness:
+class SeparabilityWitness(NamedTuple):
     """Maps A (finite upper-bound sets) and B (finite lower-bound sets)."""
     A: Mapping[ElementId, frozenset]
     B: Mapping[ElementId, frozenset]
@@ -332,8 +330,7 @@ class SeparabilityWitness:
                    {x: P.down_set([x]) for x in P.elements})
 
 
-@dataclass(frozen=True)
-class WitnessViolation:
+class WitnessViolation(NamedTuple):
     kind: str          # "upper_bound" | "lower_bound" | "intersection"
     data: tuple        # offending (element, member) or pair (x, y)
 
@@ -420,8 +417,7 @@ def witness_from_order(P: FinitePoset,
         {els[c]: frozenset(P._members(B[c])) for c in seq})
 
 
-@dataclass(frozen=True)
-class OrderFromWitnessResult:
+class OrderFromWitnessResult(NamedTuple):
     """Enumeration assembled from a witness, with its block structure and,
     per element, the minimal shadows on that element's strict prefix."""
     enumeration: tuple
@@ -490,26 +486,28 @@ def locally_finite_closure(P: FinitePoset, C: Mapping[ElementId, Iterable],
 # Strong amalgams
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StrongAmalgamSpec:
-    carrier: FinitePoset
-    index: FinitePoset
-    family: Mapping[ElementId, frozenset]  # index element -> subset of carrier
+class StrongAmalgamSpec(_Frozen):
+    """A carrier poset, an index poset, and a family mapping each index
+    element to a subset of the carrier (total on the index)."""
+    __slots__ = _fields = ("carrier", "index", "family")
 
-    def __post_init__(self):
-        for p in self.index.elements:
-            if p not in self.family:
+    def __init__(self, carrier: FinitePoset, index: FinitePoset,
+                 family: Mapping[ElementId, frozenset]):
+        for p in index.elements:
+            if p not in family:
                 raise InputError(f"family not total on index: missing {p!r}")
-        for p, block in self.family.items():
-            self.index.index(p)
+        for p, block in family.items():
+            index.index(p)
             for x in block:
-                if x not in self.carrier:
+                if x not in carrier:
                     raise InputError(
                         f"family member {x!r} of block {p!r} not in carrier")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "family", family)
 
 
-@dataclass(frozen=True)
-class AmalgamViolation:
+class AmalgamViolation(NamedTuple):
     clause: str        # "union" | "interpolation"
     data: tuple
 

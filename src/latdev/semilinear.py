@@ -70,14 +70,13 @@ format, e.g. ``"2*x0 - 1/3*x1 + 1 > 0"``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter, mul, neg as _neg
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import ContractError, InputError, ResourceLimitError
+from .errors import ContractError, InputError, ResourceLimitError, _Frozen
 
 DEFAULT_CELL_CEILING = 10_000
 # Most rows one Fourier-Motzkin step may build (kept rows plus lower x
@@ -92,11 +91,14 @@ GT, GE, EQ = ">", ">=", "="
 _RELS = (GT, GE, EQ)
 
 
-@dataclass(frozen=True, slots=True)
-class LinearForm:
+class LinearForm(_Frozen):
     """An affine form  c0*x0 + ... + c{n-1}*x{n-1} + const."""
-    coeffs: Tuple[Fraction, ...]
-    const: Fraction = Fraction(0)
+    __slots__ = _fields = ("coeffs", "const")
+
+    def __init__(self, coeffs: Tuple[Fraction, ...],
+                 const: Fraction = Fraction(0)):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "const", const)
 
     @property
     def dimension(self) -> int:
@@ -155,8 +157,7 @@ def unit_form(n: int, i: int, coeff=1, const=0) -> LinearForm:
     return LinearForm(tuple(coeffs), Fraction(const))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Constraint:
+class Constraint(_Frozen):
     """An atom  form rel 0  with rel one of >, >=, =.
 
     ``key`` is the flat tuple ``(rel, c0, ..., c{n-1}, const)`` with
@@ -168,25 +169,23 @@ class Constraint:
     Atoms derived by complement and elimination are built from a key and
     a row alone (``_derived``); their ``form`` is built from the key on
     first read."""
-    form: LinearForm
-    rel: str
-    key: tuple = field(init=False, repr=False)
-    row: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    _fields = ("form", "rel")
+    __slots__ = _fields + ("key", "row", "_hash")
 
-    def __post_init__(self):
-        if self.rel not in _RELS:
-            raise InputError(f"relation must be one of {_RELS}, got {self.rel!r}")
-        f = self.form
+    def __init__(self, form: LinearForm, rel: str):
+        if rel not in _RELS:
+            raise InputError(f"relation must be one of {_RELS}, got {rel!r}")
         vals = [v.numerator if v.denominator == 1 else v
-                for v in f.coeffs + (f.const,)]
-        key = (self.rel, *vals)
+                for v in form.coeffs + (form.const,)]
+        key = (rel, *vals)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_hash", hash(key))
         d = lcm(*[v.denominator for v in vals])
         if d > 1:
             vals = [v.numerator * (d // v.denominator) for v in vals]
-        object.__setattr__(self, "row", (self.rel, _primitive(vals)))
+        object.__setattr__(self, "row", (rel, _primitive(vals)))
 
     def __getattr__(self, name):
         # only reached while the ``form`` slot of a derived atom is unset
@@ -251,14 +250,14 @@ def _row_atom(rel: str, vec: tuple, d: int) -> Constraint:
 _atom_key = attrgetter("key")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Cell:
+class Cell(_Frozen):
     """A conjunction of atoms; no atoms means the whole space."""
-    atoms: Tuple[Constraint, ...]
-    _hash: int = field(init=False, repr=False)
+    _fields = ("atoms",)
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.atoms))
+    def __init__(self, atoms: Tuple[Constraint, ...]):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_hash", hash(atoms))
 
     def __eq__(self, other):
         if other.__class__ is not Cell:
@@ -295,16 +294,21 @@ def _cell_dimension(cell: Cell) -> int:
     return k - 2
 
 
-@dataclass(frozen=True)
-class SemilinearSet:
+class SemilinearSet(_Frozen):
     """A finite union of cells in a fixed dimension."""
-    dimension: int
-    cells: Tuple[Cell, ...]
+    __slots__ = _fields = ("dimension", "cells")
 
-    def __post_init__(self):
-        for c in self.cells:
-            if not c.dimension_consistent(self.dimension):
+    def __init__(self, dimension: int, cells: Tuple[Cell, ...]):
+        if not isinstance(dimension, int) or dimension < 0:
+            raise InputError(f"dimension must be a non-negative int, got "
+                             f"{dimension!r}")
+        for c in cells:
+            if c.__class__ is not Cell:
+                raise InputError(f"not a cell: {c!r}")
+            if not c.dimension_consistent(dimension):
                 raise InputError("cell atoms disagree with declared dimension")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def _built(cls, n: int, cells: tuple) -> "SemilinearSet":

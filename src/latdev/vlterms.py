@@ -81,14 +81,13 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from numbers import Number
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ContractError, InputError, ResourceLimitError
+from .errors import ContractError, InputError, ResourceLimitError, _Frozen
 from .semilinear import (DEFAULT_CELL_CEILING, MAX_DIMENSION, Cell,
                          Constraint, GE, GT, EQ, LinearForm, SemilinearSet,
                          _first_meet, _rational, _row_atom, intersect,
@@ -121,8 +120,9 @@ MAX_REGION_DIMENSION = 100
 # Term AST
 # ---------------------------------------------------------------------------
 
-class VLTerm:
-    """Base class; subclasses are frozen dataclasses.
+class VLTerm(_Frozen):
+    """Base class of the term nodes, which are immutable: each node's
+    constructor checks its operands (InputError otherwise) and stores them.
 
     A term is a DAG (``|t|`` holds ``t`` twice), so nothing here walks it
     path by path: each node stores its hash, computed once from its
@@ -165,96 +165,93 @@ class VLTerm:
         return Join(self, Scale(Fraction(-1), self))
 
 
-def _stored(**values):
-    """A field that a node sets itself: its hash and its largest
-    generator index."""
-    return field(init=False, repr=False, **values)
-
-
-@dataclass(frozen=True, eq=False, slots=True)
 class Gen(VLTerm):
-    index: int
-    _hash: int = _stored()
-    _top: int = _stored()
+    """The generator ``g<index>``; the index is a non-negative ``int``."""
+    _fields = ("index",)
+    __slots__ = _fields + ("_hash", "_top")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((1, self.index)))
-        object.__setattr__(self, "_top", self.index)
+    def __init__(self, index: int):
+        if index.__class__ is not int or index < 0:
+            raise InputError(f"generator index must be non-negative and "
+                             f"an int, got {index!r}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_hash", hash((1, index)))
+        object.__setattr__(self, "_top", index)
 
     def __str__(self):
         return f"g{self.index}"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class One(VLTerm):
-    _hash: int = _stored(default=hash((2,)))
-    _top: int = _stored(default=-1)
+    __slots__ = ()
+    _hash = hash((2,))
+    _top = -1
 
     def __str__(self):
         return "one"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Scale(VLTerm):
     """``coeff * arg``; the coefficient is stored as the exact
     ``Fraction`` of the number given (a float by its binary value), and
     anything that is not a finite rational number is an input error."""
-    coeff: Fraction
-    arg: VLTerm
-    _hash: int = _stored()
-    _top: int = _stored()
+    _fields = ("coeff", "arg")
+    __slots__ = _fields + ("_hash", "_top")
 
-    def __post_init__(self):
-        q = self.coeff
-        if q.__class__ is not Fraction:
+    def __init__(self, coeff: Fraction, arg: VLTerm):
+        if coeff.__class__ is not Fraction:
             try:
-                if not isinstance(q, Number):
+                if not isinstance(coeff, Number):
                     raise TypeError
-                q = Fraction(q)
+                coeff = Fraction(coeff)
             except (TypeError, ValueError, OverflowError):
-                raise InputError(f"scalar {q!r} is not a finite rational "
-                                 f"number") from None
-            object.__setattr__(self, "coeff", q)
-        object.__setattr__(self, "_hash",
-                           hash((3, self.coeff, self.arg._hash)))
-        object.__setattr__(self, "_top", self.arg._top)
+                raise InputError(f"scalar {coeff!r} is not a finite "
+                                 f"rational number") from None
+        if not isinstance(arg, VLTerm):
+            raise InputError(f"not a term: {arg!r}")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_hash", hash((3, coeff, arg._hash)))
+        object.__setattr__(self, "_top", arg._top)
 
     def __str__(self):
         return f"{self.coeff}*({self.arg})"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class _Binary(VLTerm):
-    left: VLTerm
-    right: VLTerm
-    _hash: int = _stored()
-    _top: int = _stored()
+    _fields = ("left", "right")
+    __slots__ = _fields + ("_hash", "_top")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (self._TAG, self.left._hash, self.right._hash)))
-        object.__setattr__(self, "_top", max(self.left._top,
-                                             self.right._top))
+    def __init__(self, left: VLTerm, right: VLTerm):
+        if not isinstance(left, VLTerm):
+            raise InputError(f"not a term: {left!r}")
+        if not isinstance(right, VLTerm):
+            raise InputError(f"not a term: {right!r}")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_hash",
+                           hash((self._TAG, left._hash, right._hash)))
+        object.__setattr__(self, "_top", max(left._top, right._top))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Add(_Binary):
+    __slots__ = ()
     _TAG = 4
 
     def __str__(self):
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Join(_Binary):
+    __slots__ = ()
     _TAG = 5
 
     def __str__(self):
         return f"({self.left} \\/ {self.right})"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Meet(_Binary):
+    __slots__ = ()
     _TAG = 6
 
     def __str__(self):
@@ -329,8 +326,6 @@ def text_length(t: VLTerm) -> int:
 
 
 def gen(i: int) -> Gen:
-    if i < 0:
-        raise InputError("generator index must be non-negative")
     return Gen(i)
 
 
@@ -379,8 +374,7 @@ def evaluate(t: VLTerm, point: Sequence) -> Fraction:
 # Piecewise-linear normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiecewiseForm:
+class PiecewiseForm(NamedTuple):
     """Covering pieces (cell, form): on each cell the term equals the
     affine form.  Cells are pairwise disjoint and their union is ℚⁿ."""
     dimension: int
@@ -792,8 +786,7 @@ def substitute(t: VLTerm, sigma: Mapping) -> VLTerm:
 # Probes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ImplicationRecord:
+class ImplicationRecord(NamedTuple):
     """One direction of the pseudocomplement probe: if the meet with
     `split` is zero then the probe lies below `other`.  ``holds`` is None
     when the hypothesis fails (non-binding)."""
@@ -802,8 +795,7 @@ class ImplicationRecord:
     witness: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class ProbeEntry:
+class ProbeEntry(NamedTuple):
     term: VLTerm
     lower_implication: ImplicationRecord   # meet with (g0 - c*ga)^+ zero
     upper_implication: ImplicationRecord   # meet with (c*ga - g0)^+ zero
@@ -814,8 +806,7 @@ class ProbeEntry:
                    for r in (self.lower_implication, self.upper_implication))
 
 
-@dataclass(frozen=True)
-class PscomProbeReport:
+class PscomProbeReport(NamedTuple):
     n: int
     alpha: int
     c: Fraction
@@ -856,8 +847,7 @@ def pseudocomplement_probe(n: int, alpha: int, c,
     return PscomProbeReport(n, alpha, c, tuple(entries))
 
 
-@dataclass(frozen=True)
-class LadderCheck:
+class LadderCheck(NamedTuple):
     lhs: VLTerm
     rhs: VLTerm
     inclusion_false: bool        # decision-procedure verdict
@@ -866,8 +856,7 @@ class LadderCheck:
     anchor_valid: bool           # anchor re-evaluates correctly
 
 
-@dataclass(frozen=True)
-class NoisoProbeReport:
+class NoisoProbeReport(NamedTuple):
     k: int
     m: int
     n_coeff: int

@@ -5,7 +5,6 @@ import inspect
 import io
 import json
 import copy
-import dataclasses
 import os
 import random
 import re
@@ -1381,8 +1380,8 @@ class TestInfrastructure:
         def spy(cfg):
             raise AssertionError("handler called for --format dot")
         name = "deviation search"
-        monkeypatch.setitem(COMMANDS, name, dataclasses.replace(
-            COMMANDS[name], handler=spy))
+        monkeypatch.setitem(COMMANDS, name,
+                            COMMANDS[name]._replace(handler=spy))
         code = main(["--format", "dot", *name.split(),
                      "--lattice", _fixture("grid.json"),
                      "--monotone", "--cevian"])

@@ -95,7 +95,7 @@ def _signature(obj):
 
 def _class_surface(cls) -> dict:
     """The class's signature and its own public methods and properties
-    (a dataclass's fields are in its signature)."""
+    (a record's or value class's fields are in its signature)."""
     members = {}
     for name, value in vars(cls).items():
         if name.startswith("_"):

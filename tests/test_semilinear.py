@@ -522,6 +522,17 @@ class TestDimensionChecks:
         with pytest.raises(InputError):
             SemilinearSet(2, (mixed,))
 
+    @pytest.mark.parametrize("build", [
+        lambda: SemilinearSet.whole(-1), lambda: SemilinearSet("2", ()),
+        lambda: SemilinearSet(2.0, ()), lambda: SemilinearSet.empty(None),
+        lambda: SemilinearSet(2, (5,)),
+        lambda: SemilinearSet(1, (Constraint(form([1]), GT),))],
+        ids=["negative", "str", "float", "none", "int-cell", "atom-cell"])
+    def test_bad_dimension_or_cell(self, build):
+        with pytest.raises(InputError, match="dimension must be a "
+                                             "non-negative int|not a cell"):
+            build()
+
     @pytest.mark.parametrize("op", [
         union, intersect, lambda U, V: interpolant(U, [0], V, [0])],
         ids=["union", "intersect", "interpolant"])

@@ -165,6 +165,22 @@ class TestParse:
                                              "non-negative"):
             gen(-1)
 
+    @pytest.mark.parametrize("index", [-1, 1.5, True, "0", None, F(1)])
+    def test_generator_index_is_a_non_negative_int(self, index):
+        for build in (Gen, gen):
+            with pytest.raises(InputError, match="generator index must be "
+                                                 "non-negative and an int"):
+                build(index)
+
+    @pytest.mark.parametrize("build", [
+        lambda: g0 + 5, lambda: Add(5, g0), lambda: Join(g0, None),
+        lambda: Meet("g0", g1), lambda: g0 - 1, lambda: g0 | 2,
+        lambda: Scale(1, 5)],
+        ids=["add", "Add", "Join", "Meet", "sub", "or", "Scale"])
+    def test_operands_are_terms(self, build):
+        with pytest.raises(InputError, match="not a term"):
+            build()
+
     @pytest.mark.parametrize("text", [
         "g\u0661", "\u0661/2*g0", "g0 + \uff13", "1/\u0662*g0"])
     def test_only_ascii_digits(self, text):
