@@ -8,26 +8,22 @@ Fourier-Motzkin elimination: a bound derived from one strict and one
 non-strict parent is strict.  Equality atoms are eliminated by
 substitution when possible.
 
-The elimination runs on integer rows: an atom becomes its relation and
-the primitive integer vector ``(c0, ..., c{n-1}, const)`` of its form
-(scaled by a positive rational, which keeps its meaning; computed once,
-when the atom is built), and a single
-projection loop, ``_project``, serves emptiness, witness points and
-projection; each of its steps makes one pass over the rows and reduces
-each row it builds to a primitive one inline.  The atoms that complement
-and elimination derive, and those that ``vlterms`` builds from the
-integer rows of its pieces (``_row_atom``), carry only their key and
-row (negated, copied from a projected row, or read off an integer row
-over one denominator); their ``LinearForm`` is built
-on first read, which only the textual format, reports and callers that
-ask for ``form`` do.  Membership tests scale the point to integers over
-one common denominator and read the sign of each atom's primitive row
-there, in integer arithmetic; a coordinate that is not a finite rational
-is an input error.  Witness points are back-substituted the same way, as
-integer numerators over one common denominator, and verified there;
-their coordinates become ``Fraction``s once, when returned.  Fractions
-remain only where rational values are the result: those coordinates,
-``LinearForm.evaluate`` and the textual format.
+A ``LinearForm`` holds integers over one positive denominator, in
+lowest terms: the n coefficients, then the constant.  Its arithmetic
+runs on them; ``coeffs`` and ``const`` are ``Fraction``s built when
+read.  An atom ``Constraint(form, rel)`` stores only its relation, key
+and row, read off those integers once: the row is the relation and the
+primitive integer vector ``(c0, ..., c{n-1}, const)`` of the form
+(scaled by a positive rational, which keeps its meaning), and ``form``
+is rebuilt from the key when read.  Complement and elimination derive
+atoms from a key and a row alone (``_derived``).  One projection loop,
+``_project``, serves emptiness, witness points and projection; each step
+makes one pass over the rows and reduces each row it builds to a
+primitive one inline.  Membership tests and ``LinearForm.evaluate``
+scale the point to integers over one common denominator and compute
+there; a coordinate that is not a finite rational is an input error.
+Witness points are back-substituted the same way and verified there;
+their coordinates become ``Fraction``s once, when returned.
 
 Cells are kept as written apart from duplicate-atom removal; empty cells
 are pruned by the operations that create new cells.  Projection reports
@@ -36,15 +32,17 @@ ones as primitive integer forms.  Set equality is semantic (mutual
 inclusion), never syntactic.
 
 Operations that multiply cell counts (complement, intersection) enforce
-a configurable ceiling (default ``DEFAULT_CELL_CEILING``) and raise
+a cell ceiling, resolved at the entry of ``intersect``, ``complement``
+and ``eliminate`` (``_ceiling``: None means ``DEFAULT_CELL_CEILING``,
+and a ceiling below 1 is an input error), and raise
 :class:`ResourceLimitError` beyond it; so does an elimination step that
 would build more than ``MAX_FM_ROWS`` rows.
 
 Two results are cached, each by a module-level ``functools`` cache:
 ``is_empty`` on the cell (its atoms in order), and ``complement`` on the
-set (its dimension and its cells in order) and the ceiling, where no
-ceiling means ``DEFAULT_CELL_CEILING``.  A raised error is never cached,
-so a complement within one ceiling still fails a lower one.  Scaled
+set (its dimension and its cells in order) and the resolved ceiling.  A
+raised error is never cached, so a complement within one ceiling still
+fails a lower one.  Scaled
 points are memoized by identity (``_POINTS``): a point that is an exact
 ``tuple`` of exact ``int``s and ``Fraction``s cannot change, so it is
 scaled at its first membership test and every later test of the same
@@ -73,6 +71,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Number
 from operator import attrgetter, mul, neg as _neg
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -91,44 +90,94 @@ GT, GE, EQ = ">", ">=", "="
 _RELS = (GT, GE, EQ)
 
 
+def _number(q, what: str) -> Fraction:
+    """``q`` as an exact ``Fraction``: any finite rational ``Number`` (a
+    float by its binary value); anything else, or a nan or infinity, is
+    an input error that names the value as ``what``."""
+    if q.__class__ is Fraction:
+        return q
+    try:
+        if not isinstance(q, Number):
+            raise TypeError
+        return Fraction(q)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} {q!r} is not a finite rational "
+                         f"number") from None
+
+
 class LinearForm(_Frozen):
-    """An affine form  c0*x0 + ... + c{n-1}*x{n-1} + const."""
-    __slots__ = _fields = ("coeffs", "const")
+    """An affine form  c0*x0 + ... + c{n-1}*x{n-1} + const, stored as
+    the integers ``_vec`` (the coefficients, then the constant) over one
+    positive denominator ``_d``, in lowest terms.  Forms are equal and
+    hashed by these; each value given must be a finite rational number."""
+    _fields = ("coeffs", "const")
+    __slots__ = ("_vec", "_d")
 
     def __init__(self, coeffs: Tuple[Fraction, ...],
                  const: Fraction = Fraction(0)):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "const", const)
+        try:
+            vals = [*coeffs, const]
+        except TypeError:
+            raise InputError(f"coefficients {coeffs!r} are not a sequence "
+                             f"of finite rationals") from None
+        vals = [v if v.__class__ is int else _number(v, "coefficient")
+                for v in vals]
+        # in lowest terms: no prime divides d and every scaled numerator
+        d = lcm(*[v.denominator for v in vals])
+        object.__setattr__(self, "_vec", tuple(
+            [v.numerator * (d // v.denominator) for v in vals]))
+        object.__setattr__(self, "_d", d)
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        d = self._d
+        return tuple([Fraction(v, d) for v in self._vec[:-1]])
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self._vec[-1], self._d)
 
     @property
     def dimension(self) -> int:
-        return len(self.coeffs)
+        return len(self._vec) - 1
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != len(self.coeffs):
-            raise InputError("point dimension mismatch")
-        return sum((c * _rational(p) for c, p in zip(self.coeffs, point)),
-                   self.const)
+        vec = self._vec
+        P, D = _scaled_point(point, len(vec) - 1)
+        return Fraction(sum(map(mul, P, vec), vec[-1] * D), self._d * D)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        if len(self.coeffs) != len(other.coeffs):
-            raise InputError(f"linear forms of dimensions {len(self.coeffs)} "
-                             f"and {len(other.coeffs)} do not combine")
-        return LinearForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                          self.const + other.const)
+        if other.__class__ is not LinearForm:
+            return NotImplemented
+        v1, d1, v2, d2 = self._vec, self._d, other._vec, other._d
+        if len(v1) != len(v2):
+            raise InputError(f"linear forms of dimensions {len(v1) - 1} "
+                             f"and {len(v2) - 1} do not combine")
+        d = lcm(d1, d2)
+        k1, k2 = d // d1, d // d2
+        return _form([k1 * a + k2 * b for a, b in zip(v1, v2)], d)
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(tuple(-c for c in self.coeffs), -self.const)
+        return _form([-v for v in self._vec], self._d)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         return self + (-other)
 
     def scale(self, q) -> "LinearForm":
-        q = Fraction(q)
-        return LinearForm(tuple(q * c for c in self.coeffs), q * self.const)
+        q = _number(q, "scalar")
+        a = q.numerator
+        return _form([a * v for v in self._vec], q.denominator * self._d)
 
     def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._vec[:-1])
+
+    def __eq__(self, other):
+        if other.__class__ is not LinearForm:
+            return NotImplemented
+        return self._d == other._d and self._vec == other._vec
+
+    def __hash__(self):
+        return hash((self._vec, self._d))
 
     def __str__(self) -> str:
         parts = []
@@ -147,55 +196,60 @@ class LinearForm(_Frozen):
         return out
 
 
+def _form(vec, d: int) -> LinearForm:
+    """The form ``vec / d`` of integers ``vec`` (the coefficients, then
+    the constant) over a positive denominator ``d``, in lowest terms."""
+    g = gcd(d, *vec)
+    if g > 1:
+        vec, d = [v // g for v in vec], d // g
+    f = object.__new__(LinearForm)
+    object.__setattr__(f, "_vec", tuple(vec))
+    object.__setattr__(f, "_d", d)
+    return f
+
+
 def form(coeffs, const=0) -> LinearForm:
     return LinearForm(tuple(Fraction(c) for c in coeffs), Fraction(const))
 
 
 def unit_form(n: int, i: int, coeff=1, const=0) -> LinearForm:
-    coeffs = [Fraction(0)] * n
-    coeffs[i] = Fraction(coeff)
-    return LinearForm(tuple(coeffs), Fraction(const))
+    coeffs = [0] * n
+    coeffs[i] = coeff
+    return LinearForm(coeffs, const)
 
 
 class Constraint(_Frozen):
     """An atom  form rel 0  with rel one of >, >=, =.
 
-    ``key`` is the flat tuple ``(rel, c0, ..., c{n-1}, const)`` with
-    integral values stored as ints: atoms are equal, hashed and sorted by
-    it (equal to comparing ``(rel, coeffs, const)``, with int-to-int
-    comparisons).  ``row`` is the atom's integer row for elimination:
-    its relation and the primitive integer vector of its form.
-
-    Atoms derived by complement and elimination are built from a key and
-    a row alone (``_derived``); their ``form`` is built from the key on
-    first read."""
+    An atom stores its relation, ``key`` and ``row``, read off the form's
+    integers when it is built; ``form`` is rebuilt from the key when
+    read.  ``key`` is the flat tuple ``(rel, c0, ..., c{n-1}, const)``
+    with integral values stored as ints: atoms are equal, hashed and
+    sorted by it (equal to comparing ``(rel, coeffs, const)``, with
+    int-to-int comparisons).  ``row`` is the atom's integer row for
+    elimination: its relation and the primitive integer vector of its
+    form.  The atoms that complement and elimination derive are built
+    from a key and a row alone (``_derived``)."""
     _fields = ("form", "rel")
-    __slots__ = _fields + ("key", "row", "_hash")
+    __slots__ = ("rel", "key", "row", "_hash")
 
     def __init__(self, form: LinearForm, rel: str):
         if rel not in _RELS:
             raise InputError(f"relation must be one of {_RELS}, got {rel!r}")
-        vals = [v.numerator if v.denominator == 1 else v
-                for v in form.coeffs + (form.const,)]
-        key = (rel, *vals)
-        object.__setattr__(self, "form", form)
+        if form.__class__ is not LinearForm:
+            raise InputError(f"not a linear form: {form!r}")
+        vec, d = form._vec, form._d
+        key = (rel, *vec) if d == 1 else \
+            (rel, *[v // d if not v % d else Fraction(v, d) for v in vec])
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "key", key)
+        object.__setattr__(self, "row", (rel, _primitive(vec)))
         object.__setattr__(self, "_hash", hash(key))
-        d = lcm(*[v.denominator for v in vals])
-        if d > 1:
-            vals = [v.numerator * (d // v.denominator) for v in vals]
-        object.__setattr__(self, "row", (rel, _primitive(vals)))
 
-    def __getattr__(self, name):
-        # only reached while the ``form`` slot of a derived atom is unset
-        if name != "form":
-            raise AttributeError(
-                f"'Constraint' object has no attribute {name!r}")
+    @property
+    def form(self) -> LinearForm:
         key = self.key
-        f = LinearForm(tuple(map(Fraction, key[1:-1])), Fraction(key[-1]))
-        object.__setattr__(self, "form", f)
-        return f
+        return LinearForm(key[1:-1], key[-1])
 
     def __eq__(self, other):
         if other.__class__ is not Constraint:
@@ -224,27 +278,13 @@ class Constraint(_Frozen):
 
 
 def _derived(key: tuple, row: tuple) -> Constraint:
-    """The atom with this key and row (which must agree), built without
-    its form."""
+    """The atom with this key and row, which must agree."""
     a = object.__new__(Constraint)
     object.__setattr__(a, "rel", key[0])
     object.__setattr__(a, "key", key)
     object.__setattr__(a, "row", row)
     object.__setattr__(a, "_hash", hash(key))
     return a
-
-
-def _row_atom(rel: str, vec: tuple, d: int) -> Constraint:
-    """The atom ``vec / d  rel  0`` of integers ``vec`` (the coefficients,
-    then the constant) over a positive denominator ``d``, in lowest
-    terms, built without its form: its key holds each ``vec[i] / d`` as
-    an int when integral and a ``Fraction`` otherwise, as ``Constraint``
-    builds it, and its row is the primitive vector."""
-    if d == 1:
-        key = (rel, *vec)
-    else:
-        key = (rel, *[v // d if not v % d else Fraction(v, d) for v in vec])
-    return _derived(key, (rel, _primitive(vec)))
 
 
 _atom_key = attrgetter("key")
@@ -285,9 +325,12 @@ class Cell(_Frozen):
 
 
 def _cell_dimension(cell: Cell) -> int:
-    """The dimension of a cell's atoms; atoms of two dimensions in one
-    cell are an input error.  Checked where a cell enters a decision, not
-    in ``Cell.of``."""
+    """The dimension of a cell's atoms.  An atom that is not a
+    ``Constraint``, or atoms of two dimensions in one cell, are an input
+    error: checked where a cell enters a decision, not in ``Cell.of``."""
+    for a in cell.atoms:
+        if a.__class__ is not Constraint:
+            raise InputError(f"not an atom: {a!r}")
     k = len(cell.atoms[0].key)
     if any(len(a.key) != k for a in cell.atoms):
         raise InputError("cell atoms disagree in dimension")
@@ -302,10 +345,11 @@ class SemilinearSet(_Frozen):
         if not isinstance(dimension, int) or dimension < 0:
             raise InputError(f"dimension must be a non-negative int, got "
                              f"{dimension!r}")
+        cells = tuple(cells)
         for c in cells:
             if c.__class__ is not Cell:
                 raise InputError(f"not a cell: {c!r}")
-            if not c.dimension_consistent(dimension):
+            if c.atoms and _cell_dimension(c) != dimension:
                 raise InputError("cell atoms disagree with declared dimension")
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "cells", cells)
@@ -622,14 +666,23 @@ def witness_point(cell: Cell,
 # Set-level operations
 # ---------------------------------------------------------------------------
 
-def _guard(count: int, ceiling: Optional[int]):
-    limit = DEFAULT_CELL_CEILING if ceiling is None else ceiling
+def _ceiling(ceiling: Optional[int]) -> int:
+    """The cell ceiling to apply: ``DEFAULT_CELL_CEILING`` for None; a
+    ceiling below 1 is an input error."""
+    if ceiling is None:
+        return DEFAULT_CELL_CEILING
+    if ceiling < 1:
+        raise InputError(f"ceiling must be at least 1, got {ceiling}")
+    return ceiling
+
+
+def _guard(count: int, limit: int):
     if count > limit:
         raise ResourceLimitError(
             f"cell count {count} exceeds ceiling {limit}")
 
 
-def _accumulate(out: list, cell: Cell, ceiling: Optional[int]):
+def _accumulate(out: list, cell: Cell, limit: int):
     """Add a cell to a union-in-progress of (cell, atom set) pairs,
     dropping subsumed and empty cells (an atom superset denotes a subset
     region).  Subsumption is tested first: it needs no elimination."""
@@ -641,7 +694,7 @@ def _accumulate(out: list, cell: Cell, ceiling: Optional[int]):
         return
     out[:] = [(c, s) for c, s in out if not atoms <= s]
     out.append((cell, atoms))
-    _guard(len(out), ceiling)
+    _guard(len(out), limit)
 
 
 def _first_meet(sets: Sequence[SemilinearSet]) -> Optional[Cell]:
@@ -674,10 +727,11 @@ def intersect(S: SemilinearSet, T: SemilinearSet,
               ceiling: Optional[int] = None) -> SemilinearSet:
     if S.dimension != T.dimension:
         raise InputError("dimension mismatch")
+    limit = _ceiling(ceiling)
     out: list = []
     for a in S.cells:
         for b in T.cells:
-            _accumulate(out, Cell.of(a.atoms + b.atoms), ceiling)
+            _accumulate(out, Cell.of(a.atoms + b.atoms), limit)
     return SemilinearSet._built(S.dimension, tuple(c for c, _ in out))
 
 
@@ -685,22 +739,21 @@ def complement(S: SemilinearSet,
                ceiling: Optional[int] = None) -> SemilinearSet:
     """De Morgan expansion of the pointwise complement (cached, see
     ``_complement``)."""
-    return _complement(S, DEFAULT_CELL_CEILING if ceiling is None
-                       else ceiling)
+    return _complement(S, _ceiling(ceiling))
 
 
 @lru_cache(maxsize=1 << 12)
-def _complement(S: SemilinearSet, ceiling: int) -> SemilinearSet:
+def _complement(S: SemilinearSet, limit: int) -> SemilinearSet:
     """The complement, cached on the set (its dimension and its cells in
-    order) and the ceiling: a result within one ceiling may exceed a
-    lower one, and a raised error is never cached."""
+    order) and the resolved ceiling: a result within one ceiling may
+    exceed a lower one, and a raised error is never cached."""
     acc = [Cell(())]
     for cell in S.cells:
         options = [neg for atom in cell.atoms for neg in atom.negations()]
         nxt: list = []
         for base in acc:
             for opt in options:
-                _accumulate(nxt, Cell.of(base.atoms + (opt,)), ceiling)
+                _accumulate(nxt, Cell.of(base.atoms + (opt,)), limit)
         acc = [c for c, _ in nxt]
         if not acc:
             break
@@ -721,6 +774,7 @@ def eliminate(S: SemilinearSet, variables: Iterable[int],
     """Existential projection over the listed variables, cylindrified
     back to the ambient dimension (projected coordinates unconstrained)."""
     vs = sorted(_variables(S, variables))
+    limit = _ceiling(ceiling)
     out = []
     for cell in S.cells:
         # atoms that mention variables but no eliminated one pass through
@@ -738,7 +792,7 @@ def eliminate(S: SemilinearSet, variables: Iterable[int],
         c = Cell.of(kept + [_from_row(r) for r in projected[1]])
         if not is_empty(c) and c not in out:
             out.append(c)
-        _guard(len(out), ceiling)
+        _guard(len(out), limit)
     return SemilinearSet._built(S.dimension, tuple(out))
 
 

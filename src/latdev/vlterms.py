@@ -46,16 +46,14 @@ largest generator index, and the functions that walk a term visit each
 shared node once.  The pieces of each node are cached (one ``functools``
 cache keyed on the node, the dimension and the piece ceiling), so
 subterms shared between terms or within one are split once.  A piece
-form is an integer row: the n coefficients and the constant as integers
-over one positive denominator, in lowest terms.  Scaling, sums and the
-join/meet differences stay in integer arithmetic, and each atom is built
-from its row (``semilinear._row_atom``), with the key and row that
-``Constraint`` would give its ``Fraction`` form, so cells sort and
-compare as before.  The zero, cozero and sign sets read these rows;
-only ``linearize`` turns them into ``LinearForm``s, once per node it
-returns (a second cache).  The piece ceiling is resolved in one place
-(``_check_inputs``): None means ``semilinear.DEFAULT_CELL_CEILING``, and
-a ceiling below 1 is an input error.
+form is a ``LinearForm``, whose integers over one denominator make
+scaling, sums and the join/meet differences integer arithmetic; each
+atom is ``Constraint(form, rel)``.  ``linearize`` returns the cached
+pieces as they are, and the zero, cozero and sign sets are built from
+them.  The piece ceiling is resolved in one place (``_check_inputs``,
+through ``semilinear._ceiling``): None means
+``semilinear.DEFAULT_CELL_CEILING``, and a ceiling below 1 is an input
+error.
 A join, meet or sum pairs the pieces of its two sides and skips, before
 building any cell, each pair whose cells clash syntactically: a strict
 row ``f > 0`` in one cell and a row on ``-f``, or ``f = 0``, in the other.
@@ -83,16 +81,13 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from numbers import Number
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ContractError, InputError, ResourceLimitError, _Frozen
-from .semilinear import (DEFAULT_CELL_CEILING, MAX_DIMENSION, Cell,
-                         Constraint, GE, GT, EQ, LinearForm, SemilinearSet,
-                         _first_meet, _rational, _row_atom, intersect,
-                         is_empty, parse_rational, union, unit_form,
-                         witness_point)
+from .semilinear import (MAX_DIMENSION, Cell, Constraint, GE, GT, EQ,
+                         LinearForm, SemilinearSet, _ceiling, _first_meet,
+                         _number, _rational, intersect, is_empty,
+                         parse_rational, union, unit_form, witness_point)
 
 # Largest k that ``noiso_probe`` accepts.  Its report writes 2^(k-1) in
 # decimal (in the terms and the witness points), and Python refuses to
@@ -199,14 +194,7 @@ class Scale(VLTerm):
     __slots__ = _fields + ("_hash", "_top")
 
     def __init__(self, coeff: Fraction, arg: VLTerm):
-        if coeff.__class__ is not Fraction:
-            try:
-                if not isinstance(coeff, Number):
-                    raise TypeError
-                coeff = Fraction(coeff)
-            except (TypeError, ValueError, OverflowError):
-                raise InputError(f"scalar {coeff!r} is not a finite "
-                                 f"rational number") from None
+        coeff = _number(coeff, "scalar")
         if not isinstance(arg, VLTerm):
             raise InputError(f"not a term: {arg!r}")
         object.__setattr__(self, "coeff", coeff)
@@ -390,17 +378,17 @@ def linearize(t: VLTerm, n: int,
     (difference >= 0), the other the open side.
     """
     limit = _check_inputs(n, None, ceiling, t)
-    return PiecewiseForm(n, _node_forms(t, n, limit))
+    return PiecewiseForm(n, _node_pieces(t, n, limit)[0])
 
 
 def _check_inputs(n: int, region: Optional[SemilinearSet],
                   ceiling: Optional[int], *terms) -> int:
     """Check that every term, and the region if given, lives in
     dimension n (InputError otherwise; ResourceLimitError past
-    ``semilinear.MAX_DIMENSION``), and return the piece ceiling:
-    ``ceiling``, or ``semilinear.DEFAULT_CELL_CEILING`` for None.  A
-    ceiling below 1 is an input error: every join, meet or sum would
-    pass it."""
+    ``semilinear.MAX_DIMENSION``), and return the piece ceiling
+    resolved by ``semilinear._ceiling``: ``semilinear.DEFAULT_CELL_CEILING``
+    for None, and an input error below 1, where every join, meet or sum
+    would pass it."""
     if n < 0:
         raise InputError("dimension must be non-negative")
     if n > MAX_DIMENSION:
@@ -410,11 +398,7 @@ def _check_inputs(n: int, region: Optional[SemilinearSet],
         raise InputError("region dimension mismatch")
     if any(max_generator(t) >= n for t in terms):
         raise InputError("term uses a generator outside the declared dimension")
-    if ceiling is None:
-        return DEFAULT_CELL_CEILING
-    if ceiling < 1:
-        raise InputError(f"ceiling must be at least 1, got {ceiling}")
-    return ceiling
+    return _ceiling(ceiling)
 
 
 _WHOLE = Cell(())
@@ -437,48 +421,23 @@ def _clash_rows(cell: Cell) -> tuple:
     return tuple(vectors), tuple(probes)
 
 
-def _lowest(vec: list, d: int) -> tuple:
-    """The piece form ``(vec, d)`` in lowest terms."""
-    g = gcd(d, *vec)
-    if g == 1:
-        return tuple(vec), d
-    return tuple([v // g for v in vec]), d // g
-
-
-def _add_forms(f1: tuple, f2: tuple, sign: int) -> tuple:
-    """The piece form of f1 + sign * f2, for sign 1 or -1."""
-    (v1, d1), (v2, d2) = f1, f2
-    d = lcm(d1, d2)
-    k1, k2 = d // d1, sign * (d // d2)
-    return _lowest([k1 * a + k2 * b for a, b in zip(v1, v2)], d)
-
-
 @lru_cache(maxsize=1 << 14)
 def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
-    """``(pieces, clash rows)``: the pieces (cell, form) of one term node,
-    and ``_clash_rows`` of each piece's cell.  A piece form is an integer
-    row ``(vec, d)``: n coefficients and then the constant in ``vec``,
-    over one positive denominator ``d``, in lowest terms.  Scaling and
-    sums stay in integers, and each split atom is built from its row
-    (``semilinear._row_atom``); only ``linearize`` turns forms into
-    ``LinearForm``s (``_node_forms``).  The cache is keyed on the node,
-    so the subterms that several terms share, or one term holds twice,
-    are split once.  A pair of pieces whose cells clash is skipped before
-    any cell is built: every cell built from it is empty.  That test is
-    the library's only syntactic emptiness check; it stays because it
-    saves building the difference form, the atom and two cells per
-    clashing pair when a term is linearized cold."""
+    """``(pieces, clash rows)``: the pieces (cell, ``LinearForm``) of
+    one term node, and ``_clash_rows`` of each piece's cell.  The cache
+    is keyed on the node, so the subterms that several terms share, or
+    one term holds twice, are split once.  A pair of pieces whose cells
+    clash is skipped before any cell is built: every cell built from it
+    is empty.  That test is the library's only syntactic emptiness check;
+    it stays because it saves building the difference form, the atom and
+    two cells per clashing pair when a term is linearized cold."""
     if isinstance(t, Gen):
-        vec = [0] * (n + 1)
-        vec[t.index] = 1
-        return ((_WHOLE, (tuple(vec), 1)),), (_NO_ROWS,)
+        return ((_WHOLE, unit_form(n, t.index)),), (_NO_ROWS,)
     if isinstance(t, One):
-        return ((_WHOLE, ((0,) * n + (1,), 1)),), (_NO_ROWS,)
+        return ((_WHOLE, LinearForm((0,) * n, 1)),), (_NO_ROWS,)
     if isinstance(t, Scale):
         pieces, clash = _node_pieces(t.arg, n, limit)
-        a, b = t.coeff.numerator, t.coeff.denominator
-        return tuple((c, _lowest([a * v for v in vec], b * d))
-                     for c, (vec, d) in pieces), clash
+        return tuple((c, f.scale(t.coeff)) for c, f in pieces), clash
     if not isinstance(t, _Binary):
         raise InputError(f"not a term: {t!r}")
     left = _node_pieces(t.left, n, limit)
@@ -494,12 +453,11 @@ def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
             if is_add:
                 cell = Cell.of(base)
                 if not is_empty(cell):
-                    acc.append((cell, _add_forms(f1, f2, 1)))
+                    acc.append((cell, f1 + f2))
                 continue
             # join keeps the larger branch on the closed side, meet the
             # smaller
-            closed = _row_atom(GE, *(_add_forms(f1, f2, -1) if is_join
-                                     else _add_forms(f2, f1, -1)))
+            closed = Constraint(f1 - f2 if is_join else f2 - f1, GE)
             first = Cell.of(base + (closed,))
             second = Cell.of(base + closed.negations())    # -diff > 0
             if not is_empty(first):
@@ -513,23 +471,12 @@ def _node_pieces(t: VLTerm, n: int, limit: int) -> tuple:
 
 
 @lru_cache(maxsize=1 << 12)
-def _node_forms(t: VLTerm, n: int, limit: int) -> tuple:
-    """The pieces of one term node with their forms as ``LinearForm``s:
-    what ``linearize`` returns, built once per node."""
-    out = []
-    for cell, (vec, d) in _node_pieces(t, n, limit)[0]:
-        vals = [Fraction(v, d) for v in vec]
-        out.append((cell, LinearForm(tuple(vals[:-1]), vals[-1])))
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 12)
 def cozero_set(t: VLTerm, n: int,
                ceiling: Optional[int] = None) -> SemilinearSet:
     """Points where the term is nonzero (cached per term node, dimension
     and ceiling, like the pieces)."""
     return _piece_set(t, n, ceiling, lambda f: [            # f > 0, -f > 0
-        (atom,) for atom in _row_atom(EQ, *f).negations()])
+        (atom,) for atom in Constraint(f, EQ).negations()])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -539,16 +486,15 @@ def zero_set(t: VLTerm, n: int,
     assembled directly from the (disjoint, covering) pieces (cached like
     ``cozero_set``).  A constant piece is kept whole when it is 0."""
     return _piece_set(t, n, ceiling, lambda f: (
-        [(_row_atom(EQ, *f),)] if any(f[0][:-1])
-        else [()] if not f[0][-1] else []))
+        [(Constraint(f, EQ),)] if not f.is_constant()
+        else [()] if not f.const else []))
 
 
 def _piece_set(t: VLTerm, n: int, ceiling: Optional[int],
                extras) -> SemilinearSet:
     """The nonempty cells ``cell ∧ atoms`` over the pieces (cell, f) of
     t and the atom tuples in ``extras(f)``, in piece order; empty atoms
-    keep the piece cell itself.  ``f`` is the integer row of
-    ``_node_pieces``."""
+    keep the piece cell itself."""
     limit = _check_inputs(n, None, ceiling, t)
     cells = []
     for cell, f in _node_pieces(t, n, limit)[0]:
@@ -601,7 +547,7 @@ def _sign_set(u: VLTerm, n: int, ceiling: Optional[int],
     """{u > 0} when ``positive``, else {u <= 0}, read off the pieces of u:
     the cozero and zero set of u⁺ (cached as such by ``_parts``)."""
     return _piece_set(u, n, ceiling, lambda f: [
-        (_row_atom(GT, *f),) if positive else _row_atom(GT, *f).negations()])
+        (Constraint(f, GT),) if positive else Constraint(f, GT).negations()])
 
 
 @lru_cache(maxsize=1 << 12)
@@ -654,9 +600,8 @@ def omega_region(n: int) -> SemilinearSet:
         atoms.append(Constraint(unit_form(n, i, -1, const=1), GE))    # u_i <= 1
     for j in range(1, n):
         for k in range(j + 1, n):
-            f = [Fraction(0)] * n
-            f[j], f[k] = Fraction(-1), Fraction(2)
-            atoms.append(Constraint(LinearForm(tuple(f)), GE))        # u_j <= 2 u_k
+            atoms.append(Constraint(unit_form(n, k, 2) - unit_form(n, j),
+                                    GE))                          # u_j <= 2 u_k
     return SemilinearSet(n, (Cell.of(atoms),))
 
 

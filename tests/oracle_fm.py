@@ -19,6 +19,16 @@ runs the integer kernel.  ``from_row`` is the replaced ``_from_row``,
 which built the atom of an integer row through its ``Fraction`` form;
 ``test_fm_kernel.py`` compares the row-built atoms with both.
 
+The oracle computes with its own ``Form``: the ``Fraction``-based
+``LinearForm`` that ``latdev.semilinear`` had before its forms became
+integers over one denominator, copied here so that no oracle arithmetic
+runs latdev's.  The elimination works on ``Atom``s, pairs of a ``Form``
+and a relation read off the key of each latdev atom (``atom``); forms are
+converted back to latdev ``LinearForm``s only where latdev
+``Constraint``s are built and where pieces are returned (``latdev_form``).
+``key_and_row`` is the key and integer row that ``Constraint`` built from
+such a ``Fraction`` form.
+
 ``linearize_pieces`` is the piecewise-form computation of
 ``latdev.vlterms`` that the per-node cache replaced (``test_linearize.py``
 compares the two): one recursive walk per term with a per-call memo,
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from latdev.errors import ContractError, InputError, ResourceLimitError
 from latdev.semilinear import (DEFAULT_CELL_CEILING, EQ, GE, GT, Cell,
@@ -42,7 +52,111 @@ from latdev.vlterms import (Add, Gen, Join, Meet, One, Scale, VLTerm,
                             max_generator)
 
 
+class Form:
+    """An affine form  c0*x0 + ... + c{n-1}*x{n-1} + const  over
+    ``Fraction``s."""
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: Tuple[Fraction, ...],
+                 const: Fraction = Fraction(0)):
+        self.coeffs = coeffs
+        self.const = const
+
+    @property
+    def dimension(self) -> int:
+        return len(self.coeffs)
+
+    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        if len(point) != len(self.coeffs):
+            raise InputError("point dimension mismatch")
+        return sum((c * Fraction(p) for c, p in zip(self.coeffs, point)),
+                   self.const)
+
+    def __add__(self, other: "Form") -> "Form":
+        if len(self.coeffs) != len(other.coeffs):
+            raise InputError(f"linear forms of dimensions {len(self.coeffs)} "
+                             f"and {len(other.coeffs)} do not combine")
+        return Form(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+                    self.const + other.const)
+
+    def __neg__(self) -> "Form":
+        return Form(tuple(-c for c in self.coeffs), -self.const)
+
+    def __sub__(self, other: "Form") -> "Form":
+        return self + (-other)
+
+    def scale(self, q) -> "Form":
+        q = Fraction(q)
+        return Form(tuple(q * c for c in self.coeffs), q * self.const)
+
+    def is_constant(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not Form:
+            return NotImplemented
+        return (self.coeffs, self.const) == (other.coeffs, other.const)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.const))
+
+    def __str__(self) -> str:
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            term = f"x{i}" if mag == 1 else f"{mag}*x{i}"
+            parts.append(("-" if c < 0 else "+", term))
+        if self.const != 0 or not parts:
+            parts.append(("-" if self.const < 0 else "+", str(abs(self.const))))
+        sign0, t0 = parts[0]
+        out = ("-" if sign0 == "-" else "") + t0
+        for sign, t in parts[1:]:
+            out += f" {sign} {t}"
+        return out
+
+
+class Atom(NamedTuple):
+    """An atom  form rel 0  of the oracle."""
+    form: Form
+    rel: str
+
+
+def atom(a: Constraint) -> Atom:
+    """The oracle atom of a latdev atom, read off its key."""
+    vals = [Fraction(v) for v in a.key[1:]]
+    return Atom(Form(tuple(vals[:-1]), vals[-1]), a.rel)
+
+
+def latdev_form(f: Form) -> LinearForm:
+    return LinearForm(f.coeffs, f.const)
+
+
+def constraint(f: Form, rel: str) -> Constraint:
+    return Constraint(latdev_form(f), rel)
+
+
+def key_and_row(f: Form, rel: str) -> tuple:
+    """The key and row that ``Constraint(form, rel)`` built from a
+    ``Fraction`` form: the values with integral ones as ints, and the
+    primitive integer vector over their common denominator."""
+    vals = [v.numerator if v.denominator == 1 else v
+            for v in f.coeffs + (f.const,)]
+    key = (rel, *vals)
+    d = lcm(*[v.denominator for v in vals])
+    if d > 1:
+        vals = [v.numerator * (d // v.denominator) for v in vals]
+    g = gcd(*vals)
+    return key, (rel, tuple(vals) if g <= 1 else
+                 tuple([v // g for v in vals]))
+
+
 def satisfied_by(a: Constraint, point) -> bool:
+    return _holds(atom(a), point)
+
+
+def _holds(a: Atom, point) -> bool:
     v = a.form.evaluate(point)
     return v > 0 if a.rel == GT else v >= 0 if a.rel == GE else v == 0
 
@@ -60,11 +174,12 @@ def contains(S: SemilinearSet, point) -> bool:
 
 def negations(a: Constraint) -> tuple:
     """Atoms whose disjunction is the complement of this atom."""
-    if a.rel == GT:
-        return (Constraint(-a.form, GE),)
-    if a.rel == GE:
-        return (Constraint(-a.form, GT),)
-    return (Constraint(a.form, GT), Constraint(-a.form, GT))
+    f, rel = atom(a)
+    if rel == GT:
+        return (constraint(-f, GE),)
+    if rel == GE:
+        return (constraint(-f, GT),)
+    return (constraint(f, GT), constraint(-f, GT))
 
 
 def from_row(row: tuple) -> Constraint:
@@ -73,11 +188,11 @@ def from_row(row: tuple) -> Constraint:
                                  Fraction(vec[-1])), rel)
 
 
-def _atom_key(a: Constraint):
+def _atom_key(a: Atom):
     return (a.rel, a.form.coeffs, a.form.const)
 
 
-def _normalize(a: Constraint) -> Constraint:
+def _normalize(a: Atom) -> Atom:
     nums = list(a.form.coeffs) + [a.form.const]
     denoms = [f.denominator for f in nums]
     L = lcm(*denoms) if denoms else 1
@@ -85,30 +200,30 @@ def _normalize(a: Constraint) -> Constraint:
     g = gcd(*(abs(v) for v in ints)) if any(ints) else 1
     g = g or 1
     scaled = [Fraction(v, g) for v in ints]
-    return Constraint(LinearForm(tuple(scaled[:-1]), scaled[-1]), a.rel)
+    return Atom(Form(tuple(scaled[:-1]), scaled[-1]), a.rel)
 
 
-def _combine(lo: Constraint, up: Constraint, i: int) -> Constraint:
+def _combine(lo: Atom, up: Atom, i: int) -> Atom:
     """Eliminate x_i from a lower (positive coeff) and upper (negative
     coeff) bound; strict iff either parent strict."""
     c1 = lo.form.coeffs[i]
     c2 = up.form.coeffs[i]
     new = lo.form.scale(-c2) + up.form.scale(c1)
     rel = GT if (lo.rel == GT or up.rel == GT) else GE
-    return _normalize(Constraint(new, rel))
+    return _normalize(Atom(new, rel))
 
 
-def _substitute_pivot(atom: Constraint, pivot: Constraint, i: int) -> Constraint:
+def _substitute_pivot(a: Atom, pivot: Atom, i: int) -> Atom:
     """Replace x_i in atom using the equality pivot (pivot coeff != 0)."""
-    c = atom.form.coeffs[i]
+    c = a.form.coeffs[i]
     if c == 0:
-        return atom
+        return a
     p = pivot.form.coeffs[i]
-    new = atom.form + pivot.form.scale(-c / p)
-    return _normalize(Constraint(new, atom.rel))
+    new = a.form + pivot.form.scale(-c / p)
+    return _normalize(Atom(new, a.rel))
 
 
-def _const_atom_true(a: Constraint) -> bool:
+def _const_atom_true(a: Atom) -> bool:
     v = a.form.const
     return v > 0 if a.rel == GT else v >= 0 if a.rel == GE else v == 0
 
@@ -130,7 +245,7 @@ def _step(atoms: list, i: int):
     return ("ineq", i, tuple(involved)), rest + derived
 
 
-def _tidy(atoms: Iterable[Constraint]):
+def _tidy(atoms: Iterable[Atom]):
     """Drop true constant atoms and exact duplicates; None on a false
     constant atom."""
     out = []
@@ -171,10 +286,11 @@ def is_empty(cell: Cell) -> bool:
     """Whether no rational point satisfies all atoms of the cell."""
     if not cell.atoms:
         return False
-    if _obviously_empty(cell.atoms):
+    atoms = [atom(a) for a in cell.atoms]
+    if _obviously_empty(atoms):
         return True
-    n = cell.atoms[0].form.dimension
-    atoms = _tidy(cell.atoms)
+    n = atoms[0].form.dimension
+    atoms = _tidy(atoms)
     if atoms is None:
         return True
     for i in range(n):
@@ -195,10 +311,11 @@ def witness_point(cell: Cell,
         if dimension is None:
             raise InputError("dimension required for the unconstrained cell")
         return tuple(Fraction(0) for _ in range(dimension))
-    n = cell.atoms[0].form.dimension
+    atoms = [atom(a) for a in cell.atoms]
+    n = atoms[0].form.dimension
     if dimension is not None and dimension != n:
         raise InputError("dimension mismatch")
-    atoms = _tidy(cell.atoms)
+    atoms = _tidy(atoms)
     if atoms is None:
         return None
     stages = []
@@ -210,7 +327,7 @@ def witness_point(cell: Cell,
             return None
     point: dict = {}
 
-    def value_at(f: LinearForm, skip: int) -> Fraction:
+    def value_at(f: Form, skip: int) -> Fraction:
         return f.const + sum(
             (f.coeffs[j] * point[j] for j in range(n)
              if j != skip and f.coeffs[j] != 0), Fraction(0))
@@ -301,7 +418,7 @@ def eliminate(S: SemilinearSet, variables: Iterable[int],
             raise InputError(f"variable index {i} out of range")
     out = []
     for cell in S.cells:
-        atoms = _tidy(cell.atoms)
+        atoms = _tidy(atom(a) for a in cell.atoms)
         if atoms is None:
             continue
         dead = False
@@ -313,7 +430,7 @@ def eliminate(S: SemilinearSet, variables: Iterable[int],
                 break
         if dead:
             continue
-        c = Cell.of(atoms)
+        c = Cell.of(constraint(*a) for a in atoms)
         if not is_empty(c) and c not in out:
             out.append(c)
         _guard(len(out), ceiling)
@@ -338,6 +455,11 @@ def includes(S: SemilinearSet, T: SemilinearSet,
 
 
 def linearize_pieces(t: VLTerm, n: int, limit: int) -> tuple:
+    return tuple((c, latdev_form(f)) for c, f in _pieces(t, n, limit))
+
+
+def _pieces(t: VLTerm, n: int, limit: int) -> tuple:
+    """The pieces (cell, ``Form``) of the term."""
     if max_generator(t) >= n:
         raise InputError("term uses a generator outside the declared dimension")
     memo: Dict[VLTerm, tuple] = {}
@@ -354,10 +476,9 @@ def linearize_pieces(t: VLTerm, n: int, limit: int) -> tuple:
         if isinstance(s, Gen):
             coeffs = [Fraction(0)] * n
             coeffs[s.index] = Fraction(1)
-            out = ((Cell(()), LinearForm(tuple(coeffs))),)
+            out = ((Cell(()), Form(tuple(coeffs))),)
         elif isinstance(s, One):
-            out = ((Cell(()), LinearForm(tuple([Fraction(0)] * n),
-                                         Fraction(1))),)
+            out = ((Cell(()), Form(tuple([Fraction(0)] * n), Fraction(1))),)
         elif isinstance(s, Scale):
             out = tuple((c, f.scale(s.coeff)) for c, f in go(s.arg))
         elif isinstance(s, Add):
@@ -376,9 +497,9 @@ def linearize_pieces(t: VLTerm, n: int, limit: int) -> tuple:
                     base = c1.atoms + c2.atoms
                     diff = f1 - f2
                     # join keeps the larger branch, meet the smaller
-                    first = Cell.of(base + (Constraint(
+                    first = Cell.of(base + (constraint(
                         diff if keep_left_closed else -diff, GE),))
-                    second = Cell.of(base + (Constraint(
+                    second = Cell.of(base + (constraint(
                         -diff if keep_left_closed else diff, GT),))
                     if not is_empty(first):
                         acc.append((first, f1))
@@ -399,19 +520,19 @@ def piece_set(t: VLTerm, n: int, limit: int, kind: str) -> tuple:
     term: over its pieces (cell, f) in order, the nonempty cells
     ``cell ∧ atoms`` for the atom tuples below.  A constant piece of the
     zero set is kept whole when it is 0 and dropped otherwise."""
-    def extras(f: LinearForm) -> list:
+    def extras(f: Form) -> list:
         if kind == "zero":
             if not f.is_constant():
-                return [(Constraint(f, EQ),)]
+                return [(constraint(f, EQ),)]
             return [()] if f.const == 0 else []
         if kind == "cozero":
-            return [(Constraint(f, GT),), (Constraint(-f, GT),)]
+            return [(constraint(f, GT),), (constraint(-f, GT),)]
         if kind == "positive":
-            return [(Constraint(f, GT),)]
-        return [(Constraint(-f, GE),)]
+            return [(constraint(f, GT),)]
+        return [(constraint(-f, GE),)]
 
     cells = []
-    for cell, f in linearize_pieces(t, n, limit):
+    for cell, f in _pieces(t, n, limit):
         for atoms in extras(f):
             c = Cell.of(cell.atoms + atoms) if atoms else cell
             if not is_empty(c):

@@ -17,6 +17,8 @@ whose cells hold a written contradiction (``f > 0`` against ``-f`` or
 through the same comparisons.  Every path of ``witness_point``'s
 back-substitution (skip, equality, lower or upper bound alone, strict or
 closed, midpoint and single point) runs at least 100 times on the corpus.
+``LinearForm``, which holds integers over one denominator, is compared
+with the oracle's ``Fraction`` form on seeded forms of dimension 0-4.
 """
 
 import random
@@ -26,6 +28,7 @@ from math import prod
 import pytest
 
 import oracle_fm as oracle
+from latdev import semilinear
 from latdev.errors import InputError
 from latdev.semilinear import (EQ, GE, GT, _POINTS, _POINTS_CAP, Cell,
                                Constraint, LinearForm, SemilinearSet,
@@ -109,7 +112,7 @@ def test_corpus_has_the_intended_shapes(corpus):
             stats["const"] += any(a.form.is_constant() for a in c.atoms)
             stats["frac"] += any(v.denominator > 1 for a in c.atoms
                                  for v in a.form.coeffs)
-            norm = [oracle._normalize(a) for a in c.atoms]
+            norm = [oracle._normalize(oracle.atom(a)) for a in c.atoms]
             stats["dup"] += any(
                 a != b and na == nb
                 for a, na in zip(c.atoms, norm)
@@ -217,19 +220,80 @@ def test_row_built_atoms_match_fraction_built(corpus):
     assert checked >= 20_000
 
 
-def test_complement_builds_no_forms():
-    """Derived atoms carry only their key and row until a form is read."""
+def test_atoms_store_no_form(monkeypatch):
+    """An atom stores its key and row, not its form, and a complement
+    builds no form at all.  Every ``LinearForm`` is made by its
+    constructor or by ``semilinear._form``; both are counted."""
+    assert "form" not in Constraint.__slots__
+    sets = [S for _, S, _ in _corpus() if _de_morgan(S) <= 4]
+    made = []
+    init = LinearForm.__init__
+
+    def counting_init(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    def counting_form(*args):
+        made.append(1)
+        return build(*args)
+
+    build = semilinear._form
+    monkeypatch.setattr(LinearForm, "__init__", counting_init)
+    monkeypatch.setattr(semilinear, "_form", counting_form)
+    assert LinearForm((1,), 2) + LinearForm((3,)) == LinearForm((4,), 2)
+    assert len(made) == 4
+    made.clear()
     _complement.cache_clear()
-    unset = 0
-    for n, S, _ in _corpus():
-        if _de_morgan(S) > 4:
-            continue
-        for c in complement(S).cells:
-            for a in c.atoms:
-                with pytest.raises(AttributeError):
-                    Constraint.form.__get__(a, Constraint)
-                unset += 1
-    assert unset >= 1_000
+    atoms = sum(len(c.atoms) for S in sets for c in complement(S).cells)
+    assert atoms >= 1_000 and not made
+
+
+FORMS = 2_000
+# each applied to two forms, latdev's and the oracle's alike; the
+# results of the fifth and sixth equal the first, those of the last
+# three the seventh
+FORM_OPS = [
+    lambda a, b: a, lambda a, b: b, lambda a, b: a + b,
+    lambda a, b: a - b, lambda a, b: a + b - b,
+    lambda a, b: a.scale(Fraction(2, 3)).scale(Fraction(3, 2)),
+    lambda a, b: a - a, lambda a, b: -a, lambda a, b: -b,
+    lambda a, b: a.scale(-2), lambda a, b: b.scale(Fraction(-3, 2)),
+    lambda a, b: a.scale(Fraction(2, 3)), lambda a, b: b.scale(0),
+    lambda a, b: a.scale(0), lambda a, b: (a - b).scale(0)]
+
+
+def test_forms_match_fraction_forms():
+    """Values, sums, differences, negation, scaling, evaluation, the
+    constant test, text and equality of ``LinearForm``s match those of
+    the oracle's ``Fraction`` forms, and ``Constraint(form, rel)`` has the
+    key, row and hash that it had when built from a ``Fraction`` form."""
+    rng = random.Random(20261022)
+    equal = 0
+    for k in range(FORMS):
+        n = k % 5
+        vals = [[_coeff(rng) for _ in range(n + 1)] for _ in range(2)]
+        new = [op(*[LinearForm(tuple(v[:-1]), v[-1]) for v in vals])
+               for op in FORM_OPS]
+        old = [op(*[oracle.Form(tuple(v[:-1]), v[-1]) for v in vals])
+               for op in FORM_OPS]
+        point = random_point(rng, n)
+        for f, g in zip(new, old):
+            assert (f.coeffs, f.const, f.dimension) == \
+                (g.coeffs, g.const, g.dimension), (f, g)
+            assert f.evaluate(point) == g.evaluate(point), (f, point)
+            assert f.is_constant() == g.is_constant()
+            assert str(f) == str(g)
+            for rel in (GT, GE, EQ):
+                a = Constraint(f, rel)
+                key, row = oracle.key_and_row(g, rel)
+                assert (a.key, a.row, hash(a)) == (key, row, hash(key)), f
+                assert a.form == f
+        for f, g in zip(new, old):
+            for f2, g2 in zip(new, old):
+                assert (f == f2) == (g == g2), (f, f2)
+                assert f != f2 or hash(f) == hash(f2)
+                equal += f == f2
+    assert equal >= (len(FORM_OPS) + 18) * FORMS
 
 
 def _coordinates(rng: random.Random, n: int) -> list:

@@ -1,6 +1,7 @@
 """Exact semilinear kernel: emptiness, witnesses, elimination,
 complement, inclusion, shadows, interpolation."""
 
+import inspect
 import random
 from fractions import Fraction
 from functools import reduce
@@ -576,3 +577,80 @@ class TestDimensionChecks:
         (("-0.25",), False), ((0.5,), True), ((True,), True), ((0,), False)])
     def test_rational_coordinates_of_any_type(self, point, inside):
         assert S([["x0 > 0"]], 1).contains(point) is inside
+
+
+class TestOperands:
+    @pytest.mark.parametrize("coeffs, const", [
+        (("a",), 0), (5, 0), ((1, float("nan")), 0), ((None,), 0),
+        ((1, 1j), 0), ((1,), "1/2"), ((1,), float("inf"))],
+        ids=["str", "int", "nan", "none", "complex", "str-const", "inf"])
+    def test_form_values_must_be_finite_rationals(self, coeffs, const):
+        with pytest.raises(InputError, match="not a sequence of finite "
+                                             "rationals|is not a finite "
+                                             "rational number"):
+            LinearForm(coeffs, const)
+
+    def test_form_takes_any_rational_number(self):
+        f = LinearForm([1, 2.5, Fraction(1, 3), True], -0.25)
+        assert f.coeffs == (1, Fraction(5, 2), Fraction(1, 3), 1)
+        assert f.const == Fraction(-1, 4)
+        assert f == LinearForm((1, Fraction(5, 2), Fraction(1, 3), 1),
+                               Fraction(-1, 4))
+        assert Constraint(LinearForm((1, 2.5), 0), GE) == \
+            parse_constraint("x0 + 5/2*x1 >= 0", 2)
+
+    @pytest.mark.parametrize("value", [(1, 2), form([1]).coeffs, None, "x0"])
+    def test_atom_form_must_be_a_linear_form(self, value):
+        with pytest.raises(InputError, match="not a linear form"):
+            Constraint(value, GE)
+
+    @pytest.mark.parametrize("check", [
+        is_empty, witness_point, lambda c: c.satisfied_by((1,)),
+        lambda c: SemilinearSet(1, (c,))],
+        ids=["is_empty", "witness_point", "satisfied_by", "set"])
+    @pytest.mark.parametrize("atoms", [
+        (5,), (Constraint(form([1]), GT), form([1])), ((GT, 1, 0),)],
+        ids=["int", "form", "tuple"])
+    def test_cell_atoms_must_be_atoms(self, check, atoms):
+        with pytest.raises(InputError, match="not an atom"):
+            check(Cell(atoms))
+
+    @pytest.mark.parametrize("cells", [
+        lambda: [Cell(())], lambda: (c for c in [Cell(())])],
+        ids=["list", "generator"])
+    def test_set_stores_a_tuple_of_cells(self, cells):
+        U = SemilinearSet(1, cells())
+        assert U.cells == (Cell(()),)
+        assert complement(U) == SemilinearSet.empty(1)
+        assert includes(U, U) == (True, None)
+        assert includes(U, S([["x0 > 0"]], 1)) == (True, None)
+
+
+HALF = S([["x0 > 0"]], 1)
+CEILING_CALLS = {
+    "intersect": lambda c: intersect(HALF, HALF, c),
+    "complement": lambda c: complement(HALF, c),
+    "eliminate": lambda c: eliminate(HALF, [0], c),
+    "includes": lambda c: includes(HALF, HALF, c),
+    "same_set": lambda c: same_set(HALF, HALF, c),
+    "upper_shadow_set": lambda c: upper_shadow_set(HALF, [0], c),
+    "lower_shadow_set": lambda c: lower_shadow_set(HALF, [0], c),
+    "interpolant": lambda c: interpolant(HALF, [0], HALF, [0], c),
+}
+
+
+def test_every_ceiling_function_is_checked():
+    takes = {name for name, f in vars(semilinear).items()
+             if inspect.isfunction(f) and not name.startswith("_")
+             and f.__module__ == semilinear.__name__
+             and "ceiling" in inspect.signature(f).parameters}
+    assert takes == set(CEILING_CALLS)
+
+
+@pytest.mark.parametrize("ceiling", [0, -3])
+@pytest.mark.parametrize("name", sorted(CEILING_CALLS))
+def test_ceiling_below_1_is_input_error(name, ceiling):
+    with pytest.raises(InputError, match=f"ceiling must be at least 1, "
+                                         f"got {ceiling}"):
+        CEILING_CALLS[name](ceiling)
+    CEILING_CALLS[name](1)
