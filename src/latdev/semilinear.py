@@ -68,6 +68,7 @@ format, e.g. ``"2*x0 - 1/3*x1 + 1 > 0"``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -309,7 +310,20 @@ class Cell(_Frozen):
 
     @classmethod
     def of(cls, atoms: Iterable[Constraint]) -> "Cell":
-        return cls(tuple(sorted(set(atoms), key=_atom_key)))
+        """The cell of ``atoms``, each once, sorted by key.  An atom with
+        no key or no hash is an ``InputError``, looked for only once the
+        set or the sort has failed: ``of`` is hot."""
+        try:
+            return cls(tuple(sorted(set(atoms), key=_atom_key)))
+        except AttributeError as exc:           # an atom without a key
+            bad = repr(exc.obj)
+        except TypeError as exc:                # an unhashable atom
+            bad = None if isinstance(atoms, Iterator) else next(
+                (repr(a) for a in atoms if a.__class__ is not Constraint),
+                None)
+            if bad is None:                     # an iterator gave it up
+                bad = str(exc)
+        raise InputError(f"not an atom: {bad}")
 
     def satisfied_by(self, point) -> bool:
         if not self.atoms:
@@ -327,7 +341,8 @@ class Cell(_Frozen):
 def _cell_dimension(cell: Cell) -> int:
     """The dimension of a cell's atoms.  An atom that is not a
     ``Constraint``, or atoms of two dimensions in one cell, are an input
-    error: checked where a cell enters a decision, not in ``Cell.of``."""
+    error: checked where a cell enters a decision.  ``Cell.of`` catches
+    only an atom that its set or its sort fails on."""
     for a in cell.atoms:
         if a.__class__ is not Constraint:
             raise InputError(f"not an atom: {a!r}")

@@ -615,6 +615,16 @@ class TestOperands:
         with pytest.raises(InputError, match="not an atom"):
             check(Cell(atoms))
 
+    @pytest.mark.parametrize("atoms, shown", [
+        ([5], "5"), ([Constraint(form([1]), GT), "x0 > 0"], "'x0 > 0'"),
+        ([[1]], "[1]"), ((Constraint(form([1]), GT), {"a": 1}), "{'a': 1}"),
+        (iter([5]), "5"), (iter([[1]]), "unhashable type: 'list'")],
+        ids=["int", "str", "list", "dict", "iter-int", "iter-list"])
+    def test_cell_of_names_the_non_atom(self, atoms, shown):
+        with pytest.raises(InputError) as info:
+            Cell.of(atoms)
+        assert str(info.value) == f"not an atom: {shown}"
+
     @pytest.mark.parametrize("cells", [
         lambda: [Cell(())], lambda: (c for c in [Cell(())])],
         ids=["list", "generator"])
